@@ -11,7 +11,8 @@ Subcommands::
 
 Exit codes: 0 when every verdict is PASS or CERTIFIED-TO-DEPTH, 1 when any
 check is REFUTED or FAIL, 2 on a usage error (malformed tuples and labels
-are reported with the offending position).
+are reported with the offending position, and every ``ValueError`` the
+library raises on its arguments becomes a one-line usage message).
 
 The full default verification suite is the composition::
 
@@ -110,18 +111,14 @@ def _cmd_borels(parser, args) -> int:
     elif args.graph == "json":
         print(borel_graph_json(args.n))
     else:
-        for label in all_borels(args.n):
-            print(format_label(label))
+        # format every label before printing, so a failure prints nothing
+        print("\n".join(format_label(label) for label in all_borels(args.n)))
     return 0
 
 
 def _cmd_rho(parser, args) -> int:
     label = _label_arg(parser, args.label)
-    try:
-        vec = rho_vector(args.n, label)
-    except ValueError as err:
-        parser.error(str(err))
-    print(format_rho(args.n, vec))
+    print(format_rho(args.n, rho_vector(args.n, label)))
     return 0
 
 
@@ -162,7 +159,7 @@ def _cmd_ds(parser, args) -> int:
         else:
             m = verma_realization(n, label, args.tuple, depth)
         result = ds_homology(m, args.alpha)
-    except (ValueError, AssertionError) as err:
+    except AssertionError as err:
         parser.error(str(err))
     if args.json:
         print(result.to_json())
@@ -177,23 +174,20 @@ def _cmd_ds(parser, args) -> int:
 
 def _cmd_verify(parser, args) -> int:
     reports = []
-    try:
-        if args.scenario == "conjecture":
-            for n in args.n or (2,):
-                label = None if args.borel is None else _label_arg(parser, args.borel)
-                reports.append(
-                    verify_conjecture(n, label=label, alpha=args.alpha, depth=args.depth)
-                )
-        elif args.scenario == "mabg":
-            for n in args.n or (2, 3):
-                reports.append(verify_maBG(n, depth=args.depth))
-        elif args.scenario == "gl22":
-            reports.append(verify_gl22_examples(depth=args.depth))
-        else:
-            for n in args.n or (2, 3):
-                reports.append(verify_structure(n))
-    except ValueError as err:
-        parser.error(str(err))
+    if args.scenario == "conjecture":
+        for n in args.n or (2,):
+            label = None if args.borel is None else _label_arg(parser, args.borel)
+            reports.append(
+                verify_conjecture(n, label=label, alpha=args.alpha, depth=args.depth)
+            )
+    elif args.scenario == "mabg":
+        for n in args.n or (2, 3):
+            reports.append(verify_maBG(n, depth=args.depth))
+    elif args.scenario == "gl22":
+        reports.append(verify_gl22_examples(depth=args.depth))
+    else:
+        for n in args.n or (2, 3):
+            reports.append(verify_structure(n))
     for rep in reports:
         if args.json:
             print(rep.to_json(timing=args.timing))
@@ -263,7 +257,11 @@ def main(argv=None) -> int:
         "ds": _cmd_ds,
         "verify": _cmd_verify,
     }[args.command]
-    return handler(parser, args)
+    try:
+        return handler(parser, args)
+    except ValueError as err:
+        # the library validates arguments with ValueError: a usage error
+        parser.error(str(err))
 
 
 if __name__ == "__main__":

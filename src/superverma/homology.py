@@ -64,7 +64,6 @@ REFUTED = "REFUTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _column_submatrix(m: SparseRationalMatrix, cols: list[int]) -> SparseRationalMatrix:
@@ -248,28 +247,14 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     margin = abs(m.datum.xi(rw))
     valid_depth = m.depth - margin
     dim_table: dict[Weight, tuple[int, int]] = {}
-    for mu in m.weight_spaces:
-        if m.datum.depth_of(mu) > valid_depth:
-            continue
-        basis = m.weight_spaces[mu]
-        parities = [m.vector_parity(bv) for bv in basis]
-        out_m = m.unit_matrix(alpha, mu)
-        src = sub_weights(mu, rw)
-        in_m = m.unit_matrix(alpha, src)
-        src_parities = [m.vector_parity(bv) for bv in m.weight_spaces.get(src, ())]
-        dims = []
-        for p in (0, 1):
-            cols = [k for k, q in enumerate(parities) if q == p]
-            src_cols = [k for k, q in enumerate(src_parities) if q == 1 - p]
-            d = (
-                len(cols)
-                - rank(_column_submatrix(out_m, cols))
-                - rank(_column_submatrix(in_m, src_cols))
-            )
-            if d < 0:
-                raise AssertionError(f"negative homology dimension at {mu}: parity {p}")
-            dims.append(d)
-        dim_table[mu] = (dims[0], dims[1])
+    for mu, counts, out_ranks, in_ranks in m.differential_ranks(alpha, valid_depth):
+        # parity p at mu: the kernel of the outgoing map on parity p, modulo
+        # the image of the incoming map from parity 1 - p
+        even = counts[0] - out_ranks[0] - in_ranks[1]
+        odd = counts[1] - out_ranks[1] - in_ranks[0]
+        if even < 0 or odd < 0:
+            raise AssertionError(f"negative homology dimension at {mu}: {(even, odd)}")
+        dim_table[mu] = (even, odd)
     return DSResult(m, alpha, valid_depth, dim_table)
 
 
@@ -886,7 +871,7 @@ class ContractionComplex:
         self.parities: tuple[int, ...] = tuple(
             row_parity + [(p + 1) % 2 for p in row_parity]
         )
-        sign = [_ONE if p else -_ONE for p in row_parity]
+        sign = [1 if p else -1 for p in row_parity]
         self._delta_images = {k: [(m + k, sign[k])] for k in range(m)}
         self._h_images = {m + k: [(k, sign[k])] for k in range(m)}
 
@@ -907,7 +892,7 @@ class ContractionComplex:
         d = self.degree(mono)
         if d == 0:
             return {}
-        return {k: v / d for k, v in self.h(mono).items()}
+        return {k: Fraction(v, d) for k, v in self.h(mono).items()}
 
     def monomials(self, max_degree: int):
         ranges = [
@@ -924,11 +909,11 @@ class ContractionComplex:
             count += 1
             deg = self.degree(mono)
             lhs = _combine(self.delta, self.h, mono)
-            if lhs != ({mono: Fraction(deg)} if deg else {}):
+            if lhs != ({mono: deg} if deg else {}):
                 failures.append({"identity": "delta*h + h*delta = D", "monomial": mono})
                 continue
             lhs = _combine(self.delta, self.s, mono)
-            expected = {mono: _ONE} if deg else {}
+            expected = {mono: 1} if deg else {}
             if lhs != expected:
                 failures.append(
                     {"identity": "delta*s + s*delta = id - pi", "monomial": mono}
@@ -943,14 +928,14 @@ class ContractionComplex:
 
 
 def _derive(parities, images, mono) -> dict:
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, int] = {}
     prefix = 0
     for j, a in enumerate(mono):
         if a:
             img = images.get(j)
             if img is not None:
                 for y, c in img:
-                    coeff = Fraction(a) * c
+                    coeff = a * c
                     if prefix:
                         coeff = -coeff
                     base = list(mono)
@@ -968,7 +953,7 @@ def _derive(parities, images, mono) -> dict:
                             continue
                     base[y] += 1
                     key = tuple(base)
-                    new = out.get(key, _ZERO) + coeff
+                    new = out.get(key, 0) + coeff
                     if new:
                         out[key] = new
                     else:
@@ -979,11 +964,11 @@ def _derive(parities, images, mono) -> dict:
 
 def _combine(first, second, mono) -> dict:
     """first(second(mono)) + second(first(mono)) on monomial expansions."""
-    out: dict[tuple, Fraction] = {}
+    out: dict = {}
     for f, g in ((first, second), (second, first)):
         for key, c in g(mono).items():
             for key2, c2 in f(key).items():
-                new = out.get(key2, _ZERO) + c * c2
+                new = out.get(key2, 0) + c * c2
                 if new:
                     out[key2] = new
                 else:

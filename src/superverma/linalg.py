@@ -1,10 +1,16 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything runs on :class:`fractions.Fraction`; there are no floats and no
-tolerances anywhere in the package.  Matrices are sparse maps
-``(row, col) -> Fraction`` with no stored zeros, and every routine is a pure
-function of its inputs, so results are deterministic and safe to share
-between threads.
+There are no floats and no tolerances anywhere in the package.  Matrices are
+sparse maps ``(row, col) -> int | Fraction`` with no stored zeros; the module
+layer produces integer matrices, and entries stay plain ``int`` until a
+routine has to divide.  Every routine is a pure function of its inputs, so
+results are deterministic and safe to share between threads.
+
+* ``rank`` is fraction-free: it clears the denominators of each row and runs
+  Bareiss elimination on integers, so integer input builds no ``Fraction``.
+* ``kernel_basis``, ``image_basis`` and ``quotient_basis`` divide, so they
+  run a reduced row echelon form over ``Fraction`` and return ``Fraction``
+  vectors in canonical form.
 
 The canonical forms used throughout:
 
@@ -27,6 +33,7 @@ Worked example (the rank-1 matrix [[1, 2], [2, 4]])::
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -43,8 +50,9 @@ def as_vector(values: Iterable[int | Fraction]) -> Vector:
 class SparseRationalMatrix:
     """An immutable sparse matrix over Q.
 
-    Entries are stored in a dict keyed by ``(row, col)``; zeros are never
-    stored.  Shape is explicit so zero rows/columns are representable.
+    Entries are stored in a dict keyed by ``(row, col)``, as ``int`` or
+    ``Fraction``; zeros are never stored.  Shape is explicit so zero
+    rows/columns are representable.
     """
 
     __slots__ = ("nrows", "ncols", "entries")
@@ -59,13 +67,12 @@ class SparseRationalMatrix:
             raise ValueError(f"invalid shape ({nrows}, {ncols})")
         self.nrows = nrows
         self.ncols = ncols
-        clean: dict[tuple[int, int], Fraction] = {}
+        clean: dict[tuple[int, int], int | Fraction] = {}
         for (r, c), v in (entries or {}).items():
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise ValueError(f"entry ({r}, {c}) outside shape ({nrows}, {ncols})")
-            fv = Fraction(v)
-            if fv:
-                clean[(r, c)] = fv
+            if v:
+                clean[(r, c)] = v if isinstance(v, (int, Fraction)) else Fraction(v)
         self.entries = clean
 
     @classmethod
@@ -210,7 +217,7 @@ def _reduced_row_echelon(rows: list[dict[int, Fraction]]) -> dict[int, dict[int,
     with the smallest denominator, then smallest |numerator|, then smallest
     row index, which keeps intermediate fractions from blowing up.
     """
-    work = [dict(r) for r in rows if r]
+    work = [{c: Fraction(v) for c, v in r.items()} for r in rows if r]
     pivots: dict[int, dict[int, Fraction]] = {}
     while True:
         lead_cols = [min(r) for r in work]
@@ -255,8 +262,56 @@ def _reduced_row_echelon(rows: list[dict[int, Fraction]]) -> dict[int, dict[int,
 
 
 def rank(m: SparseRationalMatrix) -> int:
-    """Exact rank of the matrix."""
-    return len(_reduced_row_echelon(m.rows()))
+    """Exact rank of the matrix, by fraction-free elimination.
+
+    A row with fractional entries is first scaled by the least common
+    multiple of its denominators, which keeps the rank; Bareiss elimination
+    then runs on integers only.
+    """
+    rows = []
+    for row in m.rows():
+        if not row:
+            continue
+        if not all(type(v) is int for v in row.values()):
+            scale = lcm(*(v.denominator for v in row.values()))
+            row = {c: int(v * scale) for c, v in row.items()}
+        rows.append(row)
+    return _bareiss_rank(rows)
+
+
+def _bareiss_rank(rows: list[dict[int, int]]) -> int:
+    """Rank of nonzero sparse integer rows, by Bareiss elimination.
+
+    Columns are pivoted left to right.  After each step every remaining
+    entry is a minor of the input (Sylvester's identity), so the division by
+    the previous pivot is exact and entries grow only as minors do.
+    """
+    previous = 1
+    count = 0
+    while rows:
+        col = min(min(row) for row in rows)
+        pick = min(
+            (i for i, row in enumerate(rows) if col in row),
+            key=lambda i: abs(rows[i][col]),
+        )
+        pivot_row = rows.pop(pick)
+        pivot = pivot_row.pop(col)
+        remaining = []
+        for row in rows:
+            factor = row.pop(col, 0)
+            if factor:
+                new = {c: pivot * v for c, v in row.items()}
+                for c, v in pivot_row.items():
+                    new[c] = new.get(c, 0) - factor * v
+                row = {c: v // previous for c, v in new.items() if v}
+            elif pivot != previous:
+                row = {c: pivot * v // previous for c, v in row.items()}
+            if row:
+                remaining.append(row)
+        rows = remaining
+        previous = pivot
+        count += 1
+    return count
 
 
 def kernel_basis(m: SparseRationalMatrix) -> list[Vector]:

@@ -8,18 +8,28 @@ one-dimensional ``k_λ`` for Verma-type inductions, a tensor product of
 small factors for parabolic ones).
 
 Everything is graded by weight and truncated by a per-datum height
-functional: the realization enumerates complete weight spaces for every
-weight of height-depth at most ``depth`` and computes generator actions by
-straightening, producing exact rational (in practice integral) matrices.
+functional: every weight of height-depth at most ``depth`` gets a complete
+weight space, and generator actions are computed by PBW straightening.
 Actions whose target weight falls outside the region raise
 :class:`TruncationOverflow` — results are never silently dropped.
+
+The work is split in two.  A :class:`PBWLayout` depends on the shape of the
+induction (rank, inducing and levi roots, PBW order, heights, depth, levi
+module) but not on the anchor weight ``hw``.  It enumerates the basis by
+weight offset from the anchor and holds the one straightening memo, whose
+coefficients are integers affine in ``hw``: a plain ``int`` when constant
+(almost always), otherwise an :class:`Affine`.  A :class:`Realization` is a
+thin view of a layout at one anchor; it evaluates weight spaces, parities,
+actions and integer unit matrices there.  Views of one shared layout, such
+as the Verma modules of one Borel over a grid of tuples, straighten once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
+from operator import add
 
 from .borels import (
     Label,
@@ -31,7 +41,7 @@ from .borels import (
     simple_roots,
     star,
 )
-from .linalg import SparseRationalMatrix, kernel_basis
+from .linalg import SparseRationalMatrix, kernel_basis, rank
 from .superalgebra import (
     Element,
     Root,
@@ -54,7 +64,7 @@ from .weights import (
     sub_weights,
 )
 
-Vector = dict  # basis vector -> Fraction
+Vector = dict  # basis vector -> int or Fraction
 
 
 class TruncationOverflow(RuntimeError):
@@ -119,7 +129,7 @@ class InductionDatum:
                 continue
             if r in self.levi_roots and opposite in self.levi_roots:
                 continue
-            value = Fraction(0)
+            value = 0
             for unit, coef in bracket(n, r, opposite):
                 if is_cartan(unit):
                     value += coef * self.hw[unit[0] - 1]
@@ -132,6 +142,17 @@ class InductionDatum:
         for r in complement:
             if self.root_cost(r) < 1:
                 raise ValueError(f"complement root {r} has nonpositive depth cost")
+
+    @property
+    def shape(self) -> tuple:
+        """Everything but the anchor: what a :class:`PBWLayout` depends on."""
+        return (
+            self.n,
+            self.inducing_roots,
+            self.levi_roots,
+            self.complement_order,
+            self.heights,
+        )
 
     def xi(self, vec) -> int:
         return sum(h * v for h, v in zip(self.heights, vec, strict=True))
@@ -159,11 +180,13 @@ class InductionDatum:
 
 
 class TrivialLevi:
-    """The one-dimensional module k_hw: root vectors act by zero."""
+    """The one-dimensional module k_hw: root vectors act by zero.  Its one
+    state sits at the anchor, whatever the anchor is, so its weights are
+    given as offsets from it."""
 
-    def __init__(self, n: int, hw: Weight):
+    def __init__(self, n: int):
         self.n = n
-        self.hw = tuple(hw)
+        self.hw = (0,) * (2 * n)
         self.states = [(self.hw, 0)]
         self.roots: frozenset[Root] = frozenset()
 
@@ -212,9 +235,9 @@ class Gl11Factor:
 
     def unit_terms(self, unit: Unit, state: int):
         if unit == self.lower_unit and state == 0:
-            return [(1, Fraction(1))]
+            return [(1, 1)]
         if unit == self.raise_unit and state == 1:
-            return [(0, Fraction(self.a - self.b))]
+            return [(0, self.a - self.b)]
         return []
 
 
@@ -337,66 +360,156 @@ class TensorLevi:
 
 
 # ---------------------------------------------------------------------------
-# The realization engine.
+# Straightened coefficients.
 
 
-class Realization:
-    """Truncated induced module on the PBW basis over an ordered complement.
+class Affine:
+    """A non-constant integer affine function ``const + sum(c * hw[i])``.
 
-    Basis vectors are pairs ``(exponents, levi_state)``: exponents align
-    with ``datum.complement_order`` (odd-root exponents are 0 or 1), the
-    levi state indexes the levi module's basis.  Construction enumerates all
-    basis vectors of height-depth at most ``depth``; every weight with
-    ``datum.depth_of(weight) <= depth`` then has a complete basis.
+    Straightened coefficients are affine in the anchor weight ``hw``: a
+    Cartan unit acts by a weight coordinate, and every straightening path
+    evaluates at most one Cartan unit.  Constant coefficients stay plain
+    ``int``, and arithmetic returns an ``int`` as soon as the ``hw`` terms
+    cancel.  A product of two non-constant functions is refused, never
+    truncated.
+    """
 
-    After construction all queries are read-only.
+    __slots__ = ("const", "terms")
+
+    def __init__(self, const: int, terms: tuple[tuple[int, int], ...]):
+        self.const = const
+        self.terms = terms  # sorted (coordinate index, nonzero coefficient)
+
+    def at(self, hw: Weight) -> int:
+        value = self.const
+        for i, c in self.terms:
+            value += c * hw[i]
+        return value
+
+    def __add__(self, other):
+        if type(other) is int:
+            return Affine(self.const + other, self.terms) if other else self
+        if type(other) is not Affine:
+            return NotImplemented
+        merged = dict(self.terms)
+        for i, c in other.terms:
+            merged[i] = merged.get(i, 0) + c
+        terms = tuple(sorted((i, c) for i, c in merged.items() if c))
+        const = self.const + other.const
+        return Affine(const, terms) if terms else const
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if type(other) is not int:
+            if type(other) is Affine:
+                raise TypeError("product of two anchor-dependent coefficients")
+            return NotImplemented
+        if other == 1:
+            return self
+        if not other:
+            return 0
+        return Affine(self.const * other, tuple((i, c * other) for i, c in self.terms))
+
+    __rmul__ = __mul__
+
+
+def _at(coef, hw: Weight) -> int:
+    return coef if type(coef) is int else coef.at(hw)
+
+
+class _RankBlock:
+    """The rank of a unit's map on the source columns of one raw parity, at
+    any anchor.  Ranks are memoized by the values of the ``Affine`` entries;
+    a miss rebuilds the matrix from the layout's straightening memo."""
+
+    __slots__ = ("key", "coefs", "ranks")
+
+    def __init__(self, key: tuple, nrows: int, ncols: int, entries: dict):
+        self.key = key  # (unit, offset, raw parity) in the layout
+        self.coefs = tuple(v for v in entries.values() if type(v) is not int)
+        self.ranks: dict[tuple[int, ...], int] | int = {}
+        if not self.coefs:
+            self.ranks = rank(SparseRationalMatrix(nrows, ncols, entries))
+
+    def rank_at(self, hw: Weight, layout: "PBWLayout") -> int:
+        if not self.coefs:
+            return self.ranks
+        values = tuple([c.at(hw) for c in self.coefs])
+        found = self.ranks.get(values)
+        if found is None:
+            found = self.ranks[values] = rank(layout.matrix_at(*self.key, hw))
+        return found
+
+
+# ---------------------------------------------------------------------------
+# The realization engine: an anchor-free layout and its views.
+
+
+class PBWLayout:
+    """The anchor-free part of a truncated induction: basis and straightening.
+
+    A layout depends on the shape of a datum (rank, inducing and levi roots,
+    PBW order, heights), the depth and the levi module, never on the anchor
+    weight ``hw``.  Basis vectors are pairs ``(exponents, levi_state)``:
+    exponents align with the PBW order (odd-root exponents are 0 or 1), the
+    levi state indexes the levi module's basis.  Construction enumerates
+    every basis vector of height-depth at most ``depth``, grouped by its
+    weight offset from the anchor, so every offset of height-depth at most
+    ``depth`` has a complete basis.  Actions are straightened on demand and
+    memoized with coefficients affine in ``hw``; this memo is the only one,
+    apart from the ranks of parity blocks, memoized by their evaluated
+    entries.  A :class:`Realization` evaluates everything at one anchor.
     """
 
     def __init__(self, datum: InductionDatum, depth: int, levi=None):
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        self.datum = datum
+        n = datum.n
+        self.key = (datum.shape, depth, levi)
+        self.n = n
         self.depth = depth
-        self.levi = levi if levi is not None else TrivialLevi(datum.n, datum.hw)
+        self.levi = levi if levi is not None else TrivialLevi(n)
         if self.levi.roots != datum.levi_roots:
             raise ValueError("levi module and datum disagree on levi roots")
-        n = datum.n
-        self._roots = [root_weight(n, r) for r in datum.complement_order]
-        self._units: tuple[Unit, ...] = datum.complement_order
-        self._odd = [is_odd_root(n, r) for r in datum.complement_order]
-        self._costs = [datum.root_cost(r) for r in datum.complement_order]
-        self._levi_offsets = []
+        self.heights = datum.heights
+        self.levi_roots = datum.levi_roots
+        self.units: tuple[Unit, ...] = datum.complement_order
+        self._position = {u: i for i, u in enumerate(self.units)}
+        self._roots = [root_weight(n, r) for r in self.units]
+        self._odd = [is_odd_root(n, r) for r in self.units]
+        self._costs = [datum.root_cost(r) for r in self.units]
+        self._state_offsets = []
         for weight, _parity in self.levi.states:
-            off = datum.depth_of(weight)
-            if off < 0:
+            off = sub_weights(weight, self.levi.hw)
+            if self.cost(off) < 0:
                 raise ValueError(
                     "levi state above the anchor weight: heights misaligned"
                 )
-            self._levi_offsets.append(off)
+            self._state_offsets.append(off)
+        self._offset_memo: dict = {}
         self._act_memo: dict = {}
-        self._matrix_cache: dict = {}
-        self._weight_memo: dict = {}
-        self.weight_spaces: dict[Weight, list] = {}
+        self._rank_blocks: dict = {}
+        self._differentials: dict = {}
+        self.spaces: dict[Weight, list] = {}
         self._enumerate()
-        self._positions = {
-            w: {bv: i for i, bv in enumerate(basis)}
-            for w, basis in self.weight_spaces.items()
+        self.positions = {
+            off: {bv: i for i, bv in enumerate(basis)}
+            for off, basis in self.spaces.items()
         }
-
-    # -- construction -------------------------------------------------
+        self._by_parity = {
+            off: tuple([bv for bv in basis if self.raw_parity(bv) == q] for q in (0, 1))
+            for off, basis in self.spaces.items()
+        }
 
     def _enumerate(self):
         k = len(self._roots)
         exps = [0] * k
 
-        def emit(levi_state: int):
-            bvec = (tuple(exps), levi_state)
-            w = self.vector_weight(bvec)
-            self.weight_spaces.setdefault(w, []).append(bvec)
-
         def walk(i: int, budget: int, levi_state: int):
             if i == k:
-                emit(levi_state)
+                bvec = (tuple(exps), levi_state)
+                self.spaces.setdefault(self.offset(bvec), []).append(bvec)
                 return
             cost = self._costs[i]
             top = 1 if self._odd[i] else budget // cost
@@ -405,31 +518,237 @@ class Realization:
                 walk(i + 1, budget - e * cost, levi_state)
             exps[i] = 0
 
-        for state, off in enumerate(self._levi_offsets):
-            walk(0, self.depth - off, state)
-        for w in self.weight_spaces:
-            self.weight_spaces[w].sort()
+        for state, off in enumerate(self._state_offsets):
+            walk(0, self.depth - self.cost(off), state)
+        for basis in self.spaces.values():
+            basis.sort()
 
     # -- basic queries ------------------------------------------------
 
-    def vector_weight(self, bvec) -> Weight:
-        cached = self._weight_memo.get(bvec)
+    def cost(self, offset: Weight) -> int:
+        """Height-depth of a weight ``offset`` below the anchor."""
+        return -sum(h * v for h, v in zip(self.heights, offset, strict=True))
+
+    def offset(self, bvec) -> Weight:
+        """Weight of a basis vector minus the anchor."""
+        cached = self._offset_memo.get(bvec)
         if cached is not None:
             return cached
         exps, state = bvec
-        w = list(self.levi.states[state][0])
+        w = list(self._state_offsets[state])
         for e, rw in zip(exps, self._roots):
             if e:
                 for t in range(len(w)):
                     w[t] += e * rw[t]
         out = tuple(w)
-        self._weight_memo[bvec] = out
+        self._offset_memo[bvec] = out
         return out
 
-    def vector_parity(self, bvec) -> int:
+    def raw_parity(self, bvec) -> int:
+        """Parity of a basis vector before the anchor's parity shift."""
         exps, state = bvec
         odd = sum(e for e, o in zip(exps, self._odd) if o)
-        return (self.levi.states[state][1] + odd + self.datum.parity_shift) % 2
+        return (self.levi.states[state][1] + odd) % 2
+
+    # -- straightening ------------------------------------------------
+
+    def act(self, unit: Unit, bvec) -> dict:
+        """Action of a matrix unit on a basis vector (no truncation), with
+        ``int`` or :class:`Affine` coefficients; memoized, do not mutate."""
+        key = (unit, bvec)
+        hit = self._act_memo.get(key)
+        if hit is not None:
+            return hit
+        n = self.n
+        if is_cartan(unit):
+            i = unit[0] - 1
+            result = {bvec: Affine(self.offset(bvec)[i], ((i, 1),))}  # hw[i] + offset
+            self._act_memo[key] = result
+            return result
+        exps, state = bvec
+        first = next((i for i, e in enumerate(exps) if e), None)
+        position = self._position.get(unit)
+        if first is None or (position is not None and position <= first):
+            # vacuum zone, or a complement unit that lands in PBW position
+            if position is None:
+                result = {}
+                if unit in self.levi_roots:
+                    for s2, coef in self.levi.unit_terms(unit, state):
+                        result[(exps, s2)] = result.get((exps, s2), 0) + coef
+                    result = {bv: c for bv, c in result.items() if c}
+                # otherwise an inducing non-levi root vector kills the vacuum
+            elif self._odd[position] and exps[position] == 1:
+                result = {}
+            else:
+                new = list(exps)
+                new[position] += 1
+                result = {(tuple(new), state): 1}
+            self._act_memo[key] = result
+            return result
+        # commute the unit through the leading PBW power F^a
+        p = first
+        a = exps[p]
+        f_unit = self.units[p]
+        sign_gf = unit_parity(n, unit) * (1 if self._odd[p] else 0)
+        rest = list(exps)
+        rest[p] = 0
+        total: dict = {}
+
+        def accumulate(vec: dict, scalar: int):
+            for bv, c in vec.items():
+                val = total.get(bv, 0) + scalar * c
+                if val:
+                    total[bv] = val
+                else:
+                    total.pop(bv, None)
+
+        lead = self.act(unit, (tuple(rest), state))
+        accumulate(self._prepend_power(f_unit, a, lead), -1 if (sign_gf * a) % 2 else 1)
+        commutator = bracket(n, unit, f_unit)
+        for s in range(a if commutator else 0):
+            mid_exps = list(exps)
+            mid_exps[p] = a - 1 - s
+            mid_bvec = (tuple(mid_exps), state)
+            inner: dict = {}
+            for c_unit, c_coef in commutator:
+                for bv, c in self.act(c_unit, mid_bvec).items():
+                    val = inner.get(bv, 0) + c_coef * c
+                    if val:
+                        inner[bv] = val
+                    else:
+                        inner.pop(bv, None)
+            inner = self._prepend_power(f_unit, s, inner)
+            accumulate(inner, -1 if (sign_gf * s) % 2 else 1)
+        self._act_memo[key] = total
+        return total
+
+    def _prepend_power(self, f_unit: Unit, power: int, vec: dict) -> dict:
+        for _ in range(power):
+            nxt: dict = {}
+            for bv, c in vec.items():
+                for bv2, c2 in self.act(f_unit, bv).items():
+                    val = nxt.get(bv2, 0) + c * c2
+                    if val:
+                        nxt[bv2] = val
+                    else:
+                        nxt.pop(bv2, None)
+            vec = nxt
+        return vec
+
+    # -- matrices -----------------------------------------------------
+
+    def map_entries(self, unit: Unit, offset: Weight, raw_parity: int | None):
+        """``(nrows, ncols, entries)`` of the unit's map from the weight space
+        at ``offset`` to the one at ``offset + root``, on the source columns
+        of one raw parity (all of them for ``None``), with ``int`` and
+        ``Affine`` entries; ``None`` when either space leaves the truncation
+        region.  Rows and columns follow the canonical bases."""
+        target = offset
+        if not is_cartan(unit):
+            target = add_weights(offset, root_weight(self.n, unit))
+        if max(self.cost(offset), self.cost(target)) > self.depth:
+            return None
+        rows = self.positions.get(target, {})
+        if raw_parity is None:
+            cols = self.spaces.get(offset, ())
+        else:
+            cols = self._by_parity.get(offset, ((), ()))[raw_parity]
+        entries: dict = {}
+        for c, bvec in enumerate(cols):
+            for bv, value in self.act(unit, bvec).items():
+                entries[(rows[bv], c)] = value
+        return len(rows), len(cols), entries
+
+    def matrix_at(self, unit: Unit, offset: Weight, raw_parity: int | None, hw: Weight):
+        """The same map as an integer matrix at the anchor ``hw``."""
+        found = self.map_entries(unit, offset, raw_parity)
+        if found is None:
+            return None
+        nrows, ncols, entries = found
+        evaluated = {k: _at(v, hw) for k, v in entries.items()}
+        return SparseRationalMatrix(nrows, ncols, evaluated)
+
+    def rank_block(self, unit: Unit, offset: Weight, raw_parity: int):
+        """The rank of the same map on the source columns of one raw parity,
+        at any anchor; ``None`` when the map leaves the truncation region."""
+        key = (unit, offset, raw_parity)
+        if key not in self._rank_blocks:
+            found = self.map_entries(*key)
+            self._rank_blocks[key] = None if found is None else _RankBlock(key, *found)
+        return self._rank_blocks[key]
+
+    def differential_blocks(self, unit: Unit, max_depth: int) -> list:
+        """The unit's parity blocks around every offset of height-depth at
+        most ``max_depth``: ``(offset, counts, out_blocks, in_blocks)``,
+        where ``counts[q]`` is the number of basis vectors of raw parity
+        ``q``, ``out_blocks[q]`` leaves the offset and ``in_blocks[q]``
+        arrives from ``offset - root``, each on the source columns of raw
+        parity ``q``; a block is ``None`` when its map leaves the truncation
+        region."""
+        key = (unit, max_depth)
+        found = self._differentials.get(key)
+        if found is None:
+            rw = root_weight(self.n, unit)
+            found = []
+            for off, (even, odd) in self._by_parity.items():
+                if self.cost(off) > max_depth:
+                    continue
+                src = sub_weights(off, rw)
+                found.append(
+                    (
+                        off,
+                        (len(even), len(odd)),
+                        tuple(self.rank_block(unit, off, q) for q in (0, 1)),
+                        tuple(self.rank_block(unit, src, q) for q in (0, 1)),
+                    )
+                )
+            self._differentials[key] = found
+        return found
+
+
+class Realization:
+    """A truncated induced module: a :class:`PBWLayout` seen at the anchor
+    ``datum.hw``.
+
+    Weights, parities, actions and unit matrices are the layout's, evaluated
+    at this anchor and parity shift; matrices come out with ``int`` entries.
+    The view memoizes nothing itself, so views sharing one layout (pass
+    ``layout``, built for the same datum shape, depth and levi module)
+    straighten each action once.  Every weight with
+    ``datum.depth_of(weight) <= depth`` has a complete basis.
+    """
+
+    def __init__(
+        self, datum: InductionDatum, depth: int, levi=None, layout: PBWLayout | None = None
+    ):
+        if layout is None:
+            layout = PBWLayout(datum, depth, levi)
+        elif layout.key != (datum.shape, depth, levi):
+            raise ValueError("layout was built for another datum shape, depth or levi module")
+        if levi is not None and tuple(levi.hw) != tuple(datum.hw):
+            raise ValueError("datum anchor differs from the levi module's top weight")
+        self.datum = datum
+        self.depth = depth
+        self.layout = layout
+        self.levi = layout.levi
+        self._hw = datum.hw
+        self._shift = datum.parity_shift % 2
+
+    @cached_property
+    def weight_spaces(self) -> dict[Weight, list]:
+        hw = self._hw
+        return {add_weights(hw, off): basis for off, basis in self.layout.spaces.items()}
+
+    # -- basic queries ------------------------------------------------
+
+    def _offset(self, weight: Weight) -> Weight:
+        return sub_weights(weight, self._hw)
+
+    def vector_weight(self, bvec) -> Weight:
+        return add_weights(self._hw, self.layout.offset(bvec))
+
+    def vector_parity(self, bvec) -> int:
+        return self.layout.raw_parity(bvec) ^ self._shift
 
     def basis_parity(self, weight: Weight, idx: int) -> int:
         return self.vector_parity(self.weight_spaces[weight][idx])
@@ -438,148 +757,60 @@ class Realization:
         return self.datum.depth_of(weight) <= self.depth
 
     def dimension(self, weight: Weight) -> int:
-        return len(self.weight_spaces.get(weight, ()))
+        return len(self.layout.spaces.get(self._offset(weight), ()))
 
     def basis(self, weight: Weight) -> list:
-        return list(self.weight_spaces.get(weight, ()))
+        return list(self.layout.spaces.get(self._offset(weight), ()))
 
     def vacuum(self):
         """The basis vector with no PBW factors over the first levi state."""
-        return ((0,) * len(self._roots), 0)
+        return ((0,) * len(self.layout.units), 0)
 
     def monomial(self, unit_exponents: dict[Unit, int], levi_state: int = 0):
         """Basis vector with the given exponents keyed by complement unit."""
-        exps = [0] * len(self._units)
+        units = self.layout.units
+        exps = [0] * len(units)
         for unit, e in unit_exponents.items():
-            try:
-                i = self._units.index(unit)
-            except ValueError:
-                raise ValueError(f"{unit} is not a complement unit") from None
-            if self._odd[i] and e not in (0, 1):
+            if unit not in units:
+                raise ValueError(f"{unit} is not a complement unit")
+            i = units.index(unit)
+            if is_odd_root(self.datum.n, unit) and e not in (0, 1):
                 raise ValueError(f"odd factor {unit} admits exponents 0 and 1 only")
             if e < 0:
                 raise ValueError("negative exponent")
             exps[i] = e
         return (tuple(exps), levi_state)
 
-    # -- straightening ------------------------------------------------
-
-    def _unit_root_and_parity(self, unit: Unit):
-        n = self.datum.n
-        return root_of(n, unit), unit_parity(n, unit)
+    # -- action -------------------------------------------------------
 
     def act_unit_on_basis(self, unit: Unit, bvec) -> dict:
         """Exact action of a matrix unit on a basis vector (no truncation)."""
-        key = (unit, bvec)
-        hit = self._act_memo.get(key)
-        if hit is not None:
-            return hit
-        n = self.datum.n
-        if is_cartan(unit):
-            value = self.vector_weight(bvec)[unit[0] - 1]
-            result = {bvec: Fraction(value)} if value else {}
-            self._act_memo[key] = result
-            return result
-        exps, state = bvec
-        first = next((i for i, e in enumerate(exps) if e), None)
-        root = root_of(n, unit)
-        position = None
-        if root not in self.datum.inducing_roots:
-            position = self._units.index(unit)
-        if first is None or (position is not None and position <= first):
-            # vacuum zone, or a complement unit that lands in PBW position
-            if position is None:
-                if root in self.datum.levi_roots:
-                    result = {}
-                    for s2, coef in self.levi.unit_terms(unit, state):
-                        result[(exps, s2)] = (
-                            result.get((exps, s2), Fraction(0)) + coef
-                        )
-                    result = {bv: c for bv, c in result.items() if c}
-                else:
-                    result = {}  # inducing non-levi root vector kills the vacuum
-            else:
-                if self._odd[position] and exps[position] == 1:
-                    result = {}
-                else:
-                    new = list(exps)
-                    new[position] += 1
-                    result = {(tuple(new), state): Fraction(1)}
-            self._act_memo[key] = result
-            return result
-        # commute the unit through the leading PBW power F^a
-        p = first
-        a = exps[p]
-        f_unit = self._units[p]
-        sign_gf = unit_parity(n, unit) * (1 if self._odd[p] else 0)
-        rest = list(exps)
-        rest[p] = 0
-        rest_bvec = (tuple(rest), state)
-        total: dict = {}
-
-        def accumulate(vec: dict, scalar):
-            if not scalar:
-                return
-            for bv, c in vec.items():
-                val = total.get(bv, Fraction(0)) + scalar * c
-                if val:
-                    total[bv] = val
-                else:
-                    total.pop(bv, None)
-
-        lead = self.act_unit_on_basis(unit, rest_bvec)
-        lead = self._prepend_power(f_unit, a, lead)
-        accumulate(lead, Fraction(-1 if (sign_gf * a) % 2 else 1))
-        commutator = bracket(n, root_of(n, unit), root_of(n, f_unit))
-        if commutator:
-            for s in range(a):
-                mid_exps = list(exps)
-                mid_exps[p] = a - 1 - s
-                mid_bvec = (tuple(mid_exps), state)
-                inner: dict = {}
-                for c_unit, c_coef in commutator:
-                    part = self.act_unit_on_basis(c_unit, mid_bvec)
-                    for bv, c in part.items():
-                        val = inner.get(bv, Fraction(0)) + c_coef * c
-                        if val:
-                            inner[bv] = val
-                        else:
-                            inner.pop(bv, None)
-                inner = self._prepend_power(f_unit, s, inner)
-                accumulate(inner, Fraction(-1 if (sign_gf * s) % 2 else 1))
-        self._act_memo[key] = total
-        return total
-
-    def _prepend_power(self, f_unit: Unit, power: int, vec: dict) -> dict:
-        for _ in range(power):
-            nxt: dict = {}
-            for bv, c in vec.items():
-                for bv2, c2 in self.act_unit_on_basis(f_unit, bv).items():
-                    val = nxt.get(bv2, Fraction(0)) + c * c2
-                    if val:
-                        nxt[bv2] = val
-                    else:
-                        nxt.pop(bv2, None)
-            vec = nxt
-        return vec
-
-    # -- public action ------------------------------------------------
+        hw = self._hw
+        out = {}
+        for bv, c in self.layout.act(unit, bvec).items():
+            value = _at(c, hw)
+            if value:
+                out[bv] = value
+        return out
 
     def _check_region(self, bvec):
-        w = self.vector_weight(bvec)
-        needed = self.datum.depth_of(w)
+        needed = self.layout.cost(self.layout.offset(bvec))
         if needed > self.depth:
-            raise TruncationOverflow(w, needed, self.depth)
+            raise TruncationOverflow(self.vector_weight(bvec), needed, self.depth)
 
     def act_unit(self, unit: Unit, vec: dict) -> dict:
         """Action of a matrix unit on a module vector (dict of basis terms)."""
+        hw = self._hw
         out: dict = {}
         for bvec, coef in vec.items():
             if not coef:
                 continue
-            for bv, c in self.act_unit_on_basis(unit, bvec).items():
+            for bv, c in self.layout.act(unit, bvec).items():
+                value = _at(c, hw)
+                if not value:
+                    continue
                 self._check_region(bv)
-                val = out.get(bv, Fraction(0)) + coef * c
+                val = out.get(bv, 0) + coef * value
                 if val:
                     out[bv] = val
                 else:
@@ -590,38 +821,59 @@ class Realization:
         out: dict = {}
         for unit, coef in element.terms.items():
             for bv, c in self.act_unit(unit, vec).items():
-                val = out.get(bv, Fraction(0)) + coef * c
+                val = out.get(bv, 0) + coef * c
                 if val:
                     out[bv] = val
                 else:
                     out.pop(bv, None)
         return out
 
+    def _overflow(self, unit: Unit, source: Weight):
+        target = source
+        if not is_cartan(unit):
+            target = add_weights(source, root_weight(self.datum.n, unit))
+        for weight in (source, target):
+            needed = self.datum.depth_of(weight)
+            if needed > self.depth:
+                raise TruncationOverflow(weight, needed, self.depth)
+
     def unit_matrix(self, unit: Unit, source: Weight) -> SparseRationalMatrix:
-        """Matrix of the unit from the weight space at ``source`` to the one
-        at ``source + root``; cached.  Shapes follow the canonical bases."""
-        key = (unit, source)
-        hit = self._matrix_cache.get(key)
-        if hit is not None:
-            return hit
-        n = self.datum.n
-        if not self.in_region(source):
-            raise TruncationOverflow(source, self.datum.depth_of(source), self.depth)
-        if is_cartan(unit):
-            target = source
-        else:
-            target = add_weights(source, root_weight(n, root_of(n, unit)))
-        if not self.in_region(target):
-            raise TruncationOverflow(target, self.datum.depth_of(target), self.depth)
-        cols = self.weight_spaces.get(source, [])
-        rows = self._positions.get(target, {})
-        entries: dict[tuple[int, int], Fraction] = {}
-        for c, bvec in enumerate(cols):
-            for bv, value in self.act_unit_on_basis(unit, bvec).items():
-                entries[(rows[bv], c)] = value
-        matrix = SparseRationalMatrix(len(rows), len(cols), entries)
-        self._matrix_cache[key] = matrix
+        """Integer matrix of the unit from the weight space at ``source`` to
+        the one at ``source + root``.  Shapes follow the canonical bases."""
+        matrix = self.layout.matrix_at(unit, self._offset(source), None, self._hw)
+        if matrix is None:
+            self._overflow(unit, source)
         return matrix
+
+    def differential_ranks(self, unit: Unit, max_depth: int):
+        """For every weight of height-depth at most ``max_depth``, yield
+        ``(weight, dims, out_ranks, in_ranks)``, each a pair indexed by
+        parity: the basis vectors of that parity, the rank of the unit's
+        map on them, and the rank of the unit's map on the vectors of that
+        parity at ``weight - root``.  Ranks are memoized on the layout by
+        the evaluated block entries."""
+        hw = self._hw
+        flip = self._shift
+        layout = self.layout
+        for off, counts, out_blocks, in_blocks in layout.differential_blocks(
+            unit, max_depth
+        ):
+            weight = tuple(map(add, hw, off))
+            if None in out_blocks or None in in_blocks:
+                self._overflow(unit, weight)
+                self._overflow(unit, sub_weights(weight, root_weight(self.datum.n, unit)))
+            yield (
+                weight,
+                (counts[flip], counts[1 - flip]),
+                (
+                    out_blocks[flip].rank_at(hw, layout),
+                    out_blocks[1 - flip].rank_at(hw, layout),
+                ),
+                (
+                    in_blocks[flip].rank_at(hw, layout),
+                    in_blocks[1 - flip].rank_at(hw, layout),
+                ),
+            )
 
     # -- derived structure --------------------------------------------
 
@@ -639,7 +891,7 @@ class Realization:
             cols = [i for i, bv in enumerate(basis) if self.vector_parity(bv) == parity]
             if not cols:
                 continue
-            entries: dict[tuple[int, int], Fraction] = {}
+            entries: dict[tuple[int, int], int] = {}
             row_base = 0
             for m in matrices:
                 for (r, c), v in m.entries.items():
@@ -822,8 +1074,12 @@ def bg_realization(n: int, t, depth: int) -> Realization:
     return Realization(bg_datum(n, t), depth)
 
 
-def verma_realization(n: int, label: Label, t, depth: int) -> Realization:
-    return Realization(verma_datum(n, label, t), depth)
+def verma_realization(
+    n: int, label: Label, t, depth: int, layout: PBWLayout | None = None
+) -> Realization:
+    """The Verma module of a tuple; pass ``layout`` to share one between
+    tuples of the same Borel and depth."""
+    return Realization(verma_datum(n, label, t), depth, layout=layout)
 
 
 def parabolic_IJ_levi(

@@ -29,7 +29,6 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -196,8 +195,7 @@ def default_conjecture_grid(n: int):
     return list(N3_CONJECTURE_SAMPLE)
 
 
-def _conjecture_case_n1(label, alpha, t, depth) -> tuple[str, dict | None]:
-    m = verma_realization(1, label, t, depth)
+def _conjecture_case_n1(m, alpha) -> tuple[str, dict | None]:
     r = ds_homology(m, alpha)
     if r.valid_depth < 0:
         return INCONCLUSIVE, {"reason": "valid region is empty"}
@@ -241,10 +239,15 @@ def _conjecture_cases_for_borel(args) -> list[CaseResult]:
     n, label, alpha, grid, depth = args
     alphas = [alpha] if alpha is not None else sorted(odd_simple_roots(n, label))
     cases: list[CaseResult] = []
+    # every tuple of the job has the same PBW layout; it is straightened
+    # once, by the first realization, and dropped when the job returns
+    layout = None
     if n == 1:
         for t in grid:
+            m = verma_realization(1, label, t, depth, layout)
+            layout = m.layout
             for a in alphas:
-                verdict, detail = _conjecture_case_n1(label, a, t, depth)
+                verdict, detail = _conjecture_case_n1(m, a)
                 cases.append(CaseResult(_conjecture_key(label, a, t), verdict, detail))
         return cases
     # certification is invariant under a uniform shift of the anchor tuple,
@@ -253,13 +256,14 @@ def _conjecture_cases_for_borel(args) -> list[CaseResult]:
     for t in grid:
         groups.setdefault(_canonical_shift(t), []).append(t)
     for canon in sorted(groups):
-        m = verma_realization(n, label, canon, depth)
+        m = verma_realization(n, label, canon, depth, layout)
+        layout = m.layout
         for a in alphas:
             verdict, detail = _judge_conjecture(n, label, m, a)
             for t in sorted(groups[canon]):
                 v, d = verdict, detail
                 if verdict == REFUTED and t != canon:
-                    shifted = verma_realization(n, label, t, depth)
+                    shifted = verma_realization(n, label, t, depth, layout)
                     v, d = _judge_conjecture(n, label, shifted, a)
                 cases.append(CaseResult(_conjecture_key(label, a, t), v, d))
     return cases
@@ -281,6 +285,8 @@ def verify_conjecture(
     with the root, certify the homology as the doubled inherited Verma;
     otherwise certify that it vanishes on the valid region.
     """
+    if n < 1:
+        raise ValueError(f"rank must be at least 1, got {n}")
     started = time.monotonic()
     depth = DEFAULT_DEPTH.get(n, 4) if depth is None else depth
     labels = list(all_borels(n)) if label is None else [normalize_label(label, n)]
@@ -522,15 +528,15 @@ def _check_anchored_raising(depth: int):
 
     bad = []
     for a21, a43 in product(range(4), range(4)):
-        want00 = {mono(a21 - 1, 1, 0, a43): Fraction(-a21)} if a21 else {}
-        want01 = {mono(a21, 0, 0, a43 + 1): Fraction(1)}
+        want00 = {mono(a21 - 1, 1, 0, a43): -a21} if a21 else {}
+        want01 = {mono(a21, 0, 0, a43 + 1): 1}
         if a21:
-            want01[mono(a21 - 1, 1, 1, a43)] = Fraction(-a21)
+            want01[mono(a21 - 1, 1, 1, a43)] = -a21
         checks = [
             (mono(a21, 0, 0, a43), want00),
             (mono(a21, 1, 0, a43), {}),
             (mono(a21, 0, 1, a43), want01),
-            (mono(a21, 1, 1, a43), {mono(a21, 1, 0, a43 + 1): Fraction(-1)}),
+            (mono(a21, 1, 1, a43), {mono(a21, 1, 0, a43 + 1): -1}),
         ]
         for vec, want in checks:
             got = r.act_unit_on_basis((1, 3), vec)
@@ -557,33 +563,33 @@ def _check_union_raisings(depth: int, unit):
     for a21, a41, a43 in product(range(4), range(2), range(4)):
         if unit == (2, 3):
             want11 = {
-                mono(a21 + 1, 0, a41, 1, a43): Fraction(1),
-                mono(a21, 1, a41, 0, a43 + 1): Fraction(-((-1) ** a41)),
+                mono(a21 + 1, 0, a41, 1, a43): 1,
+                mono(a21, 1, a41, 0, a43 + 1): -((-1) ** a41),
             }
             checks = [
                 (mono(a21, 0, a41, 0, a43), {}),
-                (mono(a21, 1, a41, 0, a43), {mono(a21 + 1, 0, a41, 0, a43): Fraction(1)}),
+                (mono(a21, 1, a41, 0, a43), {mono(a21 + 1, 0, a41, 0, a43): 1}),
                 (
                     mono(a21, 0, a41, 1, a43),
-                    {mono(a21, 0, a41, 0, a43 + 1): Fraction((-1) ** a41)},
+                    {mono(a21, 0, a41, 0, a43 + 1): (-1) ** a41},
                 ),
                 (mono(a21, 1, a41, 1, a43), want11),
             ]
         else:
             want00: dict = {}
             if a21:
-                want00[mono(a21 - 1, 1, a41, 0, a43)] = Fraction(a21)
+                want00[mono(a21 - 1, 1, a41, 0, a43)] = a21
             if a43:
-                want00[mono(a21, 0, a41, 1, a43 - 1)] = Fraction(-a43 * (-1) ** a41)
+                want00[mono(a21, 0, a41, 1, a43 - 1)] = -a43 * (-1) ** a41
             checks = [
                 (mono(a21, 0, a41, 0, a43), want00),
                 (
                     mono(a21, 0, a41, 1, a43),
-                    {mono(a21 - 1, 1, a41, 1, a43): Fraction(a21)} if a21 else {},
+                    {mono(a21 - 1, 1, a41, 1, a43): a21} if a21 else {},
                 ),
                 (
                     mono(a21, 1, a41, 0, a43),
-                    {mono(a21, 1, a41, 1, a43 - 1): Fraction(a43 * (-1) ** a41)}
+                    {mono(a21, 1, a41, 1, a43 - 1): a43 * (-1) ** a41}
                     if a43
                     else {},
                 ),

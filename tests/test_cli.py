@@ -214,3 +214,25 @@ def test_verify_precondition_error_is_usage_error(capsys, monkeypatch):
     code, err = run_usage_error(capsys, "verify", "mabg", "--n", "2")
     assert code == 2
     assert "matched-diagonal" in err
+
+
+def test_char_label_outside_box_is_usage_error(capsys):
+    code, err = run_usage_error(capsys, "char", "verma", "2", "(9)", "1,0,1,0")
+    assert code == 2
+    assert "does not fit in the 2x2 box" in err
+    assert "Traceback" not in err
+
+
+def test_borels_unformattable_rank_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["borels", "10"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "single digits" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_conjecture_refuses_rank_zero(capsys):
+    code, err = run_usage_error(capsys, "verify", "conjecture", "--n", "0")
+    assert code == 2
+    assert "rank must be at least 1" in err

@@ -138,3 +138,55 @@ def test_determinism(rows):
 
 def test_as_vector_coerces():
     assert as_vector([1, F(1, 2)]) == (F(1), F(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free rank against the Fraction reduced echelon form.
+
+rank_entries = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-(10**6), 10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+
+
+@st.composite
+def rank_matrices(draw):
+    """Sparse matrices from 0x0 up to 73 columns (the largest weight space of
+    the deep rank-3 benchmark), some built as products to force low rank."""
+    nrows = draw(st.integers(0, 12))
+    ncols = draw(st.sampled_from([0, 1, 2, 3, 5, 8, 20, 73]))
+    if nrows and ncols and draw(st.booleans()):
+        inner = draw(st.integers(1, 4))
+        left = [[draw(st.integers(-3, 3)) for _ in range(inner)] for _ in range(nrows)]
+        right = {
+            (k, c): draw(rank_entries)
+            for k in range(inner)
+            for c in draw(st.sets(st.integers(0, ncols - 1), max_size=6))
+        }
+        entries: dict = {}
+        for r in range(nrows):
+            for (k, c), v in right.items():
+                entries[(r, c)] = entries.get((r, c), 0) + left[r][k] * v
+        return SparseRationalMatrix(nrows, ncols, entries)
+    cells = st.tuples(st.integers(0, max(nrows - 1, 0)), st.integers(0, max(ncols - 1, 0)))
+    entries = draw(st.dictionaries(cells, rank_entries, max_size=40)) if nrows and ncols else {}
+    return SparseRationalMatrix(nrows, ncols, entries)
+
+
+@given(rank_matrices())
+@settings(max_examples=300, deadline=None)
+def test_fraction_free_rank_matches_kernel_dimension(m):
+    assert rank(m) == m.ncols - len(kernel_basis(m))
+
+
+def test_fraction_free_rank_of_empty_shapes():
+    for shape in [(0, 0), (0, 4), (4, 0)]:
+        m = SparseRationalMatrix.zero(*shape)
+        assert rank(m) == 0 == shape[1] - len(kernel_basis(m))
+
+
+def test_fraction_free_rank_clears_row_denominators():
+    m = SparseRationalMatrix.from_rows([[F(1, 2), F(1, 3)], [3, 2], [F(2, 7), 0]])
+    assert rank(m) == 2
+    assert rank(SparseRationalMatrix.from_rows([[F(1, 2), F(1, 3)], [3, 2]])) == 1

@@ -551,3 +551,96 @@ def test_random_actions_preserve_weight_and_parity(t, label_idx, data):
     for bv2 in act_bvec(r, unit, bv):
         assert r.vector_weight(bv2) == target
         assert r.vector_parity(bv2) == expected_parity
+
+
+# ---------------------------------------------------------------------------
+# Views of one shared layout.
+
+
+def _check_representation(r, basis_count):
+    """The bracket relations, Cartan units acting by weight coordinates and
+    odd units squaring to zero, on one realization."""
+    n = r.datum.n
+    units = root_units(n) + [(i, i) for i in range(1, 2 * n + 1)]
+    basis = [bv for w in sorted(r.weight_spaces) for bv in r.weight_spaces[w]]
+    for g1 in units:
+        for g2 in units:
+            for bv in basis[:basis_count]:
+                lhs: dict = {}
+                for mid, c in act_bvec(r, g2, bv).items():
+                    for out, c2 in act_bvec(r, g1, mid).items():
+                        lhs[out] = lhs.get(out, 0) + c * c2
+                sign = (-1) ** (unit_parity(n, g1) * unit_parity(n, g2))
+                for mid, c in act_bvec(r, g1, bv).items():
+                    for out, c2 in act_bvec(r, g2, mid).items():
+                        lhs[out] = lhs.get(out, 0) - sign * c * c2
+                rhs: dict = {}
+                for unit, coef in bracket(n, g1, g2):
+                    for out, c in act_bvec(r, unit, bv).items():
+                        rhs[out] = rhs.get(out, 0) + coef * c
+                lhs = {k: v for k, v in lhs.items() if v}
+                rhs = {k: v for k, v in rhs.items() if v}
+                assert lhs == rhs, (r.datum.hw, g1, g2, bv)
+    for w, basis_w in r.weight_spaces.items():
+        for i in range(1, 2 * n + 1):
+            m = r.unit_matrix((i, i), w)
+            assert m.entries == {(a, a): w[i - 1] for a in range(len(basis_w)) if w[i - 1]}
+    odd = [u for u in root_units(n) if unit_parity(n, u)]
+    squares = 0
+    for w in r.weight_spaces:
+        for unit in odd:
+            step = root_weight(n, unit)
+            target = add_weights(w, step)
+            if not (r.in_region(target) and r.in_region(add_weights(target, step))):
+                continue
+            assert (r.unit_matrix(unit, target) @ r.unit_matrix(unit, w)).entries == {}
+            squares += 1
+    assert squares > 0
+
+
+@pytest.mark.parametrize(
+    "label, tuples, depth, basis_count",
+    [
+        ((1,), [(0, 0, 0, 0), (2, 1, -1, -2), (1, 0, 1, 0), (-2, 1, 2, 2), (1, 2, 0, -1)], 6, 10),
+        (
+            (2, 1),
+            [(1, 0, 1, 1, 0, 1), (2, 1, 0, -1, -2, 1), (0, 0, 0, 0, 0, 0), (2, 0, 1, 1, 0, 2)],
+            4,
+            4,
+        ),
+    ],
+)
+def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, basis_count):
+    from superverma.borels import odd_simple_roots
+    from superverma.homology import ds_homology
+    from superverma.weights import bilinear_form
+
+    n = len(tuples[0]) // 2
+    alphas = odd_simple_roots(n, label)
+    views = []
+    for t in tuples:
+        views.append(verma_realization(n, label, t, depth, views[0].layout if views else None))
+    assert all(v.layout is views[0].layout for v in views)
+    matched = [
+        any(bilinear_form(n, v.datum.hw, root_weight(n, a)) == 0 for a in alphas) for v in views
+    ]
+    assert any(matched) and not all(matched)
+    # interleave the views so each one reads memo entries another one filled
+    for rounds in range(2):
+        for view, t in zip(views, tuples):
+            alone = verma_realization(n, label, t, depth)
+            for alpha in alphas:
+                for w in sorted(alone.weight_spaces):
+                    assert view.unit_matrix(alpha, w) == alone.unit_matrix(alpha, w), (t, w)
+                assert ds_homology(view, alpha).dim_table == ds_homology(alone, alpha).dim_table
+            assert view.census() == alone.census()
+            if rounds == 0:
+                _check_representation(view, basis_count)
+
+
+def test_a_layout_refuses_a_datum_of_another_shape():
+    r = verma_realization(2, (1,), (0, 0, 0, 0), 3)
+    with pytest.raises(ValueError, match="layout"):
+        verma_realization(2, (), (0, 0, 0, 0), 3, r.layout)
+    with pytest.raises(ValueError, match="layout"):
+        verma_realization(2, (1,), (0, 0, 0, 0), 4, r.layout)
