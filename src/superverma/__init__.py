@@ -8,8 +8,9 @@ The package realizes, at desk scale and in exact rational arithmetic:
   sequences), with odd reflections, rho-vectors, and the hypercube family;
 * truncated highest-weight modules: Verma modules for every Borel, the
   parabolically induced family attached to the principal good grading (bg
-  modules), and inductions from smaller subalgebras, all with PBW monomial
-  bases and an exact straightening action;
+  modules, induced from tensor products of rank-1 realizations on the
+  degree-zero Levi), and inductions from smaller subalgebras, all with PBW
+  monomial bases and an exact straightening action;
 * the rank-one odd homology functor (kernel mod image of an odd
   self-commuting matrix unit) with census, induced action of the centralizer
   subalgebra, and certification of the expected Verma answers;

@@ -43,7 +43,7 @@ from .borels import (
     simple_roots,
 )
 from .linalg import SparseRationalMatrix, image_basis, kernel_basis, quotient_basis, rank
-from .modules import Realization
+from .modules import Realization, bg_module, bg_module_datum
 from .superalgebra import Root, Unit, bracket, is_odd_root, root_weight
 from .weights import (
     Character,
@@ -735,11 +735,9 @@ def ds_tensor_factor(n: int, specs, depth: int) -> Character:
     """Expected homology census of a degree-zero induced module: the closed
     rank-one table of the first diagonal factor, tensored with the census of
     the same construction one size down."""
-    from .modules import bg_module, bg_module_datum, bg_module_levi
-
     kind, a, b = specs[0]
     first = gl11_ds_table(kind, a, b)
-    datum = bg_module_datum(n, bg_module_levi(n, specs))
+    datum = bg_module_datum(n, specs)
     heights = datum.heights
     margin = abs(sum(h * v for h, v in zip(heights, root_weight(n, (1, n + 1)), strict=True)))
     valid = depth - margin

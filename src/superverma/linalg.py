@@ -135,30 +135,11 @@ class SparseRationalMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def row(self, r: int) -> dict[int, Fraction]:
-        return {c: v for (rr, c), v in self.entries.items() if rr == r}
-
     def rows(self) -> list[dict[int, Fraction]]:
         out: list[dict[int, Fraction]] = [dict() for _ in range(self.nrows)]
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out
-
-    def column(self, c: int) -> Vector:
-        col = [_ZERO] * self.nrows
-        for (r, cc), v in self.entries.items():
-            if cc == c:
-                col[r] = v
-        return tuple(col)
-
-    def columns(self) -> list[Vector]:
-        return [self.column(c) for c in range(self.ncols)]
-
-    def to_dense(self) -> list[list[Fraction]]:
-        dense = [[_ZERO] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
-        return dense
 
     def transpose(self) -> "SparseRationalMatrix":
         return SparseRationalMatrix(

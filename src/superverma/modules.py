@@ -3,9 +3,15 @@
 A module here is an induction ``U(g) ⊗_{U(p)} L`` presented on the PBW basis
 ``f_1^{a_1} ··· f_k^{a_k} ⊗ x``: the ``f_i`` run over an ordered list of
 lowering root vectors (the complement of the inducing subalgebra ``p``) and
-``x`` over a basis of a finite or truncated ``p``-module ``L`` (the
-one-dimensional ``k_λ`` for Verma-type inductions, a tensor product of
-small factors for parabolic ones).
+``x`` over a basis of a finite or truncated ``p``-module ``L``.
+
+The Levi module ``L`` is a :class:`TensorLevi` whose factors are
+:class:`RealizationFactor` objects, smaller realizations embedded on blocks
+of coordinates.  With no factors it is the one-dimensional ``k_λ`` of
+Verma-type inductions.  The anchored (bg) modules induce from the degree-zero
+Levi gl(1|1)^n of the principal good grading; their datum takes the roots of
+nonnegative good degree, and each diagonal factor is a rank-1 Verma or
+simple module realized at depth 2.
 
 Everything is graded by weight and truncated by a per-datum height
 functional: every weight of height-depth at most ``depth`` gets a complete
@@ -26,9 +32,9 @@ as the Verma modules of one Borel over a grid of tuples, straighten once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import product
 from operator import add
 
 from .borels import (
@@ -38,17 +44,16 @@ from .borels import (
     hypercube_label,
     normalize_label,
     positive_roots,
-    simple_roots,
     star,
 )
-from .linalg import SparseRationalMatrix, kernel_basis, rank
+from .linalg import SparseRationalMatrix, rank
 from .superalgebra import (
-    Element,
     Root,
     Unit,
     Weight,
     all_roots,
     bracket,
+    good_degree,
     is_cartan,
     is_odd_root,
     root_of,
@@ -58,7 +63,6 @@ from .superalgebra import (
 from .weights import (
     Character,
     add_weights,
-    common_odd_roots,
     from_tuple,
     par,
     sub_weights,
@@ -163,82 +167,9 @@ class InductionDatum:
     def depth_of(self, weight: Weight) -> int:
         return self.xi(sub_weights(self.hw, weight))
 
-    def to_jsonable(self) -> dict:
-        return {
-            "n": self.n,
-            "inducing_roots": sorted(map(list, self.inducing_roots)),
-            "levi_roots": sorted(map(list, self.levi_roots)),
-            "complement_order": [list(r) for r in self.complement_order],
-            "hw": list(self.hw),
-            "parity_shift": self.parity_shift,
-            "heights": list(self.heights),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Levi modules: what sits in the right tensor slot of the induction.
-
-
-class TrivialLevi:
-    """The one-dimensional module k_hw: root vectors act by zero.  Its one
-    state sits at the anchor, whatever the anchor is, so its weights are
-    given as offsets from it."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.hw = (0,) * (2 * n)
-        self.states = [(self.hw, 0)]
-        self.roots: frozenset[Root] = frozenset()
-
-    def unit_terms(self, unit: Unit, state: int):
-        return []
-
-
-class Gl11Factor:
-    """A two- or one-dimensional module over an embedded diagonal gl(1|1).
-
-    Covers ambient coordinates (k, n+k).  Kinds:
-
-    * ``verma_eps``: lowering direction delta_k - eps_k (top kills e_{k,n+k})
-    * ``verma_delta``: lowering direction eps_k - delta_k
-    * ``simple``: the simple head; one-dimensional when the tuple matches,
-      otherwise the typical Verma (they coincide).
-
-    Tuples here follow the rank-1 shifted-tuple convention, so
-    ``verma_eps(a, b)`` has actual top weight fragment (a, -b) and
-    ``verma_delta(a, b)`` has (a-1, -(b-1)).
-    """
-
-    def __init__(self, n: int, k: int, kind: str, a: int, b: int):
-        if kind not in ("verma_eps", "verma_delta", "simple"):
-            raise ValueError(f"unknown gl(1|1) factor kind {kind!r}")
-        if kind == "simple" and a != b:
-            kind = "verma_eps"  # typical simple = typical Verma
-        self.n, self.k, self.kind, self.a, self.b = n, k, kind, a, b
-        local_label: Label = (1,) if kind == "verma_delta" else ()
-        top = from_tuple(1, (a, b), local_label)
-        hw = [0] * (2 * n)
-        hw[k - 1], hw[n + k - 1] = top
-        self.hw = tuple(hw)
-        if kind == "simple":
-            self.states = [(self.hw, 0)]
-            self.lower_unit = None
-            self.raise_unit = None
-        else:
-            if kind == "verma_eps":
-                self.lower_unit, self.raise_unit = (n + k, k), (k, n + k)
-            else:
-                self.lower_unit, self.raise_unit = (k, n + k), (n + k, k)
-            drop = root_weight(n, root_of(n, self.lower_unit))
-            self.states = [(self.hw, 0), (add_weights(self.hw, drop), 1)]
-        self.roots = frozenset({(k, n + k), (n + k, k)})
-
-    def unit_terms(self, unit: Unit, state: int):
-        if unit == self.lower_unit and state == 0:
-            return [(1, 1)]
-        if unit == self.raise_unit and state == 1:
-            return [(0, self.a - self.b)]
-        return []
 
 
 class RealizationFactor:
@@ -292,48 +223,24 @@ class RealizationFactor:
 
 
 class TensorLevi:
-    """Outer tensor product of factors covering disjoint coordinate blocks."""
+    """Outer tensor product of factors covering disjoint coordinate blocks.
+
+    With no factors it is the one-dimensional module k_hw: its one state
+    sits at the anchor and every root vector acts by zero.
+    """
 
     def __init__(self, n: int, factors):
         self.n = n
         self.factors = list(factors)
-        self.roots = (
-            frozenset().union(*(f.roots for f in self.factors))
-            if self.factors
-            else frozenset()
-        )
-        self.hw = (
-            tuple(sum(vals) for vals in zip(*(f.hw for f in self.factors)))
-            if self.factors
-            else (0,) * (2 * n)
-        )
+        self.roots = frozenset().union(*(f.roots for f in self.factors))
+        zero = (0,) * (2 * n)
+        self.hw = reduce(add_weights, (f.hw for f in self.factors), zero)
+        self._keys = list(product(*(range(len(f.states)) for f in self.factors)))
         self.states = []
-        self._keys: list[tuple[int, ...]] = []
-        key = [0] * len(self.factors)
-
-        def build(i: int):
-            if i == len(self.factors):
-                weight = tuple(
-                    sum(vals)
-                    for vals in zip(
-                        *(f.states[key[j]][0] for j, f in enumerate(self.factors))
-                    )
-                )
-                parity = (
-                    sum(f.states[key[j]][1] for j, f in enumerate(self.factors)) % 2
-                )
-                self._keys.append(tuple(key))
-                self.states.append((weight, parity))
-                return
-            for s in range(len(self.factors[i].states)):
-                key[i] = s
-                build(i + 1)
-
-        if self.factors:
-            build(0)
-        else:
-            self.states = [((0,) * (2 * n), 0)]
-            self._keys = [()]
+        for key in self._keys:
+            picked = [f.states[s] for f, s in zip(self.factors, key)]
+            weight = reduce(add_weights, (w for w, _ in picked), zero)
+            self.states.append((weight, sum(p for _, p in picked) % 2))
         self._index = {k: i for i, k in enumerate(self._keys)}
 
     def unit_terms(self, unit: Unit, state: int):
@@ -469,7 +376,7 @@ class PBWLayout:
         self.key = (datum.shape, depth, levi)
         self.n = n
         self.depth = depth
-        self.levi = levi if levi is not None else TrivialLevi(n)
+        self.levi = levi if levi is not None else TensorLevi(n, ())
         if self.levi.roots != datum.levi_roots:
             raise ValueError("levi module and datum disagree on levi roots")
         self.heights = datum.heights
@@ -817,17 +724,6 @@ class Realization:
                     out.pop(bv, None)
         return out
 
-    def act(self, element: Element, vec: dict) -> dict:
-        out: dict = {}
-        for unit, coef in element.terms.items():
-            for bv, c in self.act_unit(unit, vec).items():
-                val = out.get(bv, 0) + coef * c
-                if val:
-                    out[bv] = val
-                else:
-                    out.pop(bv, None)
-        return out
-
     def _overflow(self, unit: Unit, source: Weight):
         target = source
         if not is_cartan(unit):
@@ -877,35 +773,6 @@ class Realization:
 
     # -- derived structure --------------------------------------------
 
-    def singular_vectors(self, b: Label, mu: Weight):
-        """Joint kernel of the raising actions of all b-simple roots at mu,
-        split by parity: returns a list of (parity, vector dict)."""
-        n = self.datum.n
-        b = normalize_label(b, n)
-        matrices = []
-        for alpha in simple_roots(n, b):
-            matrices.append(self.unit_matrix(alpha, mu))
-        basis = self.weight_spaces.get(mu, [])
-        out = []
-        for parity in (0, 1):
-            cols = [i for i, bv in enumerate(basis) if self.vector_parity(bv) == parity]
-            if not cols:
-                continue
-            entries: dict[tuple[int, int], int] = {}
-            row_base = 0
-            for m in matrices:
-                for (r, c), v in m.entries.items():
-                    if c in cols:
-                        entries[(row_base + r, cols.index(c))] = v
-                row_base += m.nrows
-            stacked = SparseRationalMatrix(row_base, len(cols), entries)
-            for kvec in kernel_basis(stacked):
-                vec = {
-                    basis[cols[i]]: v for i, v in enumerate(kvec) if v
-                }
-                out.append((parity, vec))
-        return out
-
     def census(self) -> Character:
         table: dict[Weight, tuple[int, int]] = {}
         for w, basis in self.weight_spaces.items():
@@ -915,43 +782,6 @@ class Realization:
         return Character(
             self.datum.n, self.datum.hw, self.datum.heights, self.depth, table
         )
-
-    def to_json(self, include_matrices: tuple[Unit, ...] = ()) -> str:
-        doc = {
-            "datum": self.datum.to_jsonable(),
-            "depth": self.depth,
-            "weights": [
-                {
-                    "weight": list(w),
-                    "even": sum(
-                        1 for bv in basis if self.vector_parity(bv) == 0
-                    ),
-                    "odd": sum(1 for bv in basis if self.vector_parity(bv) == 1),
-                }
-                for w, basis in sorted(self.weight_spaces.items())
-            ],
-        }
-        if include_matrices:
-            dumped = []
-            for unit in include_matrices:
-                for w in sorted(self.weight_spaces):
-                    try:
-                        m = self.unit_matrix(unit, w)
-                    except TruncationOverflow:
-                        continue
-                    dumped.append(
-                        {
-                            "unit": list(unit),
-                            "source": list(w),
-                            "shape": [m.nrows, m.ncols],
-                            "triplets": [
-                                [r, c, str(v)]
-                                for (r, c), v in sorted(m.entries.items())
-                            ],
-                        }
-                    )
-            doc["matrices"] = dumped
-        return json.dumps(doc, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,55 +848,68 @@ def union_borel_datum(n: int, labels, hw: Weight) -> InductionDatum:
     )
 
 
+# A rank-1 factor is realized to depth 2: its states lie at most one step
+# below its top, so every unit map out of them stays inside the region.
+_FACTOR_DEPTH = 2
+
+
+def _factor_label(kind: str) -> Label:
+    """The rank-1 Borel of a diagonal factor kind."""
+    if kind not in ("verma_eps", "verma_delta", "simple"):
+        raise ValueError(f"unknown gl(1|1) factor kind {kind!r}")
+    return (1,) if kind == "verma_delta" else ()
+
+
 def bg_module_levi(n: int, specs) -> TensorLevi:
-    """Tensor of diagonal gl(1|1) factors; specs = [(kind, a, b)] per k."""
+    """Tensor of diagonal gl(1|1) factors, one spec ``(kind, a, b)`` per
+    coordinate pair (k, n+k), in rank-1 tuple coordinates:
+
+    * ``verma_eps``: the Verma module lowering along delta_k - eps_k;
+    * ``verma_delta``: the Verma module lowering along eps_k - delta_k;
+    * ``simple``: the simple head, one-dimensional when ``a == b``; a typical
+      simple is its Verma module, so ``a != b`` falls back to ``verma_eps``.
+    """
     if len(specs) != n:
         raise ValueError(f"need {n} factor specs")
-    factors = [
-        Gl11Factor(n, k, kind, a, b) for k, (kind, a, b) in enumerate(specs, start=1)
-    ]
+    factors = []
+    for k, (kind, a, b) in enumerate(specs, start=1):
+        if kind == "simple" and a == b:
+            local = Realization(gl11_simple_datum(a), _FACTOR_DEPTH)
+        else:
+            local = verma_realization(1, _factor_label(kind), (a, b), _FACTOR_DEPTH)
+        factors.append(RealizationFactor(local, n, (k, n + k)))
     return TensorLevi(n, factors)
 
 
-def bg_module_datum(n: int, levi: TensorLevi) -> InductionDatum:
+def bg_module_datum(n: int, specs) -> InductionDatum:
     """Parabolic induction datum for the diagonal-Levi parabolic.
 
-    The inducing set is the standard even positives, the odd roots positive
-    for both staircases, and the diagonal levi roots; the truncation
-    functional follows the hypercube Borel matching the factor lowering
-    directions, so every factor's internal lowering has positive cost.
+    The inducing roots are those of nonnegative principal good degree and
+    the levi roots those of degree zero, the diagonal gl(1|1)^n.  The
+    truncation functional follows the hypercube Borel matching the factor
+    lowering directions, so every factor's internal lowering has positive
+    cost.  The factors carry the parities of their own weights, so the
+    datum has no parity shift.
     """
-    evens = {
-        (block + i, block + j)
-        for block in (0, n)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    }
-    levi_roots = frozenset((k, n + k) for k in range(1, n + 1)) | frozenset(
-        (n + k, k) for k in range(1, n + 1)
-    )
-    inducing = evens | set(common_odd_roots(n)) | set(levi_roots)
-    complement = _ordered_complement(n, (r for r in all_roots(n) if r not in inducing))
-    gamma = tuple(
-        1 if isinstance(f, Gl11Factor) and f.kind == "verma_delta" else 0
-        for f in levi.factors
-    )
-    hw = levi.hw
+    roots = all_roots(n)
+    inducing = frozenset(r for r in roots if good_degree(n, r) >= 0)
+    tops = [from_tuple(1, (a, b), _factor_label(kind)) for kind, a, b in specs]
+    gamma = tuple(int(kind == "verma_delta") for kind, _a, _b in specs)
     return InductionDatum(
         n=n,
-        inducing_roots=frozenset(inducing),
-        complement_order=complement,
-        hw=hw,
-        parity_shift=par(n, hw),
+        inducing_roots=inducing,
+        complement_order=_ordered_complement(n, (r for r in roots if r not in inducing)),
+        hw=tuple(top[0] for top in tops) + tuple(top[1] for top in tops),
+        parity_shift=0,
         heights=height_functional(n, hypercube_label(n, gamma)),
-        levi_roots=levi_roots,
+        levi_roots=frozenset(r for r in roots if good_degree(n, r) == 0),
     )
 
 
 def bg_module(n: int, specs, depth: int) -> Realization:
     """Induced module from the diagonal-Levi parabolic with factor specs."""
     levi = bg_module_levi(n, specs)
-    return Realization(bg_module_datum(n, levi), depth, levi)
+    return Realization(bg_module_datum(n, specs), depth, levi)
 
 
 def bg_realization(n: int, t, depth: int) -> Realization:

@@ -189,10 +189,13 @@ def _census_table(result) -> dict:
 
 
 def default_conjecture_grid(n: int):
+    """The full ``GRID_RANGE`` grid at ranks 1 and 2, the sample at rank 3."""
     lo, hi = GRID_RANGE
-    if n <= 2:
-        return [t for t in product(range(lo, hi + 1), repeat=2 * n)]
-    return list(N3_CONJECTURE_SAMPLE)
+    if n in (1, 2):
+        return list(product(range(lo, hi + 1), repeat=2 * n))
+    if n == 3:
+        return list(N3_CONJECTURE_SAMPLE)
+    raise ValueError(f"no default grid at rank {n}")
 
 
 def _conjecture_case_n1(m, alpha) -> tuple[str, dict | None]:
@@ -323,11 +326,14 @@ def verify_conjecture(
 
 
 def default_mabg_grid(n: int):
+    """Matched diagonals over ``GRID_RANGE`` at rank 2, the sample at rank 3."""
     lo, hi = GRID_RANGE
     if n == 2:
         diags = product(range(lo, hi + 1), repeat=n)
-    else:
+    elif n == 3:
         diags = N3_MABG_SAMPLE
+    else:
+        raise ValueError(f"no default grid at rank {n}")
     return [tuple(d) + tuple(d) for d in diags]
 
 
@@ -338,7 +344,8 @@ def verify_maBG(n: int, grid=None, depth: int | None = None) -> ScenarioReport:
     family); a tuple outside the family is a precondition error.  The
     census must equal the one-size-down anchored census with the parity
     twist of the first pair; at rank 2 the census must be exactly one class
-    sitting at the anchor weight.
+    sitting at the anchor weight.  A tuple whose valid region is empty is
+    ``INCONCLUSIVE``.
     """
     started = time.monotonic()
     depth = (3 if n == 3 else DEFAULT_DEPTH.get(n, 4)) if depth is None else depth
@@ -351,8 +358,12 @@ def verify_maBG(n: int, grid=None, depth: int | None = None) -> ScenarioReport:
     params = {"n": n, "depth": depth, "tuples": len(grid)}
     cases = []
     for t in grid:
+        key = f"t=({_fmt_tuple(t)})"
         m = bg_realization(n, t, depth)
         r = ds_homology(m, (1, n + 1))
+        if r.valid_depth < 0:
+            cases.append(CaseResult(key, INCONCLUSIVE, {"reason": "valid region is empty"}))
+            continue
         specs = [("simple", t[k], t[k]) for k in range(n)]
         expected = dict(ds_tensor_factor(n, specs, depth).table)
         actual = _census_table(r)
@@ -367,7 +378,7 @@ def verify_maBG(n: int, grid=None, depth: int | None = None) -> ScenarioReport:
             if actual != {hw: _place(par(n, hw))}:
                 verdict = FAIL
                 detail["mismatch"] = {"reason": "census is not a single anchor class"}
-        cases.append(CaseResult(f"t=({_fmt_tuple(t)})", verdict, detail))
+        cases.append(CaseResult(key, verdict, detail))
     return _finish("mabg", params, cases, started)
 
 

@@ -41,14 +41,6 @@ def bilinear_form(n: int, x, y):
     )
 
 
-def ber(n: int) -> Weight:
-    return (1,) * n + (-1,) * n
-
-
-def rho_standard(n: int) -> Weight:
-    return rho_vector(n, ())
-
-
 def add_weights(x: Weight, y: Weight) -> Weight:
     return tuple(a + b for a, b in zip(x, y, strict=True))
 
@@ -88,21 +80,6 @@ def atypicality(t: TupleWeight) -> int:
     return count
 
 
-def is_antidominant(t: TupleWeight) -> bool:
-    """First block weakly increasing and second block weakly decreasing."""
-    n = len(t) // 2
-    first, second = t[:n], t[n:]
-    return all(first[i] <= first[i + 1] for i in range(n - 1)) and all(
-        second[i] >= second[i + 1] for i in range(n - 1)
-    )
-
-
-def antidominant_representative(t: TupleWeight) -> TupleWeight:
-    """Sort the blocks into the antidominant pattern (a dot-orbit choice)."""
-    n = len(t) // 2
-    return tuple(sorted(t[:n])) + tuple(sorted(t[n:], reverse=True))
-
-
 def par(n: int, weight: Weight) -> int:
     """Parity convention: sum of delta coefficients mod 2."""
     return sum(weight[n:]) % 2
@@ -120,16 +97,6 @@ def pr_alpha(n: int, vec: tuple, alpha: Root) -> tuple:
     """Delete the two coordinates an odd root lives on (rank drops by one)."""
     i, j = canonical_odd_pair(n, alpha)
     return tuple(v for t, v in enumerate(vec, start=1) if t not in (i, j))
-
-
-def pr_I(n: int, vec: tuple) -> tuple:
-    """Restrict to the first eps/delta coordinate pair (rank-1 weight)."""
-    return (vec[0], vec[n])
-
-
-def pr_J(n: int, vec: tuple) -> tuple:
-    """Delete the first eps/delta coordinate pair (rank n-1 weight)."""
-    return pr_alpha(n, vec, (1, n + 1))
 
 
 def in_lambda_maBG(t: TupleWeight) -> bool:
@@ -180,10 +147,6 @@ class Character:
     def total(self, weight: Weight) -> int:
         e, o = self.dims(weight)
         return e + o
-
-    def parity_flip(self) -> "Character":
-        flipped = {w: (o, e) for w, (e, o) in self.table.items()}
-        return Character(self.n, self.top, self.heights, self.depth, flipped)
 
     def disagreement(self, other: "Character") -> Weight | None:
         """First weight inside both complete regions with differing dims."""
@@ -312,74 +275,3 @@ def bg_character(
     odd += [(k, n + k) for k in range(1, n + 1) if t[k - 1] != t[n + k - 1]]
     table = _expand_product(n, top, heights, depth, even, odd)
     return Character(n, top, heights, depth, _parity_split(n, table, parity_shift))
-
-
-def gl11_simple_character(a: int, b: int, parity_shift: int = 0) -> Character:
-    """Complete character of the rank-1 simple with tuple (a | b)."""
-    top = from_tuple(1, (a, b), ())
-    table = {top: 1}
-    if a != b:
-        table[sub_weights(top, (1, -1))] = 1
-    return Character(
-        1, top, height_functional(1, ()), None, _parity_split(1, table, parity_shift)
-    )
-
-
-def bg_multiplicity(t_lambda: TupleWeight, t_mu: TupleWeight) -> int:
-    """Multiplicity of the mu-family simple in the lambda-family Verma,
-    as a product of rank-1 factor multiplicities."""
-    n = len(t_lambda) // 2
-    if len(t_mu) != len(t_lambda):
-        raise ValueError("tuple rank mismatch")
-    for i in range(n):
-        lam = (t_lambda[i], t_lambda[n + i])
-        mu = (t_mu[i], t_mu[n + i])
-        if mu == lam:
-            continue
-        if lam[0] == lam[1] and mu == (lam[0] - 1, lam[1] - 1):
-            continue
-        return 0
-    return 1
-
-
-def verma_weight_multiplicity(
-    n: int, label: Label, top: Weight, weight: Weight
-) -> int:
-    """Exact weight multiplicity in the untruncated Verma with the given
-    actual highest weight: counts expressions of top - weight as a sum of
-    positive roots, even ones with arbitrary multiplicity, odd ones at most
-    once."""
-    label = normalize_label(label, n)
-    heights = height_functional(n, label)
-    pos = sorted(positive_roots(n, label))
-    diff = sub_weights(top, weight)
-
-    def xi(vec):
-        return sum(h * v for h, v in zip(heights, vec))
-
-    memo: dict[tuple[int, Weight], int] = {}
-
-    def count(idx: int, rem: Weight) -> int:
-        if all(v == 0 for v in rem):
-            return 1
-        if idx == len(pos) or xi(rem) < 0:
-            return 0
-        key = (idx, rem)
-        if key in memo:
-            return memo[key]
-        root = pos[idx]
-        rw = root_weight(n, root)
-        total = count(idx + 1, rem)
-        if is_odd_root(n, root):
-            total += count(idx + 1, sub_weights(rem, rw))
-        else:
-            nxt = sub_weights(rem, rw)
-            while xi(nxt) >= 0:
-                total += count(idx + 1, nxt)
-                nxt = sub_weights(nxt, rw)
-        memo[key] = total
-        return total
-
-    if xi(diff) < 0:
-        return 0
-    return count(0, diff)

@@ -236,3 +236,13 @@ def test_verify_conjecture_refuses_rank_zero(capsys):
     code, err = run_usage_error(capsys, "verify", "conjecture", "--n", "0")
     assert code == 2
     assert "rank must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "scenario, rank", [("conjecture", 4), ("mabg", 1), ("mabg", 4)]
+)
+def test_verify_rank_without_default_grid_is_usage_error(capsys, scenario, rank):
+    code, err = run_usage_error(capsys, "verify", scenario, "--n", str(rank))
+    assert code == 2
+    assert f"no default grid at rank {rank}" in err
+    assert "Traceback" not in err

@@ -55,7 +55,7 @@ def test_matvec_and_matmul():
     m = SparseRationalMatrix.from_rows([[1, 2], [3, 4]])
     assert m.mul_vector([1, 0]) == (F(1), F(3))
     sq = m @ m
-    assert sq.to_dense() == [[F(7), F(10)], [F(15), F(22)]]
+    assert sq == SparseRationalMatrix.from_rows([[7, 10], [15, 22]])
 
 
 def test_quotient_basis_reports_dependent_input():
@@ -121,7 +121,7 @@ def test_image_dimension_matches_rank(rows):
     if img:
         _, proj = quotient_basis(m.nrows, img)
         zero = tuple(F(0) for _ in range(m.nrows - len(img)))
-        for col in m.columns():
+        for col in zip(*rows):
             assert proj(col) == zero
     else:
         assert m.is_zero()

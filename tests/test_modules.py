@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import product
 
@@ -12,13 +11,13 @@ from hypothesis import strategies as st
 
 from superverma.borels import all_borels, b_outer, star
 from superverma.modules import (
-    Gl11Factor,
     InductionDatum,
     Realization,
-    TensorLevi,
     TruncationOverflow,
     bg_datum,
     bg_module,
+    bg_module_datum,
+    bg_module_levi,
     bg_realization,
     gl11_simple_datum,
     parabolic_IJ_realization,
@@ -37,12 +36,14 @@ from superverma.superalgebra import (
 from superverma.weights import (
     add_weights,
     bg_character,
+    common_odd_roots,
     from_tuple,
     par,
     sub_weights,
     verma_character,
-    verma_weight_multiplicity,
 )
+
+from oracles import singular_vectors, verma_weight_multiplicity
 
 ONE = Fraction(1)
 
@@ -372,26 +373,13 @@ def test_truncation_overflow_is_raised_not_dropped():
     assert m.nrows == 0 and m.ncols == 1
 
 
-def test_act_element_combines_terms():
-    from superverma.superalgebra import Element
-
-    r = verma_realization(2, (), (2, 1, -1, -3), 4)
-    v = {r.vacuum(): ONE}
-    x = Element.unit(2, (2, 1)) + Element.unit(2, (3, 1)).scale(2)
-    out = r.act(x, v)
-    assert out == {
-        r.monomial({(2, 1): 1}): ONE,
-        r.monomial({(3, 1): 1}): Fraction(2),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Singular vectors.
 
 
 def test_singular_vectors_at_the_top():
     r = verma_realization(2, (1,), (3, 1, 0, -2), 3)
-    found = r.singular_vectors((1,), r.datum.hw)
+    found = singular_vectors(r, (1,), r.datum.hw)
     assert len(found) == 1
     parity, vec = found[0]
     assert vec == {r.vacuum(): ONE}
@@ -400,10 +388,10 @@ def test_singular_vectors_at_the_top():
 
 def test_gl11_singular_vectors_follow_atypicality():
     typical = verma_realization(1, (), (3, 5), 6)
-    assert typical.singular_vectors((), (2, -4)) == []
+    assert singular_vectors(typical, (), (2, -4)) == []
     atypical = verma_realization(1, (), (3, 3), 6)
-    top = atypical.singular_vectors((), (3, -3))
-    below = atypical.singular_vectors((), (2, -2))
+    top = singular_vectors(atypical, (), (3, -3))
+    below = singular_vectors(atypical, (), (2, -2))
     assert len(top) == 1 and len(below) == 1
     assert top[0][0] != below[0][0]
 
@@ -417,7 +405,7 @@ def test_singular_vectors_are_killed_by_raising_operators():
         if w == r.datum.hw:
             continue
         try:
-            found = r.singular_vectors((), w)
+            found = singular_vectors(r, (), w)
         except TruncationOverflow:
             continue
         for _parity, vec in found:
@@ -501,32 +489,50 @@ def test_parabolic_action_respects_brackets():
 
 def test_tensor_levi_interleaves_signs():
     # an odd unit hitting the second factor picks up the parity of the first
-    f1 = Gl11Factor(2, 1, "verma_eps", 3, 3)
-    f2 = Gl11Factor(2, 2, "verma_eps", 1, 1)
-    levi = TensorLevi(2, [f1, f2])
-    lowered_first = levi._index[(1, 0)]
-    plain = levi._index[(0, 0)]
+    levi = bg_module_levi(2, [("verma_eps", 3, 3), ("verma_eps", 1, 1)])
+    tops = [[w for w, _p in f.states].index(f.hw) for f in levi.factors]
+    lows = [1 - i for i in tops]
+    # the top of each atypical rank-1 Verma is odd, the state below it even
+    assert [f.states[i][1] for f, i in zip(levi.factors, tops)] == [1, 1]
+    assert [f.states[i][1] for f, i in zip(levi.factors, lows)] == [0, 0]
     # e_{4,2} lowers the second factor; over an odd first-factor state the
     # structure sign flips
-    assert levi.unit_terms((4, 2), plain) == [(levi._index[(0, 1)], ONE)]
-    assert levi.unit_terms((4, 2), lowered_first) == [(levi._index[(1, 1)], -ONE)]
+    index = levi._index
+    assert levi.unit_terms((4, 2), index[(lows[0], tops[1])]) == [
+        (index[(lows[0], lows[1])], ONE)
+    ]
+    assert levi.unit_terms((4, 2), index[(tops[0], tops[1])]) == [
+        (index[(tops[0], lows[1])], -ONE)
+    ]
 
 
-# ---------------------------------------------------------------------------
-# Serialization.
+def test_bg_levi_factors_act_inside_their_region():
+    # every factor kind: each levi root vector on each state stays inside
+    # the factor's truncation region, so no action overflows
+    specs = [("verma_eps", 2, 2), ("verma_delta", 1, 1), ("simple", 0, 0), ("simple", 3, 1)]
+    levi = bg_module_levi(4, specs)
+    assert [len(f.states) for f in levi.factors] == [2, 2, 1, 2]
+    for f in levi.factors:
+        for unit in f.roots:
+            for state in range(len(f.states)):
+                f.unit_terms(unit, state)
 
 
-def test_realization_json_round_trip_fields():
-    r = verma_realization(1, (), (3, 3), 2)
-    doc = json.loads(r.to_json())
-    assert doc["depth"] == 2
-    assert doc["datum"]["n"] == 1
-    assert {tuple(entry["weight"]): (entry["even"], entry["odd"]) for entry in doc["weights"]} == {
-        w: (e, o) for w, (e, o) in r.census().table.items()
-    }
-    with_matrices = json.loads(r.to_json(include_matrices=((2, 1),)))
-    assert any(m["triplets"] for m in with_matrices["matrices"])
-    assert r.to_json() == verma_realization(1, (), (3, 3), 2).to_json()
+def test_bg_datum_is_the_nonnegative_good_degree_part():
+    # the parabolic of the principal good grading: the standard even
+    # positives, the odd roots positive for both staircases, and the
+    # diagonal gl(1|1) levi
+    for n in (1, 2, 3, 4):
+        datum = bg_module_datum(n, [("simple", 0, 0)] * n)
+        diagonal = {(k, n + k) for k in range(1, n + 1)} | {(n + k, k) for k in range(1, n + 1)}
+        evens = {
+            (block + i, block + j)
+            for block in (0, n)
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+        }
+        assert datum.levi_roots == diagonal
+        assert datum.inducing_roots == evens | common_odd_roots(n) | diagonal
 
 
 # ---------------------------------------------------------------------------

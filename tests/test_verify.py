@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from superverma.verify import (
     CaseResult,
     FAIL,
+    INCONCLUSIVE,
     PASS,
     ScenarioReport,
     _first_mismatch,
@@ -138,6 +140,30 @@ def test_mabg_rejects_unmatched_tuple():
         verify_maBG(2, grid=[(1, 2, 1, 3)])
 
 
+def test_mabg_empty_valid_region_is_inconclusive():
+    # at depth 0 the homology has no complete weight at either rank: no
+    # census can pass or fail there
+    for n, size in ((2, 25), (3, 6)):
+        rep = verify_maBG(n, depth=0)
+        assert len(rep.cases) == size
+        assert {c.verdict for c in rep.cases} == {INCONCLUSIVE}
+        assert {json.dumps(c.detail) for c in rep.cases} == {
+            json.dumps({"reason": "valid region is empty"})
+        }
+
+
+def test_default_grids_exist_only_where_defined():
+    assert len(default_conjecture_grid(1)) == 25
+    assert len(default_conjecture_grid(3)) == 8
+    assert len(default_mabg_grid(3)) == 6
+    for n in (0, 4, 5):
+        with pytest.raises(ValueError, match=f"no default grid at rank {n}"):
+            default_conjecture_grid(n)
+    for n in (1, 4):
+        with pytest.raises(ValueError, match=f"no default grid at rank {n}"):
+            default_mabg_grid(n)
+
+
 # ---------------------------------------------------------------------------
 # Worked rank-2 examples.
 
@@ -192,3 +218,42 @@ def test_structure_combinatorial_only_at_outer_ranks():
 def test_structure_rejects_large_rank():
     with pytest.raises(ValueError):
         verify_structure(5)
+
+
+# ---------------------------------------------------------------------------
+# Default report bytes.
+
+# sha256 of ``to_json()`` of each default report; a change that is meant to
+# keep behaviour must keep these, ``detail`` included
+DEFAULT_REPORTS = {
+    "mabg2": (
+        lambda: verify_maBG(2),
+        "922a3ad3830a09766672efe1811eda05762c530924afd19504f633f5fbaba87a",
+    ),
+    "mabg3": (
+        lambda: verify_maBG(3),
+        "97cb0af4de9074555693cf1221c4d9c7abfdbc6f8d1475be0a6d5e2223864544",
+    ),
+    "gl22": (
+        verify_gl22_examples,
+        "4510b86cc8e350004bd67d84060e190035000a44aea83c18caeaaee6b435bbff",
+    ),
+    "structure2": (
+        lambda: verify_structure(2),
+        "840bd7b0c46849bb1ce113b631699986c79abbeeaee30160d7e3574609b7b5e8",
+    ),
+    "structure3": (
+        lambda: verify_structure(3),
+        "b6fea4a894b587d782301402fd2202d40e7aaf7bf4a86eb39c2ddb5aa5948ee5",
+    ),
+    "conjecture1": (
+        lambda: verify_conjecture(1),
+        "99b8a484213060765bc045e2419f748e741ee74fbbc4683a6021e699ead48f61",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_REPORTS))
+def test_default_report_bytes_are_pinned(name):
+    run, expected = DEFAULT_REPORTS[name]
+    assert hashlib.sha256(run().to_json().encode()).hexdigest() == expected
