@@ -42,7 +42,7 @@ from .borels import (
     sequence_of,
     simple_roots,
 )
-from .linalg import SparseRationalMatrix, image_basis, kernel_basis, quotient_basis, rank
+from .linalg import Echelon, SparseRationalMatrix, image_basis, kernel_basis, quotient_basis
 from .modules import Realization, bg_module, bg_module_datum
 from .superalgebra import Root, Unit, bracket, is_odd_root, root_weight
 from .weights import (
@@ -83,19 +83,6 @@ def _scatter(vec, cols: list[int], dim: int) -> Vector:
     return tuple(out)
 
 
-def _solve_in_span(columns: list[Vector], target, nrows: int) -> list[Fraction] | None:
-    """Coefficients of ``target`` over independent ``columns``, or None."""
-    m = SparseRationalMatrix.from_columns([*columns, tuple(target)], nrows=nrows)
-    for v in kernel_basis(m):
-        if v[-1]:
-            return [-c / v[-1] for c in v[:-1]]
-    return None
-
-
-def _independent(columns: list[Vector], nrows: int) -> bool:
-    return rank(SparseRationalMatrix.from_columns(columns, nrows=nrows)) == len(columns)
-
-
 class WeightClasses:
     """Homology data of one weight space: kernels, images, chosen cosets."""
 
@@ -116,25 +103,22 @@ class WeightClasses:
             src_cols = [k for k, q in enumerate(src_parities) if q == 1 - p]
             self.images[p].extend(image_basis(_column_submatrix(in_m, src_cols)))
 
-        subspace = self.images[0] + self.images[1]
-        _, self._mod_image = quotient_basis(dim, subspace)
+        # the image goes in untagged, so every representative accepted below
+        # is independent modulo the image; tags count the representatives,
+        # even ones first
+        self._echelon = quotient_basis(dim, self.images[0] + self.images[1])
         self.reps: tuple[list[Vector], list[Vector]] = ([], [])
-        self._rep_columns: list[Vector] = []
-        quot_dim = dim - len(subspace)
         for p in (0, 1):
             want = len(self.kernels[p]) - len(self.images[p])
             for k in self.kernels[p]:
                 if len(self.reps[p]) == want:
                     break
-                q = self._mod_image(k)
-                if any(q) and _independent([*self._rep_columns, q], quot_dim):
+                if self._echelon.add(k, tag=sum(self.dims)):
                     self.reps[p].append(k)
-                    self._rep_columns.append(q)
             if len(self.reps[p]) != want:
                 raise AssertionError(
                     f"homology at {weight}: images of parity {p} not inside the kernel"
                 )
-        self._quot_dim = quot_dim
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -143,13 +127,16 @@ class WeightClasses:
     def all_reps(self) -> list[Vector]:
         return [*self.reps[0], *self.reps[1]]
 
+    def coordinates(self, vector) -> Vector | None:
+        """Class coordinates over the chosen cosets, or None outside the kernel."""
+        return self._echelon.coordinates(vector, sum(self.dims))
+
     def reduce(self, vector) -> Vector:
         """Class coordinates of a kernel vector over the chosen cosets."""
-        q = self._mod_image(tuple(vector))
-        coeffs = _solve_in_span(self._rep_columns, q, self._quot_dim)
+        coeffs = self.coordinates(vector)
         if coeffs is None:
             raise AssertionError(f"vector at {self.weight} is not a homology class")
-        return tuple(coeffs)
+        return coeffs
 
 
 @dataclass
@@ -355,22 +342,16 @@ def _assert_in_kernel(m: Realization, alpha: Root, expansion: dict) -> None:
 
 
 def _assert_image_stability(m, result, g, mu, tgt, wc, tgt_wc) -> None:
-    moved = []
     for p in (0, 1):
         for vec in wc.images[p]:
             out = _act_on_vector(m, g, wc.basis, vec)
-            if out and tgt_wc is None:
+            if not out:
+                continue
+            if tgt_wc is None:
                 raise AssertionError(f"image at {mu} moved by {g} into an empty space")
-            if out:
-                moved.append(_as_coordinates(out, tgt_wc.basis))
-    if not moved:
-        return
-    existing = tgt_wc.images[0] + tgt_wc.images[1]
-    dim = len(tgt_wc.basis)
-    base_rank = rank(SparseRationalMatrix.from_columns(existing, nrows=dim))
-    joint = rank(SparseRationalMatrix.from_columns([*existing, *moved], nrows=dim))
-    if joint != base_rank:
-        raise AssertionError(f"unit {g} does not preserve the image at {tgt}")
+            coords = tgt_wc.coordinates(_as_coordinates(out, tgt_wc.basis))
+            if coords is None or any(coords):
+                raise AssertionError(f"unit {g} does not preserve the image at {tgt}")
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +544,10 @@ def certify_verma_iso(
 
     # 3. freeness probe from each anchor class.
     for s, (mu0, parity) in singular.items():
-        spans: dict[Weight, list[Vector]] = {}
-        start = result.classes_at(mu0).reduce(
-            _as_coordinates(result.rep_dict(mu0, parity, 0), result.classes_at(mu0).basis)
-        )
-        spans[mu0] = [start]
+        wc0 = result.classes_at(mu0)
+        start = wc0.reduce(_as_coordinates(result.rep_dict(mu0, parity, 0), wc0.basis))
+        spans = {mu0: Echelon(sum(wc0.dims))}
+        spans[mu0].add(start)
         queue = [(mu0, start)]
         while queue:
             w, coords = queue.pop()
@@ -589,16 +569,14 @@ def certify_verma_iso(
                 coords2 = wc2.reduce(_as_coordinates(moved, wc2.basis))
                 if not any(coords2):
                     continue
-                known = spans.setdefault(w2, [])
-                if _independent([*known, coords2], sum(wc2.dims)):
-                    known.append(coords2)
+                if spans.setdefault(w2, Echelon(sum(wc2.dims))).add(coords2):
                     queue.append((w2, coords2))
         for mu in sorted(candidates):
             if _slot(alpha, anchor, mu) != s:
                 continue
             nu = pr_alpha(n, mu, alpha)
             expected = target_char.total(nu)
-            got = len(spans.get(mu, ()))
+            got = len(spans[mu]) if mu in spans else 0
             if got != expected:
                 return Certificate(
                     REFUTED,

@@ -3,16 +3,23 @@
 There are no floats and no tolerances anywhere in the package.  Matrices are
 sparse maps ``(row, col) -> int | Fraction`` with no stored zeros; the module
 layer produces integer matrices, and entries stay plain ``int`` until a
-routine has to divide.  Every routine is a pure function of its inputs, so
-results are deterministic and safe to share between threads.
+routine has to divide.  Results are deterministic.  The functions are pure,
+so they are safe to share between threads; an ``Echelon`` is mutable and
+belongs to the caller that builds it.
+
+There is one elimination per question asked:
 
 * ``rank`` is fraction-free: it clears the denominators of each row and runs
   Bareiss elimination on integers, so integer input builds no ``Fraction``.
-* ``kernel_basis``, ``image_basis`` and ``quotient_basis`` divide, so they
-  run a reduced row echelon form over ``Fraction`` and return ``Fraction``
-  vectors in canonical form.
+* ``Echelon`` is the one reduced row echelon form, over ``Fraction``.  It
+  grows one vector at a time, and a vector added with a tag leaves its tag
+  in every row it enters.  ``kernel_basis`` and ``image_basis`` read their
+  canonical bases off an echelon; ``quotient_basis`` starts one from a
+  subspace, to which coset representatives are then added with tags, and
+  ``Echelon.coordinates`` gives a vector's coset coefficients over them.
 
-The canonical forms used throughout:
+Ranks and cosets come from different eliminations, so the homology layer
+can check one against the other.  The canonical forms:
 
 * ``kernel_basis`` returns the reduced-echelon null-space basis, one vector
   per free column in increasing column order, with the free coordinate 1.
@@ -34,17 +41,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def as_vector(values: Iterable[int | Fraction]) -> Vector:
-    """Coerce an iterable of numbers to a tuple of Fractions."""
-    return tuple(Fraction(v) for v in values)
 
 
 class SparseRationalMatrix:
@@ -84,23 +86,6 @@ class SparseRationalMatrix:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
             for c, v in enumerate(row):
-                fv = Fraction(v)
-                if fv:
-                    entries[(r, c)] = fv
-        return cls(nrows, ncols, entries)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int | Fraction]], nrows: int | None = None) -> "SparseRationalMatrix":
-        ncols = len(columns)
-        if nrows is None:
-            if not columns:
-                raise ValueError("cannot infer row count from zero columns")
-            nrows = len(columns[0])
-        entries: dict[tuple[int, int], Fraction] = {}
-        for c, col in enumerate(columns):
-            if len(col) != nrows:
-                raise ValueError("ragged columns")
-            for r, v in enumerate(col):
                 fv = Fraction(v)
                 if fv:
                     entries[(r, c)] = fv
@@ -190,58 +175,6 @@ class SparseRationalMatrix:
         )
 
 
-def _reduced_row_echelon(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Reduced row echelon form of a list of sparse rows.
-
-    Returns a map ``pivot column -> normalized row`` (leading entry 1, other
-    pivot columns eliminated).  Pivot choice within a column prefers entries
-    with the smallest denominator, then smallest |numerator|, then smallest
-    row index, which keeps intermediate fractions from blowing up.
-    """
-    work = [{c: Fraction(v) for c, v in r.items()} for r in rows if r]
-    pivots: dict[int, dict[int, Fraction]] = {}
-    while True:
-        lead_cols = [min(r) for r in work]
-        if not lead_cols:
-            break
-        col = min(lead_cols)
-        candidates = [i for i, lc in enumerate(lead_cols) if lc == col]
-        best = min(
-            candidates,
-            key=lambda i: (work[i][col].denominator, abs(work[i][col].numerator), i),
-        )
-        prow = work.pop(best)
-        lead = prow[col]
-        if lead != _ONE:
-            prow = {c: v / lead for c, v in prow.items()}
-        # eliminate this column from previously found pivot rows
-        for other in pivots.values():
-            f = other.get(col)
-            if f:
-                for c, v in prow.items():
-                    nv = other.get(c, _ZERO) - f * v
-                    if nv:
-                        other[c] = nv
-                    else:
-                        other.pop(c, None)
-        pivots[col] = prow
-        # eliminate from remaining work rows
-        nxt = []
-        for r in work:
-            f = r.get(col)
-            if f:
-                for c, v in prow.items():
-                    nv = r.get(c, _ZERO) - f * v
-                    if nv:
-                        r[c] = nv
-                    else:
-                        r.pop(c, None)
-            if r:
-                nxt.append(r)
-        work = nxt
-    return pivots
-
-
 def rank(m: SparseRationalMatrix) -> int:
     """Exact rank of the matrix, by fraction-free elimination.
 
@@ -295,6 +228,82 @@ def _bareiss_rank(rows: list[dict[int, int]]) -> int:
     return count
 
 
+class Echelon:
+    """The reduced row echelon form of a family of vectors, grown one at a time.
+
+    ``rows`` maps each pivot column to its row: leading entry 1 and zero in
+    every other pivot column.  That form is unique for the span, whatever the
+    order the vectors came in.  A vector added with a ``tag`` also carries a 1
+    in the extra column ``dim + tag``, so each row records which tagged
+    vectors it combines; ``coordinates`` reads those columns back.
+
+    A vector is a dense sequence of length ``dim`` or a sparse map
+    ``column -> value``.
+    """
+
+    __slots__ = ("dim", "rows")
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows: dict[int, dict[int, Fraction]] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _residue(self, vector, tag: int | None) -> dict[int, Fraction]:
+        """``vector`` (with its tag column) minus its projection on the rows."""
+        if isinstance(vector, dict):
+            items = vector.items()
+        elif len(vector) != self.dim:
+            raise ValueError(f"vector length {len(vector)} != dim {self.dim}")
+        else:
+            items = enumerate(vector)
+        residue = {c: Fraction(x) for c, x in items if x}
+        if tag is not None:
+            residue[self.dim + tag] = _ONE
+        # each row is zero in the other pivot columns, so one pass in any
+        # order clears every pivot column of the residue
+        for col, row in self.rows.items():
+            factor = residue.get(col)
+            if factor:
+                _subtract(residue, factor, row)
+        return residue
+
+    def add(self, vector, tag: int | None = None) -> bool:
+        """Insert ``vector`` if it is independent of the rows; say whether it was."""
+        residue = self._residue(vector, tag)
+        col = min((c for c in residue if c < self.dim), default=None)
+        if col is None:
+            return False
+        lead = residue[col]
+        if lead != _ONE:
+            residue = {c: v / lead for c, v in residue.items()}
+        for row in self.rows.values():
+            factor = row.get(col)
+            if factor:
+                _subtract(row, factor, residue)
+        self.rows[col] = residue
+        return True
+
+    def coordinates(self, vector, count: int) -> Vector | None:
+        """Coefficients of ``vector`` over the tagged vectors ``0..count-1``,
+        modulo the untagged ones; None when ``vector`` is outside the span."""
+        residue = self._residue(vector, None)
+        if any(c < self.dim for c in residue):
+            return None
+        return tuple(-residue.get(self.dim + t, _ZERO) for t in range(count))
+
+
+def _subtract(target: dict[int, Fraction], factor: Fraction, row: dict[int, Fraction]) -> None:
+    """``target -= factor * row`` in place, storing no zeros."""
+    for c, v in row.items():
+        nv = target.get(c, _ZERO) - factor * v
+        if nv:
+            target[c] = nv
+        else:
+            del target[c]
+
+
 def kernel_basis(m: SparseRationalMatrix) -> list[Vector]:
     """Canonical basis of the right null space of ``m``.
 
@@ -302,14 +311,16 @@ def kernel_basis(m: SparseRationalMatrix) -> list[Vector]:
     is 1 and pivot coordinates carry the negated echelon entries, so the
     result is a reduced-echelon basis.  ``m @ v = 0`` holds exactly for each.
     """
-    pivots = _reduced_row_echelon(m.rows())
+    echelon = Echelon(m.ncols)
+    for row in m.rows():
+        echelon.add(row)
     basis: list[Vector] = []
     for free in range(m.ncols):
-        if free in pivots:
+        if free in echelon.rows:
             continue
         v = [_ZERO] * m.ncols
         v[free] = _ONE
-        for pc, row in pivots.items():
+        for pc, row in echelon.rows.items():
             coef = row.get(free)
             if coef:
                 v[pc] = -coef
@@ -323,60 +334,33 @@ def image_basis(m: SparseRationalMatrix) -> list[Vector]:
     Computed as the reduced column echelon form: each basis vector has
     leading entry 1 at a distinct row, ordered by that row index.
     """
-    pivots = _reduced_row_echelon(m.transpose().rows())
+    echelon = Echelon(m.nrows)
+    for column in m.transpose().rows():
+        echelon.add(column)
     basis = []
-    for lead in sorted(pivots):
-        row = pivots[lead]
+    for lead in sorted(echelon.rows):
         v = [_ZERO] * m.nrows
-        for c, val in row.items():
+        for c, val in echelon.rows[lead].items():
             v[c] = val
         basis.append(tuple(v))
     return basis
 
 
-def quotient_basis(
-    ambient_dim: int, subspace: Sequence[Sequence[int | Fraction]]
-) -> tuple[list[Vector], Callable[[Sequence[int | Fraction]], Vector]]:
-    """Coset representatives and projection for ``Q^ambient_dim / span(subspace)``.
+def quotient_basis(ambient_dim: int, subspace: Sequence[Sequence[int | Fraction]]) -> Echelon:
+    """The echelon form of ``span(subspace)``, on which a quotient is built.
 
-    The given subspace vectors must be linearly independent; a dependent
-    family is reported (with both dimensions) rather than silently reduced.
-    Returns ``(reps, projection)`` where ``reps`` are standard basis vectors
-    at the non-pivot coordinates and ``projection`` maps an ambient vector to
-    its coordinates over ``reps`` modulo the subspace.  ``projection(v)`` is
-    the zero tuple exactly when ``v`` lies in the span.
+    Vectors added afterwards with tags 0, 1, ... and accepted by ``add`` are
+    independent modulo the subspace, so they represent distinct cosets of
+    ``Q^ambient_dim / span(subspace)``; ``coordinates`` then gives a vector's
+    coefficients over them modulo the subspace.  The subspace vectors must be
+    linearly independent; a dependent family is reported (with both
+    dimensions) rather than silently reduced.
     """
-    vectors = [as_vector(v) for v in subspace]
-    for v in vectors:
-        if len(v) != ambient_dim:
-            raise ValueError(f"subspace vector length {len(v)} != ambient dim {ambient_dim}")
-    rows = [{i: x for i, x in enumerate(v) if x} for v in vectors]
-    pivots = _reduced_row_echelon(rows)
-    if len(pivots) != len(vectors):
+    echelon = Echelon(ambient_dim)
+    for v in subspace:
+        echelon.add(v)
+    if len(echelon) != len(subspace):
         raise ValueError(
-            f"dependent subspace: {len(vectors)} vectors span only {len(pivots)} dimensions"
+            f"dependent subspace: {len(subspace)} vectors span only {len(echelon)} dimensions"
         )
-    free = [i for i in range(ambient_dim) if i not in pivots]
-    reps: list[Vector] = []
-    for f in free:
-        e = [_ZERO] * ambient_dim
-        e[f] = _ONE
-        reps.append(tuple(e))
-
-    def projection(v: Sequence[int | Fraction]) -> Vector:
-        if len(v) != ambient_dim:
-            raise ValueError(f"vector length {len(v)} != ambient dim {ambient_dim}")
-        residue = {i: Fraction(x) for i, x in enumerate(v) if x}
-        for pc in sorted(pivots):
-            f = residue.get(pc)
-            if f:
-                for c, val in pivots[pc].items():
-                    nv = residue.get(c, _ZERO) - f * val
-                    if nv:
-                        residue[c] = nv
-                    else:
-                        residue.pop(c, None)
-        assert all(i not in pivots for i in residue)
-        return tuple(residue.get(f, _ZERO) for f in free)
-
-    return reps, projection
+    return echelon

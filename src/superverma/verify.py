@@ -642,7 +642,9 @@ def _direct_cases(depth: int) -> list[CaseResult]:
         (a - 1, -c + 1): _place((b + c + 1) % 2),
     }
     if any(w in incomplete for w in expected):
-        cases.append(CaseResult("union-ind-e23", INCONCLUSIVE, None))
+        cases.append(
+            CaseResult("union-ind-e23", INCONCLUSIVE, {"reason": "projected census truncated"})
+        )
     elif projected == expected:
         cases.append(CaseResult("union-ind-e23", PASS, {"parity_twist": b % 2}))
     else:

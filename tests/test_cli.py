@@ -7,7 +7,7 @@ import json
 import pytest
 
 from superverma import cli
-from superverma.verify import CaseResult, FAIL, PASS, ScenarioReport
+from superverma.verify import CaseResult, FAIL, ScenarioReport
 from superverma.weights import verma_character
 
 

@@ -151,6 +151,21 @@ def test_class_representatives_cross_check():
     assert r.classes_at((99, 0, 0, 0)) is None
 
 
+def test_reduce_refuses_a_vector_outside_the_kernel():
+    r = ds13(verma_realization(2, (1,), (0, 1, 0, 1), 6))
+    refused = 0
+    for mu in sorted(r.dim_table):
+        wc = r.classes_at(mu)
+        for k, bv in enumerate(wc.basis):
+            if not r.source.act_unit(E13, {bv: 1}):
+                continue
+            e = tuple(Fraction(int(i == k)) for i in range(len(wc.basis)))
+            with pytest.raises(AssertionError, match="is not a homology class"):
+                wc.reduce(e)
+            refused += 1
+    assert refused
+
+
 def test_result_json_is_deterministic():
     def fresh():
         return ds13(verma_realization(2, (1,), (0, 1, 0, 1), 5)).to_json()

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superverma.linalg import (
+    Echelon,
     SparseRationalMatrix,
-    as_vector,
     image_basis,
     kernel_basis,
     quotient_basis,
@@ -64,14 +64,15 @@ def test_quotient_basis_reports_dependent_input():
 
 
 def test_quotient_basis_projection():
-    reps, proj = quotient_basis(3, [[1, 0, 1]])
-    assert len(reps) == 2
-    # a subspace vector projects to zero
-    assert proj([2, 0, 2]) == (F(0), F(0))
+    echelon = quotient_basis(3, [[1, 0, 1]])
+    assert echelon.add([0, 1, 0], tag=0)
+    assert echelon.add([0, 0, 1], tag=1)
+    # a subspace vector has zero coset coordinates
+    assert echelon.coordinates([2, 0, 2], 2) == (F(0), F(0))
     # coset coordinates are exact
-    assert proj([0, 5, 7]) == (F(5), F(7))
-    # projection constant on cosets
-    assert proj([1, 5, 8]) == proj([0, 5, 7])
+    assert echelon.coordinates([0, 5, 7], 2) == (F(5), F(7))
+    # coordinates are constant on cosets
+    assert echelon.coordinates([1, 5, 8], 2) == echelon.coordinates([0, 5, 7], 2)
 
 
 def test_rejects_bad_shapes():
@@ -119,10 +120,9 @@ def test_image_dimension_matches_rank(rows):
     assert len(img) == rank(m)
     # every column lies in the span of the image basis
     if img:
-        _, proj = quotient_basis(m.nrows, img)
-        zero = tuple(F(0) for _ in range(m.nrows - len(img)))
+        echelon = quotient_basis(m.nrows, img)
         for col in zip(*rows):
-            assert proj(col) == zero
+            assert echelon.coordinates(col, 0) == ()
     else:
         assert m.is_zero()
 
@@ -136,8 +136,56 @@ def test_determinism(rows):
     assert image_basis(m1) == image_basis(m2)
 
 
-def test_as_vector_coerces():
-    assert as_vector([1, F(1, 2)]) == (F(1), F(1, 2))
+# ---------------------------------------------------------------------------
+# The incremental echelon against Bareiss rank and exact recombination.
+
+tagged_families = st.integers(1, 5).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(
+            st.tuples(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), st.booleans()),
+            max_size=7,
+        ),
+        st.lists(st.integers(-3, 3), min_size=7, max_size=7),
+    )
+)
+
+
+@given(tagged_families)
+@settings(max_examples=200, deadline=None)
+def test_echelon_tracks_rank_and_rebuilds_tagged_combinations(case):
+    dim, family, weights = case
+    echelon = Echelon(dim)
+    tagged: list[list[int]] = []
+    untagged: list[list[int]] = []
+    for vector, with_tag in family:
+        grows = rank(SparseRationalMatrix.from_rows([*tagged, *untagged, vector])) > len(echelon)
+        assert echelon.add(vector, len(tagged) if with_tag else None) == grows
+        if grows:
+            (tagged if with_tag else untagged).append(vector)
+    assert len(echelon) == len(tagged) + len(untagged)
+    # tag coordinates are exact, whatever untagged vectors are mixed in
+    coeffs = tuple(F(w) for w in weights[: len(tagged)])
+    extra = weights[len(tagged) : len(tagged) + len(untagged)]
+    pairs = list(zip((*coeffs, *extra), (*tagged, *untagged), strict=True))
+    combo = [sum((c * v[i] for c, v in pairs), F(0)) for i in range(dim)]
+    assert echelon.coordinates(combo, len(tagged)) == coeffs
+
+
+@given(tagged_families)
+@settings(max_examples=100, deadline=None)
+def test_echelon_coordinates_refuse_a_vector_outside_the_span(case):
+    dim, family, _ = case
+    echelon = Echelon(dim)
+    for tag, (vector, _) in enumerate(family):
+        echelon.add(vector, tag)
+    rows = [vector for vector, _ in family]
+    for i in range(dim):
+        e = [int(i == j) for j in range(dim)]
+        if rank(SparseRationalMatrix.from_rows([*rows, e])) > len(echelon):
+            assert echelon.coordinates(e, len(family)) is None
+        else:
+            assert echelon.coordinates(e, len(family)) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superverma.borels import all_borels, b_outer, star
+from superverma.borels import all_borels, star
 from superverma.modules import (
     InductionDatum,
     Realization,
     TruncationOverflow,
-    bg_datum,
     bg_module,
     bg_module_datum,
     bg_module_levi,
@@ -26,7 +25,6 @@ from superverma.modules import (
     verma_realization,
 )
 from superverma.superalgebra import (
-    all_roots,
     bracket,
     root_of,
     root_units,
@@ -39,7 +37,6 @@ from superverma.weights import (
     common_odd_roots,
     from_tuple,
     par,
-    sub_weights,
     verma_character,
 )
 

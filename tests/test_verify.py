@@ -21,7 +21,7 @@ from superverma.verify import (
     verify_maBG,
     verify_structure,
 )
-from superverma.homology import CERTIFIED, REFUTED
+from superverma.homology import CERTIFIED
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +181,18 @@ def test_gl22_examples_all_pass():
     assert by_key["seq-8"].detail == {"slack": [[[1, -1], 1], [[2, -2], 1]]}
     for i in (1, 2, 3, 4, 6, 7):
         assert by_key[f"seq-{i}"].detail == {"slack": []}
+
+
+def test_every_gl22_inconclusive_names_its_reason():
+    # only the reasons are checked: the FAILs at depths 0-2 are a separate,
+    # open soundness question
+    seen = 0
+    for depth in range(7):
+        for case in verify_gl22_examples(depth).cases:
+            if case.verdict == INCONCLUSIVE:
+                assert case.detail and case.detail.get("reason"), (depth, case.key)
+                seen += 1
+    assert seen
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from superverma.borels import (
     all_borels,
-    b_inner,
     b_outer,
     ber_weight,
     height_functional,
