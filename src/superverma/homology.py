@@ -29,9 +29,11 @@ was too shallow to decide.
 from __future__ import annotations
 
 import json
+from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 from .borels import (
     Label,
@@ -84,10 +86,17 @@ def _scatter(vec, cols: list[int], dim: int) -> Vector:
 
 
 class WeightClasses:
-    """Homology data of one weight space: kernels, images, chosen cosets."""
+    """Homology data of one weight space: kernels, images, chosen cosets.
+
+    Everything but ``weight`` is anchor-free: coordinate vectors over the
+    layout's basis at one offset, the echelon and ``dims``.  Views of one
+    layout with equal anchor signatures share one object, which holds no
+    weight; :meth:`at` gives it the weight of the caller.
+    """
+
+    weight: Weight | None = None
 
     def __init__(self, realization: Realization, weight: Weight, out_m, in_m, source_weight):
-        self.weight = weight
         self.basis = realization.basis(weight)
         dim = len(self.basis)
         parities = [realization.vector_parity(bv) for bv in self.basis]
@@ -120,6 +129,12 @@ class WeightClasses:
                     f"homology at {weight}: images of parity {p} not inside the kernel"
                 )
 
+    def at(self, weight: Weight) -> "WeightClasses":
+        """The same cosets, seen at ``weight``."""
+        view = copy(self)
+        view.weight = weight
+        return view
+
     @property
     def dims(self) -> tuple[int, int]:
         return (len(self.reps[0]), len(self.reps[1]))
@@ -147,6 +162,7 @@ class DSResult:
     alpha: Root
     valid_depth: int
     dim_table: dict[Weight, tuple[int, int]]
+    signature: tuple  # the source's anchor signature for alpha and valid_depth
     _classes: dict[Weight, WeightClasses] = field(default_factory=dict, repr=False)
 
     @property
@@ -178,13 +194,19 @@ class DSResult:
         cached = self._classes.get(weight)
         if cached is None:
             m = self.source
-            if not m.weight_spaces.get(weight):
+            offset = sub_weights(weight, m.datum.hw)
+            if not m.layout.spaces.get(offset):
                 return None
-            rw = root_weight(m.datum.n, self.alpha)
-            out_m = m.unit_matrix(self.alpha, weight)
-            src = sub_weights(weight, rw)
-            in_m = m.unit_matrix(self.alpha, src)
-            cached = WeightClasses(m, weight, out_m, in_m, src)
+            key = (self.alpha, self.valid_depth, self.signature, offset)
+            shared = m.layout.weight_classes.get(key)
+            if shared is None:
+                rw = root_weight(m.datum.n, self.alpha)
+                out_m = m.unit_matrix(self.alpha, weight)
+                src = sub_weights(weight, rw)
+                in_m = m.unit_matrix(self.alpha, src)
+                shared = WeightClasses(m, weight, out_m, in_m, src)
+                m.layout.weight_classes[key] = shared
+            cached = shared.at(weight)
             if cached.dims != self.dims(weight):
                 raise AssertionError(
                     f"rank census {self.dims(weight)} and coset census {cached.dims} "
@@ -223,7 +245,10 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     ``alpha`` must be an odd root, so its root vector squares to zero.  The
     valid region keeps a margin of ``|xi(alpha)|`` above the truncation
     boundary so that both the outgoing and the incoming map at each counted
-    weight are complete.
+    weight are complete.  The table, in offsets from the anchor, is a
+    function of the source's anchor signature: it is computed from the
+    differential ranks once per signature and kept on the layout, and each
+    view translates it by its own anchor.
     """
     n = m.datum.n
     if not is_odd_root(n, alpha):
@@ -233,16 +258,25 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     rw = root_weight(n, alpha)
     margin = abs(m.datum.xi(rw))
     valid_depth = m.depth - margin
-    dim_table: dict[Weight, tuple[int, int]] = {}
-    for mu, counts, out_ranks, in_ranks in m.differential_ranks(alpha, valid_depth):
-        # parity p at mu: the kernel of the outgoing map on parity p, modulo
-        # the image of the incoming map from parity 1 - p
-        even = counts[0] - out_ranks[0] - in_ranks[1]
-        odd = counts[1] - out_ranks[1] - in_ranks[0]
-        if even < 0 or odd < 0:
-            raise AssertionError(f"negative homology dimension at {mu}: {(even, odd)}")
-        dim_table[mu] = (even, odd)
-    return DSResult(m, alpha, valid_depth, dim_table)
+    hw = m.datum.hw
+    signature = m.signature(alpha, valid_depth)
+    key = (alpha, valid_depth, signature)
+    table = m.layout.ds_tables.get(key)
+    if table is None:
+        table = []
+        for off, counts, out_ranks, in_ranks in m.differential_ranks(alpha, valid_depth):
+            # parity p: the kernel of the outgoing map on parity p, modulo the
+            # image of the incoming map from parity 1 - p
+            even = counts[0] - out_ranks[0] - in_ranks[1]
+            odd = counts[1] - out_ranks[1] - in_ranks[0]
+            if even < 0 or odd < 0:
+                raise AssertionError(
+                    f"negative homology dimension at {add_weights(hw, off)}: {(even, odd)}"
+                )
+            table.append((off, (even, odd)))
+        table = m.layout.ds_tables[key] = tuple(table)
+    dim_table = {tuple(map(add, hw, off)): dims for off, dims in table}
+    return DSResult(m, alpha, valid_depth, dim_table, signature)
 
 
 # ---------------------------------------------------------------------------

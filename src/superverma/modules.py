@@ -27,7 +27,8 @@ coefficients are integers affine in ``hw``: a plain ``int`` when constant
 (almost always), otherwise an :class:`Affine`.  A :class:`Realization` is a
 thin view of a layout at one anchor; it evaluates weight spaces, parities,
 actions and integer unit matrices there.  Views of one shared layout, such
-as the Verma modules of one Borel over a grid of tuples, straighten once.
+as the Verma modules of one Borel over a grid of tuples, straighten once,
+and views with equal anchor signatures share their rank-one homology.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import product
-from operator import add
+from operator import add, mul
 
 from .borels import (
     Label,
@@ -164,8 +165,15 @@ class InductionDatum:
     def root_cost(self, root: Root) -> int:
         return -self.xi(root_weight(self.n, root))
 
+    @cached_property
+    def _xi_hw(self) -> int:
+        return self.xi(self.hw)
+
     def depth_of(self, weight: Weight) -> int:
-        return self.xi(sub_weights(self.hw, weight))
+        """Height-depth of ``weight`` below the anchor, ``xi(hw - weight)``."""
+        if len(weight) != len(self.heights):
+            raise ValueError("weight vector has wrong rank")
+        return self._xi_hw - sum(map(mul, self.heights, weight))
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +372,15 @@ class PBWLayout:
     every basis vector of height-depth at most ``depth``, grouped by its
     weight offset from the anchor, so every offset of height-depth at most
     ``depth`` has a complete basis.  Actions are straightened on demand and
-    memoized with coefficients affine in ``hw``; this memo is the only one,
-    apart from the ranks of parity blocks, memoized by their evaluated
-    entries.  A :class:`Realization` evaluates everything at one anchor.
+    memoized with coefficients affine in ``hw``.  The ranks of parity blocks
+    are memoized by their evaluated entries.  Above them, the entries of one
+    unit's blocks up to a depth take the form ``const + form(hw)`` for the
+    few linear forms that :meth:`forms` lists, so everything derived from
+    those blocks is a function of a view's anchor signature
+    (:meth:`Realization.signature`).  The homology layer keeps its rank-one
+    tables (``ds_tables``) and per-weight cosets (``weight_classes``) here,
+    keyed by that signature; they live as long as the layout.  A
+    :class:`Realization` evaluates everything at one anchor.
     """
 
     def __init__(self, datum: InductionDatum, depth: int, levi=None):
@@ -398,6 +412,9 @@ class PBWLayout:
         self._act_memo: dict = {}
         self._rank_blocks: dict = {}
         self._differentials: dict = {}
+        self._forms: dict = {}
+        self.ds_tables: dict = {}
+        self.weight_classes: dict = {}
         self.spaces: dict[Weight, list] = {}
         self._enumerate()
         self.positions = {
@@ -612,6 +629,24 @@ class PBWLayout:
             self._differentials[key] = found
         return found
 
+    def forms(self, unit: Unit, max_depth: int) -> tuple:
+        """The distinct ``Affine.terms`` of the entries of the unit's
+        :meth:`differential_blocks` up to ``max_depth``, sorted.  Every
+        entry of those blocks is an integer constant plus one of these
+        linear forms evaluated at the anchor."""
+        key = (unit, max_depth)
+        found = self._forms.get(key)
+        if found is None:
+            terms = set()
+            for _off, _counts, out_blocks, in_blocks in self.differential_blocks(
+                unit, max_depth
+            ):
+                for block in out_blocks + in_blocks:
+                    if block is not None:
+                        terms.update(c.terms for c in block.coefs)
+            found = self._forms[key] = tuple(sorted(terms))
+        return found
+
 
 class Realization:
     """A truncated induced module: a :class:`PBWLayout` seen at the anchor
@@ -619,10 +654,12 @@ class Realization:
 
     Weights, parities, actions and unit matrices are the layout's, evaluated
     at this anchor and parity shift; matrices come out with ``int`` entries.
-    The view memoizes nothing itself, so views sharing one layout (pass
+    Every memo lives on the layout, so views sharing one layout (pass
     ``layout``, built for the same datum shape, depth and levi module)
-    straighten each action once.  Every weight with
-    ``datum.depth_of(weight) <= depth`` has a complete basis.
+    straighten each action once, and views of equal :meth:`signature` share
+    their rank-one homology.  The view itself caches only its translated
+    ``weight_spaces``.  Every weight with ``datum.depth_of(weight) <= depth``
+    has a complete basis.
     """
 
     def __init__(
@@ -741,25 +778,39 @@ class Realization:
             self._overflow(unit, source)
         return matrix
 
+    def signature(self, unit: Unit, max_depth: int) -> tuple:
+        """``(parity shift, value at hw of each of the layout's forms)``.
+
+        The evaluated entries of the unit's blocks up to ``max_depth`` are
+        ``const + form value``, and parities are raw parities flipped by the
+        shift; so the ranks, kernels, images and cosets of those blocks, at
+        each offset, are functions of this signature.  Views of one layout
+        with equal signatures have the same rank-one homology in offsets."""
+        hw = self._hw
+        values = tuple(
+            sum(c * hw[i] for i, c in terms) for terms in self.layout.forms(unit, max_depth)
+        )
+        return (self._shift, values)
+
     def differential_ranks(self, unit: Unit, max_depth: int):
-        """For every weight of height-depth at most ``max_depth``, yield
-        ``(weight, dims, out_ranks, in_ranks)``, each a pair indexed by
-        parity: the basis vectors of that parity, the rank of the unit's
-        map on them, and the rank of the unit's map on the vectors of that
-        parity at ``weight - root``.  Ranks are memoized on the layout by
-        the evaluated block entries."""
+        """For every offset of height-depth at most ``max_depth`` from the
+        anchor, yield ``(offset, dims, out_ranks, in_ranks)``, each a pair
+        indexed by parity: the basis vectors of that parity, the rank of the
+        unit's map on them, and the rank of the unit's map on the vectors of
+        that parity at ``offset - root``.  Ranks are memoized on the layout
+        by the evaluated block entries."""
         hw = self._hw
         flip = self._shift
         layout = self.layout
         for off, counts, out_blocks, in_blocks in layout.differential_blocks(
             unit, max_depth
         ):
-            weight = tuple(map(add, hw, off))
             if None in out_blocks or None in in_blocks:
+                weight = tuple(map(add, hw, off))
                 self._overflow(unit, weight)
                 self._overflow(unit, sub_weights(weight, root_weight(self.datum.n, unit)))
             yield (
-                weight,
+                off,
                 (counts[flip], counts[1 - flip]),
                 (
                     out_blocks[flip].rank_at(hw, layout),

@@ -3,6 +3,8 @@
 A hook that no longer finds its function drops that layer's metrics from the
 result line, with only a warning on stderr; so the declared names are
 checked here on a short run of the cheapest workload at both trace levels.
+One pass of ``sweep-rank2`` also checks its 7,500 verdicts end to end: it is
+the workload on which views of one layout share rank-one homology tables.
 """
 
 from __future__ import annotations
@@ -18,13 +20,20 @@ ROOT = Path(__file__).resolve().parents[1]
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-@pytest.mark.parametrize("trace, declared", [(0, "end_to_end"), (1, "per_layer")])
-def test_benchmark_result_line_carries_the_declared_metrics(trace, declared):
+@pytest.mark.parametrize(
+    "workload, trace, declared",
+    [
+        pytest.param("examples", 0, "end_to_end", id="0-end_to_end"),
+        pytest.param("examples", 1, "per_layer", id="1-per_layer"),
+        pytest.param("sweep-rank2", 0, "end_to_end", id="sweep-rank2-0-end_to_end"),
+    ],
+)
+def test_benchmark_result_line_carries_the_declared_metrics(workload, trace, declared):
     done = subprocess.run(
         [
             sys.executable,
             str(ROOT / "perfbench" / "run.py"),
-            "--workload", "examples",
+            "--workload", workload,
             "--seconds", "0.01",
             "--trace", str(trace),
         ],

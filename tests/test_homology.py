@@ -272,6 +272,14 @@ def test_refuted_census_carries_counterexample():
     assert cert.verdict == REFUTED
     assert not cert.ok
     assert cert.detail == {"weight": [1, 0, -1, 1], "dims": [0, 0], "expected": [1, 0]}
+    # the same case on a layout warmed by another anchor of equal signature
+    warm = verma_realization(2, (), (0, -2, -1, -2), 6)
+    certify_verma_iso(ds13(warm), (), to_tuple(1, pr_alpha(2, warm.datum.hw, E13), ()))
+    tables = dict(warm.layout.ds_tables)
+    shared = ds13(verma_realization(2, (), (2, 0, 1, 0), 6, warm.layout))
+    assert shared.signature == r.signature == ds13(warm).signature
+    assert warm.layout.ds_tables == tables
+    assert certify_verma_iso(shared, (), target) == cert
 
 
 def test_certify_rejects_wrong_target_weight():

@@ -14,6 +14,7 @@ from superverma.modules import (
     InductionDatum,
     Realization,
     TruncationOverflow,
+    bg_datum,
     bg_module,
     bg_module_datum,
     bg_module_levi,
@@ -37,6 +38,7 @@ from superverma.weights import (
     common_odd_roots,
     from_tuple,
     par,
+    sub_weights,
     verma_character,
 )
 
@@ -628,6 +630,12 @@ def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, 
         any(bilinear_form(n, v.datum.hw, root_weight(n, a)) == 0 for a in alphas) for v in views
     ]
     assert any(matched) and not all(matched)
+    # some views share an anchor signature, so they read each other's tables
+    assert any(
+        len({v.signature(a, depth - abs(v.datum.xi(root_weight(n, a)))) for v in views})
+        < len(views)
+        for a in alphas
+    )
     # interleave the views so each one reads memo entries another one filled
     for rounds in range(2):
         for view, t in zip(views, tuples):
@@ -635,10 +643,111 @@ def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, 
             for alpha in alphas:
                 for w in sorted(alone.weight_spaces):
                     assert view.unit_matrix(alpha, w) == alone.unit_matrix(alpha, w), (t, w)
-                assert ds_homology(view, alpha).dim_table == ds_homology(alone, alpha).dim_table
+                warm, cold = ds_homology(view, alpha), ds_homology(alone, alpha)
+                assert warm.dim_table == cold.dim_table
+                _assert_same_classes(warm, cold)
+                assert _certificate(label, warm) == _certificate(label, cold), (t, alpha)
             assert view.census() == alone.census()
             if rounds == 0:
                 _check_representation(view, basis_count)
+
+
+def _assert_same_classes(warm, cold):
+    """Cosets of a view of a shared layout equal those of a lone layout."""
+    for w in warm.dim_table:
+        got, want = warm.classes_at(w), cold.classes_at(w)
+        assert got.weight == want.weight == w
+        assert got.basis == want.basis
+        assert got.dims == want.dims, w
+        assert got.reps == want.reps, w
+        for rep in want.all_reps():
+            assert got.reduce(rep) == want.reduce(rep), w
+
+
+def _certificate(label, result):
+    """The certificate the conjecture scenario asks for at this anchor."""
+    from superverma.homology import certify_verma_iso, certify_zero, ds_borel_label
+    from superverma.weights import bilinear_form, pr_alpha, to_tuple
+
+    n, alpha, hw = result.n, result.alpha, result.source.datum.hw
+    if bilinear_form(n, hw, root_weight(n, alpha)) != 0:
+        return certify_zero(result)
+    target = ds_borel_label(n, label, alpha)
+    return certify_verma_iso(result, target, to_tuple(n - 1, pr_alpha(n, hw, alpha), target))
+
+
+@pytest.mark.parametrize(
+    "n, label, depth, simple_only",
+    [(2, b, 6, True) for b in all_borels(2)] + [(2, (), 6, False), (3, (2, 1), 4, True)],
+)
+def test_anchor_signature_determines_the_blocks(n, label, depth, simple_only):
+    # the forms of a simple root are L and -L for one L; other odd roots
+    # have several independent forms, so every form must enter the signature
+    from superverma.borels import odd_simple_roots
+    from superverma.superalgebra import all_roots, is_odd_root
+
+    layout = verma_realization(n, label, (0,) * (2 * n), depth).layout
+    odd = [r for r in all_roots(n) if is_odd_root(n, r)]
+    for alpha in sorted(odd_simple_roots(n, label) if simple_only else odd):
+        rw = root_weight(n, alpha)
+        valid = depth - abs(verma_datum(n, label, (0,) * (2 * n)).xi(rw))
+        forms = set(layout.forms(alpha, valid))
+        # every anchor-dependent entry of a parity block in or into the valid
+        # region is a constant plus one of the forms
+        offsets = [off for off in layout.spaces if layout.cost(off) <= valid]
+        for off in offsets:
+            for source in (off, sub_weights(off, rw)):
+                for q in (0, 1):
+                    _nrows, _ncols, entries = layout.map_entries(alpha, source, q)
+                    for entry in entries.values():
+                        if type(entry) is not int:
+                            assert entry.terms in forms, (alpha, source, entry.terms)
+        if n != 2:
+            continue
+        # views with equal signatures have equal parities, and equal matrices
+        # wherever an entry depends on the anchor
+        sources = sorted(
+            source
+            for source in {s for off in offsets for s in (off, sub_weights(off, rw))}
+            if any(type(e) is not int for e in layout.map_entries(alpha, source, None)[2].values())
+        )
+        top = layout.spaces[(0,) * (2 * n)]
+
+        def seen_from(view):
+            hw = view.datum.hw
+            return [view.vector_parity(bv) for bv in top] + [
+                view.unit_matrix(alpha, add_weights(hw, source)) for source in sources
+            ]
+
+        first: dict = {}
+        for t in product(range(-2, 3), repeat=4):
+            view = verma_realization(n, label, t, depth, layout)
+            signature = view.signature(alpha, valid)
+            if signature not in first:
+                first[signature] = seen_from(view)
+            else:
+                assert seen_from(view) == first[signature], (alpha, t)
+        assert len(first) < 625
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["verma", "bg", "union", "parabolic"]), st.data())
+def test_depth_of_is_xi_of_the_difference(kind, data):
+    coord = st.integers(min_value=-6, max_value=6)
+    n = 2 if kind == "union" else data.draw(st.integers(min_value=1, max_value=3))
+    t = data.draw(st.tuples(*[coord] * (2 * n)))
+    if kind == "verma":
+        datum = verma_datum(n, data.draw(st.sampled_from(list(all_borels(n)))), t)
+    elif kind == "bg":
+        datum = bg_datum(n, t)
+    elif kind == "union":
+        datum = union_borel_datum(2, [(), (1,)], (t[0], t[1], -t[1], t[3]))
+    else:
+        datum = bg_module_datum(n, [("verma_eps", a, b) for a, b in zip(t[:n], t[n:])])
+    weight = data.draw(st.tuples(*[coord] * (2 * n)))
+    assert datum.depth_of(weight) == datum.xi(sub_weights(datum.hw, weight))
+    with pytest.raises(ValueError):
+        datum.depth_of(weight[1:])
 
 
 def test_a_layout_refuses_a_datum_of_another_shape():

@@ -195,6 +195,28 @@ def test_every_gl22_inconclusive_names_its_reason():
     assert seen
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        lambda d: verify_maBG(2, depth=d),
+        lambda d: verify_maBG(3, depth=d),
+        lambda d: verify_conjecture(1, depth=d),
+        lambda d: verify_conjecture(2, depth=d),
+    ],
+    ids=["mabg2", "mabg3", "conjecture1", "conjecture2"],
+)
+def test_every_shallow_inconclusive_names_its_reason(scenario):
+    # depths 0-1 of the rank-2 conjecture run the shared homology tables
+    # through empty and shallow valid regions
+    seen = 0
+    for depth in range(4):
+        for case in scenario(depth).cases:
+            if case.verdict == INCONCLUSIVE:
+                assert case.detail and case.detail.get("reason"), (depth, case.key)
+                seen += 1
+    assert seen
+
+
 # ---------------------------------------------------------------------------
 # Structural invariants.
 
