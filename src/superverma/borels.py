@@ -29,14 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .superalgebra import (
-    Root,
-    Weight,
-    is_odd_root,
-    map_root_at,
-    map_root_c,
-    root_weight,
-)
+from .superalgebra import Root, Weight, is_odd_root, root_weight
 
 Label = tuple[int, ...]
 
@@ -299,39 +292,6 @@ def star(n1: int, label1: Label, n2: int, label2: Label) -> Label:
         n2, normalize_label(label2, n2)
     )
     return label_of_sequence(n1 + n2, seq)
-
-
-def label_from_odd_positive_roots(n: int, odd_roots: frozenset[Root] | set[Root]) -> Label:
-    """Recover a label from its set of positive odd roots.
-
-    beta_i is the number of q with delta_q - eps_{n+1-i} positive.
-    """
-    beta = tuple(
-        sum(1 for q in range(1, n + 1) if (n + q, n + 1 - i) in odd_roots)
-        for i in range(1, n + 1)
-    )
-    label = normalize_label(beta, n)
-    if odd_positive_roots(n, label) != frozenset(odd_roots):
-        raise ValueError("root set is not the odd positive system of any Borel")
-    return label
-
-
-def complement_label(n: int, label: Label) -> Label:
-    """Action of the block-reversal automorphism on labels: box complement."""
-    beta = padded(label, n)
-    return normalize_label(tuple(n - beta[n - i] for i in range(1, n + 1)), n)
-
-
-def antitranspose_label(n: int, label: Label) -> Label:
-    """Action of the flip automorphism on labels: conjugate partition."""
-    return normalize_label(conjugate_partition(label, n), n)
-
-
-def mapped_label(n: int, label: Label, kind: str) -> Label:
-    """Label whose positive system is the automorphism image (oracle path)."""
-    fn = map_root_c if kind == "c" else map_root_at
-    image = {fn(n, r) for r in odd_positive_roots(n, label)}
-    return label_from_odd_positive_roots(n, image)
 
 
 def format_label(label: Label) -> str:

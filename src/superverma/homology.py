@@ -179,11 +179,6 @@ class DSResult:
         e, o = self.dims(weight)
         return e + o
 
-    def census(self) -> Character:
-        datum = self.source.datum
-        table = {w: d for w, d in self.dim_table.items() if d != (0, 0)}
-        return Character(datum.n, datum.hw, datum.heights, self.valid_depth, table)
-
     def support(self) -> list[Weight]:
         return sorted(w for w, d in self.dim_table.items() if d != (0, 0))
 
@@ -401,13 +396,6 @@ class Certificate:
     @property
     def ok(self) -> bool:
         return self.verdict == CERTIFIED
-
-    def to_jsonable(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "checked_weights": self.checked_weights,
-            "detail": self.detail,
-        }
 
 
 def certify_zero(result: DSResult) -> Certificate:

@@ -28,7 +28,7 @@ can check one against the other.  The canonical forms:
 
 Worked example (the rank-1 matrix [[1, 2], [2, 4]])::
 
-    >>> m = SparseRationalMatrix.from_rows([[1, 2], [2, 4]])
+    >>> m = SparseRationalMatrix(2, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4})
     >>> rank(m)
     1
     >>> kernel_basis(m)
@@ -78,20 +78,6 @@ class SparseRationalMatrix:
         self.entries = clean
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int | Fraction]]) -> "SparseRationalMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries: dict[tuple[int, int], Fraction] = {}
-        for r, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                fv = Fraction(v)
-                if fv:
-                    entries[(r, c)] = fv
-        return cls(nrows, ncols, entries)
-
-    @classmethod
     def zero(cls, nrows: int, ncols: int) -> "SparseRationalMatrix":
         return cls(nrows, ncols, {})
 
@@ -117,9 +103,6 @@ class SparseRationalMatrix:
     def __repr__(self):
         return f"SparseRationalMatrix({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def rows(self) -> list[dict[int, Fraction]]:
         out: list[dict[int, Fraction]] = [dict() for _ in range(self.nrows)]
         for (r, c), v in self.entries.items():
@@ -130,16 +113,6 @@ class SparseRationalMatrix:
         return SparseRationalMatrix(
             self.ncols, self.nrows, {(c, r): v for (r, c), v in self.entries.items()}
         )
-
-    def mul_vector(self, v: Sequence[int | Fraction]) -> Vector:
-        if len(v) != self.ncols:
-            raise ValueError(f"vector length {len(v)} != column count {self.ncols}")
-        out = [_ZERO] * self.nrows
-        for (r, c), a in self.entries.items():
-            x = v[c]
-            if x:
-                out[r] += a * x
-        return tuple(out)
 
     def __matmul__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         if self.ncols != other.nrows:

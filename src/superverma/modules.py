@@ -34,7 +34,7 @@ and views with equal anchor signatures share their rank-one homology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 from operator import add, mul
 
@@ -106,47 +106,17 @@ class InductionDatum:
     levi_roots: frozenset[Root] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        n = self.n
-        every = set(all_roots(n))
-        inducing = set(self.inducing_roots)
-        complement = list(self.complement_order)
-        if not self.levi_roots <= self.inducing_roots:
-            raise ValueError("levi roots must be inducing roots")
-        if inducing | set(complement) != every or inducing & set(complement):
-            raise ValueError("inducing and complement roots must partition the roots")
-        if len(complement) != len(set(complement)):
-            raise ValueError("duplicate complement root")
-        if len(self.hw) != 2 * n or len(self.heights) != 2 * n:
+        forms = _validate_shape(self.shape)
+        if len(self.hw) != 2 * self.n:
             raise ValueError("weight or height vector has wrong rank")
-        # the inducing subalgebra is closed under the bracket
-        for r1 in inducing:
-            for r2 in inducing:
-                for unit, _coef in bracket(n, r1, r2):
-                    if not is_cartan(unit) and root_of(n, unit) not in inducing:
-                        raise ValueError(
-                            f"inducing set not closed: [{r1}, {r2}] leaves it"
-                        )
         # the anchor weight kills every Cartan bracket of non-levi opposite
         # pairs, so it spans a one-dimensional module for the non-levi part
-        for r in inducing:
-            opposite = (r[1], r[0])
-            if opposite not in inducing:
-                continue
-            if r in self.levi_roots and opposite in self.levi_roots:
-                continue
-            value = 0
-            for unit, coef in bracket(n, r, opposite):
-                if is_cartan(unit):
-                    value += coef * self.hw[unit[0] - 1]
-            if value:
+        for r, opposite, form in forms:
+            if sum(coef * self.hw[i] for i, coef in form):
                 raise ValueError(
                     f"anchor weight does not vanish on the Cartan bracket of "
                     f"{r} and {opposite}"
                 )
-        # every complement root must cost at least one unit of depth
-        for r in complement:
-            if self.root_cost(r) < 1:
-                raise ValueError(f"complement root {r} has nonpositive depth cost")
 
     @property
     def shape(self) -> tuple:
@@ -174,6 +144,46 @@ class InductionDatum:
         if len(weight) != len(self.heights):
             raise ValueError("weight vector has wrong rank")
         return self._xi_hw - sum(map(mul, self.heights, weight))
+
+
+@lru_cache(maxsize=None)
+def _validate_shape(shape: tuple) -> tuple:
+    """Check everything of a datum but its anchor, once per shape.
+
+    Returns the Cartan brackets the anchor must kill, as ``(root, opposite,
+    form)`` with ``form`` the ``(index, coefficient)`` pairs of the bracket.
+    A rejected shape is not cached, so it is rejected again on every datum.
+    """
+    n, inducing, levi_roots, complement, heights = shape
+    every = set(all_roots(n))
+    if not levi_roots <= inducing:
+        raise ValueError("levi roots must be inducing roots")
+    if inducing | set(complement) != every or inducing & set(complement):
+        raise ValueError("inducing and complement roots must partition the roots")
+    if len(complement) != len(set(complement)):
+        raise ValueError("duplicate complement root")
+    if len(heights) != 2 * n:
+        raise ValueError("weight or height vector has wrong rank")
+    # the inducing subalgebra is closed under the bracket
+    for r1 in inducing:
+        for r2 in inducing:
+            for unit, _coef in bracket(n, r1, r2):
+                if not is_cartan(unit) and root_of(n, unit) not in inducing:
+                    raise ValueError(f"inducing set not closed: [{r1}, {r2}] leaves it")
+    # every complement root must cost at least one unit of depth
+    for r in complement:
+        if -sum(h * v for h, v in zip(heights, root_weight(n, r))) < 1:
+            raise ValueError(f"complement root {r} has nonpositive depth cost")
+    forms = []
+    for r in sorted(inducing):
+        opposite = (r[1], r[0])
+        if opposite not in inducing or (r in levi_roots and opposite in levi_roots):
+            continue
+        form = tuple(
+            (unit[0] - 1, coef) for unit, coef in bracket(n, r, opposite) if is_cartan(unit)
+        )
+        forms.append((r, opposite, form))
+    return tuple(forms)
 
 
 # ---------------------------------------------------------------------------
@@ -697,18 +707,8 @@ class Realization:
     def basis_parity(self, weight: Weight, idx: int) -> int:
         return self.vector_parity(self.weight_spaces[weight][idx])
 
-    def in_region(self, weight: Weight) -> bool:
-        return self.datum.depth_of(weight) <= self.depth
-
-    def dimension(self, weight: Weight) -> int:
-        return len(self.layout.spaces.get(self._offset(weight), ()))
-
     def basis(self, weight: Weight) -> list:
         return list(self.layout.spaces.get(self._offset(weight), ()))
-
-    def vacuum(self):
-        """The basis vector with no PBW factors over the first levi state."""
-        return ((0,) * len(self.layout.units), 0)
 
     def monomial(self, unit_exponents: dict[Unit, int], levi_state: int = 0):
         """Basis vector with the given exponents keyed by complement unit."""

@@ -117,51 +117,6 @@ def good_degree(n: int, unit: Unit) -> int:
     return j - i + n
 
 
-def _sign_for_twist(n: int, unit: Unit) -> int:
-    """Sign used by both involutions: + on the lower-left odd block."""
-    i, j = unit
-    return 1 if (i > n >= j) else -1
-
-
-def automorphism_at(n: int, unit: Unit) -> tuple[int, Unit]:
-    """The flip automorphism e_ij -> +/- e_{2n+1-j, 2n+1-i}.
-
-    Exchanges the even and odd blocks (eps_i and delta_{n+1-i} switch roles);
-    on Borel labels it acts by transposing the partition.
-    Returns (sign, image unit).
-    """
-    i, j = unit
-    return _sign_for_twist(n, unit), (2 * n + 1 - j, 2 * n + 1 - i)
-
-
-def _w0_even(n: int, t: int) -> int:
-    """Longest element of the even Weyl group S_n x S_n on indices."""
-    return n + 1 - t if t <= n else 3 * n + 1 - t
-
-
-def automorphism_c(n: int, unit: Unit) -> tuple[int, Unit]:
-    """The block-reversal automorphism e_ij -> +/- e_{w0(j), w0(i)}.
-
-    Here w0 is the longest element of the even Weyl group (reversing each
-    block separately); on Borel labels it acts by complementing the
-    partition inside the n x n box.  Returns (sign, image unit).
-    """
-    i, j = unit
-    return _sign_for_twist(n, unit), (_w0_even(n, j), _w0_even(n, i))
-
-
-def map_root_at(n: int, root: Root) -> Root:
-    """Action of the flip automorphism on roots."""
-    p, q = root
-    return (2 * n + 1 - q, 2 * n + 1 - p)
-
-
-def map_root_c(n: int, root: Root) -> Root:
-    """Action of the block-reversal automorphism on roots: alpha -> -w0(alpha)."""
-    p, q = root
-    return (_w0_even(n, q), _w0_even(n, p))
-
-
 class Element:
     """A finite rational linear combination of matrix units.
 
@@ -205,14 +160,6 @@ class Element:
             return "0"
         return " + ".join(f"{c}*e{u[0]},{u[1]}" for u, c in sorted(self.terms.items()))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def parity(self) -> int | None:
-        """Common parity of all terms, or None for mixed/zero elements."""
-        parities = {unit_parity(self.n, u) for u in self.terms}
-        return parities.pop() if len(parities) == 1 else None
-
 
 def bracket_elements(x: Element, y: Element) -> Element:
     """Bilinear extension of the unit supercommutator."""
@@ -224,14 +171,4 @@ def bracket_elements(x: Element, y: Element) -> Element:
             for w, c in bracket(x.n, u, v):
                 key = w
                 acc[key] = acc.get(key, Fraction(0)) + a * b * c
-    return Element(x.n, acc)
-
-
-def apply_automorphism(kind: str, x: Element) -> Element:
-    """Apply one of the involutions ('at' or 'c') to an element."""
-    fn = automorphism_at if kind == "at" else automorphism_c
-    acc: dict[Unit, Fraction] = {}
-    for u, c in x.terms.items():
-        s, v = fn(x.n, u)
-        acc[v] = acc.get(v, Fraction(0)) + s * c
     return Element(x.n, acc)

@@ -1,15 +1,27 @@
 """Independent oracles the tests compare the library against.
 
-They recompute by brute force what the library obtains another way, so they
-live with the tests and nothing in ``superverma`` depends on them.
+They recompute by brute force what the library obtains another way, or
+transform its inputs for a metamorphic check, so they live with the tests and
+nothing in ``superverma`` depends on them.
 """
 
 from __future__ import annotations
 
-from superverma.borels import Label, height_functional, normalize_label, positive_roots, simple_roots
+from fractions import Fraction
+
+from superverma.borels import (
+    Label,
+    conjugate_partition,
+    height_functional,
+    normalize_label,
+    odd_positive_roots,
+    padded,
+    positive_roots,
+    simple_roots,
+)
 from superverma.linalg import SparseRationalMatrix, kernel_basis
 from superverma.modules import Realization
-from superverma.superalgebra import Weight, is_odd_root, root_weight
+from superverma.superalgebra import Element, Root, Unit, Weight, is_odd_root, root_weight
 from superverma.weights import sub_weights
 
 
@@ -78,3 +90,114 @@ def singular_vectors(r: Realization, b: Label, mu: Weight) -> list:
         for kvec in kernel_basis(stacked):
             out.append((parity, {basis[cols[i]]: v for i, v in enumerate(kvec) if v}))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The two involutions of gl(n|n) that preserve the standard even Borel: the
+# flip ``at`` and the block reversal ``c``.  Each sends e_ij to
+# +/- e_{w(j), w(i)} for an index permutation w, so it maps a Verma module of
+# a Borel to one of the image Borel and a weight mu to -w(mu).
+
+
+def _sign_for_twist(n: int, unit: Unit) -> int:
+    """Sign used by both involutions: + on the lower-left odd block."""
+    i, j = unit
+    return 1 if (i > n >= j) else -1
+
+
+def _flip(n: int, t: int) -> int:
+    """The index reversal of the flip: eps_i and delta_{n+1-i} switch roles."""
+    return 2 * n + 1 - t
+
+
+def _w0_even(n: int, t: int) -> int:
+    """Longest element of the even Weyl group S_n x S_n on indices."""
+    return n + 1 - t if t <= n else 3 * n + 1 - t
+
+
+INDEX_MAPS = {"at": _flip, "c": _w0_even}
+
+
+def automorphism_at(n: int, unit: Unit) -> tuple[int, Unit]:
+    """The flip automorphism e_ij -> +/- e_{2n+1-j, 2n+1-i}.
+
+    Exchanges the even and odd blocks; on Borel labels it acts by
+    transposing the partition.  Returns (sign, image unit).
+    """
+    i, j = unit
+    return _sign_for_twist(n, unit), (_flip(n, j), _flip(n, i))
+
+
+def automorphism_c(n: int, unit: Unit) -> tuple[int, Unit]:
+    """The block-reversal automorphism e_ij -> +/- e_{w0(j), w0(i)}.
+
+    Here w0 reverses each block separately; on Borel labels it acts by
+    complementing the partition inside the n x n box.  Returns (sign, image
+    unit).
+    """
+    i, j = unit
+    return _sign_for_twist(n, unit), (_w0_even(n, j), _w0_even(n, i))
+
+
+def map_root_at(n: int, root: Root) -> Root:
+    """Action of the flip automorphism on roots."""
+    p, q = root
+    return (_flip(n, q), _flip(n, p))
+
+
+def map_root_c(n: int, root: Root) -> Root:
+    """Action of the block-reversal automorphism on roots: alpha -> -w0(alpha)."""
+    p, q = root
+    return (_w0_even(n, q), _w0_even(n, p))
+
+
+def map_weight(n: int, kind: str, weight: Weight) -> Weight:
+    """Action of an involution on weights: mu -> -w(mu)."""
+    w = INDEX_MAPS[kind]
+    out = [0] * (2 * n)
+    for k, v in enumerate(weight, start=1):
+        out[w(n, k) - 1] = -v
+    return tuple(out)
+
+
+def apply_automorphism(kind: str, x: Element) -> Element:
+    """Apply one of the involutions ('at' or 'c') to an element."""
+    fn = automorphism_at if kind == "at" else automorphism_c
+    acc: dict[Unit, Fraction] = {}
+    for u, c in x.terms.items():
+        s, v = fn(x.n, u)
+        acc[v] = acc.get(v, Fraction(0)) + s * c
+    return Element(x.n, acc)
+
+
+def label_from_odd_positive_roots(n: int, odd_roots) -> Label:
+    """Recover a label from its set of positive odd roots.
+
+    beta_i is the number of q with delta_q - eps_{n+1-i} positive.
+    """
+    beta = tuple(
+        sum(1 for q in range(1, n + 1) if (n + q, n + 1 - i) in odd_roots)
+        for i in range(1, n + 1)
+    )
+    label = normalize_label(beta, n)
+    if odd_positive_roots(n, label) != frozenset(odd_roots):
+        raise ValueError("root set is not the odd positive system of any Borel")
+    return label
+
+
+def complement_label(n: int, label: Label) -> Label:
+    """Action of the block-reversal automorphism on labels: box complement."""
+    beta = padded(label, n)
+    return normalize_label(tuple(n - beta[n - i] for i in range(1, n + 1)), n)
+
+
+def antitranspose_label(n: int, label: Label) -> Label:
+    """Action of the flip automorphism on labels: conjugate partition."""
+    return normalize_label(conjugate_partition(label, n), n)
+
+
+def mapped_label(n: int, label: Label, kind: str) -> Label:
+    """Label whose positive system is the automorphism image, from the roots."""
+    fn = map_root_c if kind == "c" else map_root_at
+    image = {fn(n, r) for r in odd_positive_roots(n, label)}
+    return label_from_odd_positive_roots(n, image)

@@ -2,31 +2,26 @@
 
 from __future__ import annotations
 
-import doctest
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superverma import borels
 from superverma.borels import (
     all_borels,
-    antitranspose_label,
     b_inner,
     b_outer,
     ber_weight,
     borel_graph,
     borel_graph_dot,
     borel_graph_json,
-    complement_label,
     conjugate_partition,
     coordinate_positions,
     format_label,
     hypercube_gamma,
     hypercube_label,
     label_of_sequence,
-    mapped_label,
     normalize_label,
     odd_positive_roots,
     odd_reflection_neighbors,
@@ -41,14 +36,11 @@ from superverma.borels import (
 )
 from superverma.superalgebra import is_odd_root, root_weight
 
+from oracles import antitranspose_label, complement_label, mapped_label
+
 
 def box_labels(n: int) -> st.SearchStrategy:
     return st.sampled_from(all_borels(n))
-
-
-def test_doctests():
-    results = doctest.testmod(borels)
-    assert results.failed == 0 and results.attempted > 0
 
 
 def test_borel_counts():

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+from itertools import product
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superverma.borels import all_borels, star
+from superverma.borels import all_borels, odd_simple_roots, star
 from superverma.homology import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -38,7 +39,9 @@ from superverma.modules import (
     verma_realization,
 )
 from superverma.superalgebra import root_weight
-from superverma.weights import add_weights, par, pr_alpha, to_tuple
+from superverma.weights import add_weights, from_tuple, par, pr_alpha, to_tuple
+
+from oracles import map_root_at, map_root_c, map_weight, mapped_label
 
 E13 = (1, 3)
 
@@ -499,6 +502,41 @@ def test_contraction_identities_hold():
     report = contraction_check(3, 6)
     assert report["ok"]
     assert report["monomials"] == 1289
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic: the involutions of gl(2|2) carry one census onto another.
+
+
+@pytest.mark.parametrize("kind", ["c", "at"])
+def test_involutions_map_the_census_weight_by_weight(kind):
+    # an involution sends e_ij to +/- e_{w(j), w(i)}, so it carries M_b(t)
+    # onto the Verma module of the image Borel at the anchor -w(hw), and the
+    # homology of alpha onto that of the image root at -w(mu); each weight
+    # keeps its classes, which trade parity where the parity convention of
+    # the two weights differs (only the flip moves the delta block)
+    n, depth = 2, 6
+    map_root = map_root_c if kind == "c" else map_root_at
+    grid = list(product(range(-2, 3), repeat=2 * n))[::25]
+    compared = 0
+    for label in all_borels(n):
+        image = mapped_label(n, label, kind)
+        layouts = {}
+        for alpha in odd_simple_roots(n, label):
+            beta = map_root(n, alpha)
+            for t in grid:
+                hw = from_tuple(n, t, label)
+                image_t = to_tuple(n, map_weight(n, kind, hw), image)
+                m = verma_realization(n, label, t, depth, layouts.get(label))
+                m2 = verma_realization(n, image, image_t, depth, layouts.get(image))
+                layouts[label], layouts[image] = m.layout, m2.layout
+                expected = {}
+                for mu, (e, o) in ds_homology(m, alpha).dim_table.items():
+                    mu2 = map_weight(n, kind, mu)
+                    expected[mu2] = (e, o) if par(n, mu) == par(n, mu2) else (o, e)
+                assert ds_homology(m2, beta).dim_table == expected, (label, alpha, t)
+                compared += 1
+    assert compared == 300
 
 
 # ---------------------------------------------------------------------------

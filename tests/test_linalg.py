@@ -18,6 +18,14 @@ from superverma.linalg import (
 F = Fraction
 
 
+def from_rows(rows) -> SparseRationalMatrix:
+    """A matrix from a list of equal-length rows."""
+    ncols = len(rows[0]) if rows else 0
+    entries = {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)}
+    return SparseRationalMatrix(len(rows), ncols, entries)
+
+
+
 def test_rank_identity():
     assert rank(SparseRationalMatrix.identity(2)) == 2
 
@@ -27,17 +35,17 @@ def test_rank_zero_matrix():
 
 
 def test_rank_one_matrix():
-    m = SparseRationalMatrix.from_rows([[1, 2], [2, 4]])
+    m = from_rows([[1, 2], [2, 4]])
     assert rank(m) == 1
 
 
 def test_kernel_basis_canonical():
-    m = SparseRationalMatrix.from_rows([[1, 2], [2, 4]])
+    m = from_rows([[1, 2], [2, 4]])
     assert kernel_basis(m) == [(F(-2), F(1))]
 
 
 def test_image_basis_canonical():
-    m = SparseRationalMatrix.from_rows([[1, 2], [2, 4]])
+    m = from_rows([[1, 2], [2, 4]])
     assert image_basis(m) == [(F(1), F(2))]
 
 
@@ -52,10 +60,10 @@ def test_kernel_of_zero_is_full():
 
 
 def test_matvec_and_matmul():
-    m = SparseRationalMatrix.from_rows([[1, 2], [3, 4]])
-    assert m.mul_vector([1, 0]) == (F(1), F(3))
+    m = from_rows([[1, 2], [3, 4]])
+    assert m @ from_rows([[1], [0]]) == from_rows([[1], [3]])
     sq = m @ m
-    assert sq == SparseRationalMatrix.from_rows([[7, 10], [15, 22]])
+    assert sq == from_rows([[7, 10], [15, 22]])
 
 
 def test_quotient_basis_reports_dependent_input():
@@ -78,8 +86,6 @@ def test_quotient_basis_projection():
 def test_rejects_bad_shapes():
     with pytest.raises(ValueError):
         SparseRationalMatrix(2, 2, {(2, 0): 1})
-    with pytest.raises(ValueError):
-        SparseRationalMatrix.from_rows([[1], [1, 2]])
     with pytest.raises(ValueError):
         quotient_basis(2, [[1, 2, 3]])
 
@@ -104,18 +110,17 @@ small_matrices = st.integers(1, 5).flatmap(
 @given(small_matrices)
 @settings(max_examples=150, deadline=None)
 def test_rank_nullity_and_exact_kernel(rows):
-    m = SparseRationalMatrix.from_rows(rows)
+    m = from_rows(rows)
     ker = kernel_basis(m)
     assert rank(m) + len(ker) == m.ncols
-    zero = tuple(F(0) for _ in range(m.nrows))
     for v in ker:
-        assert m.mul_vector(v) == zero
+        assert not (m @ from_rows([[x] for x in v])).entries
 
 
 @given(small_matrices)
 @settings(max_examples=100, deadline=None)
 def test_image_dimension_matches_rank(rows):
-    m = SparseRationalMatrix.from_rows(rows)
+    m = from_rows(rows)
     img = image_basis(m)
     assert len(img) == rank(m)
     # every column lies in the span of the image basis
@@ -124,14 +129,14 @@ def test_image_dimension_matches_rank(rows):
         for col in zip(*rows):
             assert echelon.coordinates(col, 0) == ()
     else:
-        assert m.is_zero()
+        assert not m.entries
 
 
 @given(small_matrices)
 @settings(max_examples=100, deadline=None)
 def test_determinism(rows):
-    m1 = SparseRationalMatrix.from_rows(rows)
-    m2 = SparseRationalMatrix.from_rows(rows)
+    m1 = from_rows(rows)
+    m2 = from_rows(rows)
     assert kernel_basis(m1) == kernel_basis(m2)
     assert image_basis(m1) == image_basis(m2)
 
@@ -159,7 +164,7 @@ def test_echelon_tracks_rank_and_rebuilds_tagged_combinations(case):
     tagged: list[list[int]] = []
     untagged: list[list[int]] = []
     for vector, with_tag in family:
-        grows = rank(SparseRationalMatrix.from_rows([*tagged, *untagged, vector])) > len(echelon)
+        grows = rank(from_rows([*tagged, *untagged, vector])) > len(echelon)
         assert echelon.add(vector, len(tagged) if with_tag else None) == grows
         if grows:
             (tagged if with_tag else untagged).append(vector)
@@ -182,7 +187,7 @@ def test_echelon_coordinates_refuse_a_vector_outside_the_span(case):
     rows = [vector for vector, _ in family]
     for i in range(dim):
         e = [int(i == j) for j in range(dim)]
-        if rank(SparseRationalMatrix.from_rows([*rows, e])) > len(echelon):
+        if rank(from_rows([*rows, e])) > len(echelon):
             assert echelon.coordinates(e, len(family)) is None
         else:
             assert echelon.coordinates(e, len(family)) is not None
@@ -235,6 +240,6 @@ def test_fraction_free_rank_of_empty_shapes():
 
 
 def test_fraction_free_rank_clears_row_denominators():
-    m = SparseRationalMatrix.from_rows([[F(1, 2), F(1, 3)], [3, 2], [F(2, 7), 0]])
+    m = from_rows([[F(1, 2), F(1, 3)], [3, 2], [F(2, 7), 0]])
     assert rank(m) == 2
-    assert rank(SparseRationalMatrix.from_rows([[F(1, 2), F(1, 3)], [3, 2]])) == 1
+    assert rank(from_rows([[F(1, 2), F(1, 3)], [3, 2]])) == 1

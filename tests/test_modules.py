@@ -60,9 +60,8 @@ def test_gl11_verma_realization_shape():
     # one odd lowering root, exponent at most 1: two weight spaces total
     assert sorted(r.weight_spaces) == [(2, -4), (3, -5)]
     assert all(len(basis) == 1 for basis in r.weight_spaces.values())
-    assert r.dimension((3, -5)) == 1
-    assert r.dimension((0, 0)) == 0
-    top = r.vacuum()
+    assert (0, 0) not in r.weight_spaces
+    top = r.monomial({})
     assert r.vector_weight(top) == (3, -5)
     assert r.vector_parity(top) == par(1, (3, -5))
 
@@ -138,11 +137,67 @@ def test_datum_validation_rejects_cheap_complement_root():
         )
 
 
+def _broken_datum(defect: str) -> InductionDatum:
+    """A rank-2 datum with one defect, built from the Verma datum of ()."""
+    if defect == "anchor":
+        # the union span holds e23 and e32, so the anchor must kill e22 + e33
+        return union_borel_datum(2, [(), (1,)], (0, 1, 0, 0))
+    full = verma_datum(2, (), (0, 0, 0, 0))
+    fields = dict(
+        n=2,
+        inducing_roots=full.inducing_roots,
+        complement_order=full.complement_order,
+        hw=full.hw,
+        parity_shift=0,
+        heights=full.heights,
+    )
+    if defect == "levi":
+        fields["levi_roots"] = frozenset({(2, 1)})
+    elif defect == "partition":
+        fields["complement_order"] = full.complement_order[1:]
+    elif defect == "duplicate":
+        fields["complement_order"] = full.complement_order + full.complement_order[:1]
+    elif defect == "heights":
+        fields["heights"] = full.heights[:3]
+    elif defect == "hw":
+        fields["hw"] = full.hw[:3]
+    elif defect == "closure":
+        # [e13, e34] = e14, so dropping (1, 4) leaves the set unclosed
+        fields["inducing_roots"] = full.inducing_roots - {(1, 4)}
+        fields["complement_order"] = tuple(sorted(full.complement_order + ((1, 4),)))
+    elif defect == "cost":
+        fields["heights"] = tuple(-h for h in full.heights)
+    return InductionDatum(**fields)
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ("levi", "levi roots must be inducing roots"),
+        ("partition", "must partition the roots"),
+        ("duplicate", "duplicate complement root"),
+        ("heights", "wrong rank"),
+        ("hw", "wrong rank"),
+        ("closure", "not closed"),
+        ("anchor", "does not vanish"),
+        ("cost", "nonpositive depth cost"),
+    ],
+)
+def test_datum_rejections_are_not_remembered(defect, message):
+    # shapes are validated once and remembered; a rejected one must be
+    # rejected again on the next datum, not passed from a cache
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            _broken_datum(defect)
+    # a rejected anchor leaves its shape valid for a good one
+    assert union_borel_datum(2, [(), (1,)], (0, 0, 0, 0)).hw == (0, 0, 0, 0)
+
+
 def test_gl11_simple_is_one_dimensional():
     r = Realization(gl11_simple_datum(4), 3)
     assert {w: len(b) for w, b in r.weight_spaces.items()} == {(4, -4): 1}
     # every root vector of gl(1|1) kills the generator
-    v = {r.vacuum(): ONE}
+    v = {r.monomial({}): ONE}
     assert r.act_unit((1, 2), v) == {}
     assert r.act_unit((2, 1), v) == {}
 
@@ -241,7 +296,7 @@ def test_union_second_raising_action_formulas(union_realization):
 
 def test_lowering_generator_acts_by_simple_multiplication(union_realization):
     r = union_realization
-    v = {r.vacuum(): ONE}
+    v = {r.monomial({}): ONE}
     stepped = r.act_unit((3, 2), r.act_unit((2, 1), v))
     assert stepped == {r.monomial({(3, 1): 1}): ONE}
 
@@ -341,7 +396,7 @@ def test_odd_unit_squares_to_zero_on_module():
     for w in r.weight_spaces:
         target = add_weights(w, root_weight(2, (3, 2)))
         double = add_weights(target, root_weight(2, (3, 2)))
-        if not (r.in_region(target) and r.in_region(double)):
+        if max(r.datum.depth_of(target), r.datum.depth_of(double)) > r.depth:
             continue
         square = r.unit_matrix((3, 2), target) @ r.unit_matrix((3, 2), w)
         assert square.entries == {}
@@ -360,7 +415,7 @@ def test_parity_tracks_weight_parity():
 
 def test_truncation_overflow_is_raised_not_dropped():
     r = verma_realization(1, (), (3, 5), 0)
-    v = {r.vacuum(): ONE}
+    v = {r.monomial({}): ONE}
     with pytest.raises(TruncationOverflow) as info:
         r.act_unit((2, 1), v)
     assert info.value.needed == 1
@@ -381,8 +436,8 @@ def test_singular_vectors_at_the_top():
     found = singular_vectors(r, (1,), r.datum.hw)
     assert len(found) == 1
     parity, vec = found[0]
-    assert vec == {r.vacuum(): ONE}
-    assert parity == r.vector_parity(r.vacuum())
+    assert vec == {r.monomial({}): ONE}
+    assert parity == r.vector_parity(r.monomial({}))
 
 
 def test_gl11_singular_vectors_follow_atypicality():
@@ -596,7 +651,7 @@ def _check_representation(r, basis_count):
         for unit in odd:
             step = root_weight(n, unit)
             target = add_weights(w, step)
-            if not (r.in_region(target) and r.in_region(add_weights(target, step))):
+            if max(r.datum.depth_of(w) for w in (target, add_weights(target, step))) > r.depth:
                 continue
             assert (r.unit_matrix(unit, target) @ r.unit_matrix(unit, w)).entries == {}
             squares += 1

@@ -21,7 +21,7 @@ from superverma.verify import (
     verify_maBG,
     verify_structure,
 )
-from superverma.homology import CERTIFIED
+from superverma.homology import CERTIFIED, REFUTED
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +184,11 @@ def test_gl22_examples_all_pass():
 
 
 def test_every_gl22_inconclusive_names_its_reason():
-    # only the reasons are checked: the FAILs at depths 0-2 are a separate,
-    # open soundness question
+    # a truncated census or slack is INCONCLUSIVE at every depth, never FAIL
     seen = 0
     for depth in range(7):
         for case in verify_gl22_examples(depth).cases:
+            assert case.verdict != FAIL, (depth, case.key, case.detail)
             if case.verdict == INCONCLUSIVE:
                 assert case.detail and case.detail.get("reason"), (depth, case.key)
                 seen += 1
@@ -207,10 +207,12 @@ def test_every_gl22_inconclusive_names_its_reason():
 )
 def test_every_shallow_inconclusive_names_its_reason(scenario):
     # depths 0-1 of the rank-2 conjecture run the shared homology tables
-    # through empty and shallow valid regions
+    # through empty and shallow valid regions; a shallow region may leave a
+    # case undecided, never refute it
     seen = 0
     for depth in range(4):
         for case in scenario(depth).cases:
+            assert case.verdict not in (FAIL, REFUTED), (depth, case.key, case.detail)
             if case.verdict == INCONCLUSIVE:
                 assert case.detail and case.detail.get("reason"), (depth, case.key)
                 seen += 1
