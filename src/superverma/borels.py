@@ -20,6 +20,10 @@ coordinate ``q`` in its sequence.  Simple roots are the consecutive
 differences; the odd simple roots are the 'ed'/'de' adjacencies, and
 swapping one such adjacency (an odd reflection) adds or removes one corner
 box of the partition.
+
+The sequence, the coordinate positions, the positive roots and rho are
+cached per ``(n, label)``, so they take labels as tuples; a label that
+fails validation is not cached and fails again on the next call.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ def padded(label: Label, n: int) -> tuple[int, ...]:
     return label + (0,) * (n - len(label))
 
 
+@lru_cache(maxsize=None)
 def sequence_of(n: int, label: Label) -> str:
     """The 'e'/'d' shuffle sequence of a Borel label.
 
@@ -112,6 +117,7 @@ def label_of_sequence(n: int, seq: str) -> Label:
     return normalize_label(beta, n)
 
 
+@lru_cache(maxsize=None)
 def coordinate_positions(n: int, label: Label) -> tuple[int, ...]:
     """Position (1-based) of each storage coordinate in the Borel sequence.
 
@@ -142,6 +148,7 @@ def height_functional(n: int, label: Label) -> tuple[int, ...]:
     return tuple(2 * n - p for p in pos)
 
 
+@lru_cache(maxsize=None)
 def positive_roots(n: int, label: Label) -> frozenset[Root]:
     """All positive roots: pairs (p, q) with p occurring before q."""
     pos = coordinate_positions(n, label)
@@ -195,6 +202,7 @@ def ber_weight(n: int) -> Weight:
     return (1,) * n + (-1,) * n
 
 
+@lru_cache(maxsize=None)
 def rho_vector(n: int, label: Label) -> Weight:
     """The rho-vector of a Borel, in closed form.
 

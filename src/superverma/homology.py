@@ -32,6 +32,7 @@ import json
 from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from operator import add
 
@@ -45,7 +46,7 @@ from .borels import (
     simple_roots,
 )
 from .linalg import Echelon, SparseRationalMatrix, image_basis, kernel_basis, quotient_basis
-from .modules import Realization, bg_module, bg_module_datum
+from .modules import Realization, bg_module, bg_module_datum, form_values
 from .superalgebra import Root, Unit, bracket, is_odd_root, root_weight
 from .weights import (
     Character,
@@ -156,14 +157,27 @@ class WeightClasses:
 
 @dataclass
 class DSResult:
-    """Homology of one odd root action, valid on a stated depth region."""
+    """Homology of one odd root action, valid on a stated depth region.
+
+    ``cells`` holds ``(offset, (even, odd))`` for every offset from the
+    source's anchor in the valid region, and ``first_nonzero`` the least of
+    them with nonzero homology (None if there is none); both are shared by
+    every view of the layout with the same ``signature``.
+    """
 
     source: Realization
     alpha: Root
     valid_depth: int
-    dim_table: dict[Weight, tuple[int, int]]
+    cells: tuple
+    first_nonzero: tuple | None
     signature: tuple  # the source's anchor signature for alpha and valid_depth
     _classes: dict[Weight, WeightClasses] = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def dim_table(self) -> dict[Weight, tuple[int, int]]:
+        """``cells`` translated to the source's anchor."""
+        hw = self.source.datum.hw
+        return {tuple(map(add, hw, off)): dims for off, dims in self.cells}
 
     @property
     def n(self) -> int:
@@ -256,8 +270,8 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     hw = m.datum.hw
     signature = m.signature(alpha, valid_depth)
     key = (alpha, valid_depth, signature)
-    table = m.layout.ds_tables.get(key)
-    if table is None:
+    found = m.layout.ds_tables.get(key)
+    if found is None:
         table = []
         for off, counts, out_ranks, in_ranks in m.differential_ranks(alpha, valid_depth):
             # parity p: the kernel of the outgoing map on parity p, modulo the
@@ -269,9 +283,10 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
                     f"negative homology dimension at {add_weights(hw, off)}: {(even, odd)}"
                 )
             table.append((off, (even, odd)))
-        table = m.layout.ds_tables[key] = tuple(table)
-    dim_table = {tuple(map(add, hw, off)): dims for off, dims in table}
-    return DSResult(m, alpha, valid_depth, dim_table, signature)
+        # translation by the anchor keeps the order of weights
+        first = min((cell for cell in table if cell[1] != (0, 0)), default=None)
+        found = m.layout.ds_tables[key] = (tuple(table), first)
+    return DSResult(m, alpha, valid_depth, *found, signature)
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +414,16 @@ class Certificate:
 
 
 def certify_zero(result: DSResult) -> Certificate:
-    """Certificate that the homology vanishes on the valid region."""
+    """Certificate that the homology vanishes on the valid region; a
+    refutation names the least weight with nonzero homology."""
     if result.valid_depth < 0:
         return Certificate(INCONCLUSIVE, 0, {"reason": "valid region is empty"})
-    for mu in sorted(result.dim_table):
-        dims = result.dim_table[mu]
-        if dims != (0, 0):
-            return Certificate(
-                REFUTED, len(result.dim_table), {"weight": list(mu), "dims": list(dims)}
-            )
-    return Certificate(CERTIFIED, len(result.dim_table), {})
+    checked = len(result.cells)
+    if result.first_nonzero is None:
+        return Certificate(CERTIFIED, checked, {})
+    off, dims = result.first_nonzero
+    weight = list(map(add, result.source.datum.hw, off))
+    return Certificate(REFUTED, checked, {"weight": weight, "dims": list(dims)})
 
 
 def _slot(alpha: Root, anchor: Weight, weight: Weight) -> int | None:
@@ -435,14 +450,23 @@ def certify_verma_iso(
     3. freeness -- lowering units of the inherited Borel generate, from each
        anchor class, a subspace matching the target Verma census weight by
        weight.
+
+    In offsets from the anchor, these checks read the homology table and
+    cosets (a function of the source's anchor signature), the parity of the
+    anchor, the target character (which does not depend on the target
+    tuple), and the values at the anchor of the linear forms in the lifted
+    raising units at the two slots and in the lifted lowering units inside
+    the valid region.  So views of one layout that agree on all of these
+    share one certificate.  It is memoized on the layout with the anchor it
+    was made at, and every weight in its ``detail`` is translated to the
+    caller's anchor.  The forms are listed only when a second view with
+    the same signature and parity arrives.
     """
     m = result.source
     n = m.datum.n
     alpha = result.alpha
     anchor = m.datum.hw
-    rw = root_weight(n, alpha)
-    target_n = n - 1
-    target_hw = from_tuple(target_n, tuple(target_tuple), target_label)
+    target_hw = from_tuple(n - 1, tuple(target_tuple), target_label)
     if target_hw != pr_alpha(n, anchor, alpha):
         raise ValueError(
             f"target highest weight {target_hw} is not the projected anchor "
@@ -450,7 +474,81 @@ def certify_verma_iso(
         )
     if result.valid_depth < 0:
         return Certificate(INCONCLUSIVE, 0, {"reason": "valid region is empty"})
+    target_label = tuple(target_label)
+    memo = m.layout.certificates.setdefault(
+        (alpha, target_label, result.valid_depth), _Certificates()
+    )
+    made = memo.by_key.setdefault((result.signature, par(n, anchor)), [])
+    if made:
+        if memo.forms is None:
+            memo.forms = _certificate_forms(m.layout, alpha, target_label, result.valid_depth)
+        values = form_values(memo.forms, anchor)
+        for made_at, cert in made:
+            if form_values(memo.forms, made_at) == values:
+                return _translated(cert, sub_weights(anchor, made_at))
+    cert = _certify_verma_iso(result, target_label, target_tuple, target_hw)
+    made.append((anchor, cert))
+    return cert
 
+
+class _Certificates:
+    """The certificates of one ``(alpha, target label, valid depth)`` on one
+    layout.  ``by_key`` maps ``(anchor signature, anchor parity)`` to the
+    ``(anchor, certificate)`` pairs made under it, which differ in the
+    values of ``forms`` at their anchors; ``forms`` is listed when a second
+    anchor arrives under one key."""
+
+    __slots__ = ("forms", "by_key")
+
+    def __init__(self):
+        self.forms: tuple | None = None
+        self.by_key: dict = {}
+
+
+def _certificate_forms(layout, alpha: Root, target_label: Label, valid_depth: int) -> tuple:
+    """The linear forms in every unit map that certification reads: the
+    lifted raising units at the two anchor slots, and the lifted lowering
+    units between offsets of the valid region."""
+    n = layout.n
+    rw = root_weight(n, alpha)
+    slots = ((0,) * (2 * n), tuple(-c for c in rw))
+    maps = [
+        (lift_unit(n, alpha, beta), off)
+        for beta in simple_roots(n - 1, target_label)
+        for off in slots
+    ]
+    for unit in _target_lowering_units(n, alpha, n - 1, target_label):
+        step = root_weight(n, unit)
+        maps.extend(
+            (unit, off)
+            for off in layout.spaces
+            if max(layout.cost(off), layout.cost(add_weights(off, step))) <= valid_depth
+        )
+    return layout.entry_forms(maps)
+
+
+def _translated(cert: Certificate, delta: Weight) -> Certificate:
+    """The certificate with every weight of its detail moved by ``delta``."""
+    detail = dict(cert.detail)
+    if "weight" in detail:
+        detail["weight"] = list(map(add, detail["weight"], delta))
+    if "singular_weights" in detail:
+        detail["singular_weights"] = [
+            list(map(add, w, delta)) for w in detail["singular_weights"]
+        ]
+    return Certificate(cert.verdict, cert.checked_weights, detail)
+
+
+def _certify_verma_iso(
+    result: DSResult, target_label: Label, target_tuple, target_hw: Weight
+) -> Certificate:
+    """The checks of :func:`certify_verma_iso` on a nonempty valid region."""
+    m = result.source
+    n = m.datum.n
+    alpha = result.alpha
+    anchor = m.datum.hw
+    rw = root_weight(n, alpha)
+    target_n = n - 1
     target_pos = simple_roots(target_n, target_label)
     lowering_units = _target_lowering_units(n, alpha, target_n, target_label)
     margin = abs(m.datum.xi(rw))

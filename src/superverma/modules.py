@@ -343,6 +343,11 @@ def _at(coef, hw: Weight) -> int:
     return coef if type(coef) is int else coef.at(hw)
 
 
+def form_values(forms, hw: Weight) -> tuple[int, ...]:
+    """The value at ``hw`` of each linear form, given as ``Affine.terms``."""
+    return tuple(sum(c * hw[i] for i, c in terms) for terms in forms)
+
+
 class _RankBlock:
     """The rank of a unit's map on the source columns of one raw parity, at
     any anchor.  Ranks are memoized by the values of the ``Affine`` entries;
@@ -389,7 +394,10 @@ class PBWLayout:
     those blocks is a function of a view's anchor signature
     (:meth:`Realization.signature`).  The homology layer keeps its rank-one
     tables (``ds_tables``) and per-weight cosets (``weight_classes``) here,
-    keyed by that signature; they live as long as the layout.  A
+    keyed by that signature, and its doubled-Verma certificates
+    (``certificates``), keyed by the signature, the anchor parity and the
+    values of the forms :meth:`entry_forms` lists for the maps that
+    certification reads; they live as long as the layout.  A
     :class:`Realization` evaluates everything at one anchor.
     """
 
@@ -425,6 +433,7 @@ class PBWLayout:
         self._forms: dict = {}
         self.ds_tables: dict = {}
         self.weight_classes: dict = {}
+        self.certificates: dict = {}
         self.spaces: dict[Weight, list] = {}
         self._enumerate()
         self.positions = {
@@ -657,6 +666,17 @@ class PBWLayout:
             found = self._forms[key] = tuple(sorted(terms))
         return found
 
+    def entry_forms(self, maps) -> tuple:
+        """The distinct ``Affine.terms`` of the entries of the maps
+        ``(unit, offset)`` in ``maps``, sorted; a map that leaves the
+        truncation region has none."""
+        terms = set()
+        for unit, offset in maps:
+            found = self.map_entries(unit, offset, None)
+            if found is not None:
+                terms.update(v.terms for v in found[2].values() if type(v) is not int)
+        return tuple(sorted(terms))
+
 
 class Realization:
     """A truncated induced module: a :class:`PBWLayout` seen at the anchor
@@ -786,11 +806,7 @@ class Realization:
         shift; so the ranks, kernels, images and cosets of those blocks, at
         each offset, are functions of this signature.  Views of one layout
         with equal signatures have the same rank-one homology in offsets."""
-        hw = self._hw
-        values = tuple(
-            sum(c * hw[i] for i, c in terms) for terms in self.layout.forms(unit, max_depth)
-        )
-        return (self._shift, values)
+        return (self._shift, form_values(self.layout.forms(unit, max_depth), self._hw))
 
     def differential_ranks(self, unit: Unit, max_depth: int):
         """For every offset of height-depth at most ``max_depth`` from the

@@ -56,7 +56,7 @@ def to_tuple(n: int, weight: Weight, label: Label = ()) -> TupleWeight:
     with the default label this is t_i = (w + rho, eps_i) for the standard
     rho.
     """
-    shifted = add_weights(weight, rho_vector(n, normalize_label(label, n)))
+    shifted = add_weights(weight, rho_vector(n, tuple(label)))
     return shifted[:n] + tuple(-v for v in shifted[n:])
 
 
@@ -65,7 +65,7 @@ def from_tuple(n: int, t: TupleWeight, label: Label) -> Weight:
     if len(t) != 2 * n:
         raise ValueError(f"need a length-{2 * n} tuple, got {t}")
     unshifted = t[:n] + tuple(-v for v in t[n:])
-    return sub_weights(unshifted, rho_vector(n, normalize_label(label, n)))
+    return sub_weights(unshifted, rho_vector(n, tuple(label)))
 
 
 def atypicality(t: TupleWeight) -> int:

@@ -285,6 +285,48 @@ def test_refuted_census_carries_counterexample():
     assert certify_verma_iso(shared, (), target) == cert
 
 
+def _certify_matched(m, alpha, label):
+    target = ds_borel_label(m.datum.n, label, alpha)
+    small = to_tuple(m.datum.n - 1, pr_alpha(m.datum.n, m.datum.hw, alpha), target)
+    return certify_verma_iso(ds_homology(m, alpha), target, small)
+
+
+def test_an_inconclusive_certificate_is_shared_by_anchors():
+    # at depth 1 the valid region of a simple root holds only the anchor slot
+    label, alpha = (), (2, 3)
+    first = verma_realization(2, label, (0, -1, -1, 0), 1)
+    second = verma_realization(2, label, (1, -1, -1, 0), 1, first.layout)
+    assert ds_homology(first, alpha).signature == ds_homology(second, alpha).signature
+    reason = {"reason": "anchor slot -1 outside the valid region"}
+    assert _certify_matched(first, alpha, label).detail == reason
+    warm = _certify_matched(second, alpha, label)
+    (memo,) = first.layout.certificates.values()
+    assert [len(made) for made in memo.by_key.values()] == [1]
+    assert warm == _certify_matched(verma_realization(2, label, (1, -1, -1, 0), 1), alpha, label)
+    assert warm.verdict == INCONCLUSIVE and warm.detail == reason
+
+
+def test_a_certificate_is_keyed_by_the_anchor_parity():
+    # the census reads each weight's parity from par(n, weight), not from the
+    # parity shift; a datum whose shift is not par(n, hw) shares the layout
+    # of the Verma data of its shape, and must not reuse their certificates
+    from dataclasses import replace
+
+    from superverma.modules import verma_datum
+
+    label, alpha = (), (2, 3)
+    verma = verma_realization(2, label, (0, -1, -1, 0), 6)
+    datum = verma_datum(2, label, (0, -1, -1, -1))
+    assert par(2, datum.hw) != par(2, verma.datum.hw)
+    datum = replace(datum, parity_shift=verma.datum.parity_shift)
+    twisted = Realization(datum, 6, layout=verma.layout)
+    assert ds_homology(twisted, alpha).signature == ds_homology(verma, alpha).signature
+    assert _certify_matched(verma, alpha, label).verdict == CERTIFIED
+    cold = _certify_matched(Realization(datum, 6), alpha, label)
+    assert cold.verdict == REFUTED
+    assert _certify_matched(twisted, alpha, label) == cold
+
+
 def test_certify_rejects_wrong_target_weight():
     m = verma_realization(2, (), (2, 0, 1, 0), 6)
     with pytest.raises(ValueError):

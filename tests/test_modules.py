@@ -101,42 +101,6 @@ def test_monomial_lookup_and_errors():
         r.monomial({(2, 1): -1})
 
 
-def test_datum_validation_rejects_unclosed_inducing():
-    # drop one even positive from the () system: not bracket-closed
-    full = verma_datum(2, (), (0, 0, 0, 0))
-    bad = set(full.inducing_roots) - {(1, 2)}
-    order = tuple(sorted(set(full.complement_order) | {(1, 2)}))
-    with pytest.raises(ValueError):
-        InductionDatum(
-            n=2,
-            inducing_roots=frozenset(bad),
-            complement_order=order,
-            hw=(0, 0, 0, 0),
-            parity_shift=0,
-            heights=full.heights,
-        )
-
-
-def test_datum_validation_rejects_nonvanishing_weight():
-    # the union span contains both e23 and e32, so the anchor must kill
-    # e22 + e33; (0, 1, 0, 0) does not
-    with pytest.raises(ValueError, match="vanish"):
-        union_borel_datum(2, [(), (1,)], (0, 1, 0, 0))
-
-
-def test_datum_validation_rejects_cheap_complement_root():
-    full = verma_datum(2, (), (0, 0, 0, 0))
-    with pytest.raises(ValueError, match="cost"):
-        InductionDatum(
-            n=2,
-            inducing_roots=full.inducing_roots,
-            complement_order=full.complement_order,
-            hw=full.hw,
-            parity_shift=0,
-            heights=tuple(-h for h in full.heights),
-        )
-
-
 def _broken_datum(defect: str) -> InductionDatum:
     """A rank-2 datum with one defect, built from the Verma datum of ()."""
     if defect == "anchor":
@@ -692,6 +656,7 @@ def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, 
         for a in alphas
     )
     # interleave the views so each one reads memo entries another one filled
+    certified = set()
     for rounds in range(2):
         for view, t in zip(views, tuples):
             alone = verma_realization(n, label, t, depth)
@@ -702,9 +667,15 @@ def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, 
                 assert warm.dim_table == cold.dim_table
                 _assert_same_classes(warm, cold)
                 assert _certificate(label, warm) == _certificate(label, cold), (t, alpha)
+                if bilinear_form(n, view.datum.hw, root_weight(n, alpha)) == 0:
+                    certified.add((alpha, warm.signature, par(n, view.datum.hw)))
             assert view.census() == alone.census()
             if rounds == 0:
                 _check_representation(view, basis_count)
+    # one doubled-Verma certificate per signature and anchor parity: on Verma
+    # data the certificate forms are empty
+    memos = views[0].layout.certificates.values()
+    assert sum(len(made) for memo in memos for made in memo.by_key.values()) == len(certified)
 
 
 def _assert_same_classes(warm, cold):
@@ -739,6 +710,7 @@ def test_anchor_signature_determines_the_blocks(n, label, depth, simple_only):
     # the forms of a simple root are L and -L for one L; other odd roots
     # have several independent forms, so every form must enter the signature
     from superverma.borels import odd_simple_roots
+    from superverma.homology import _certificate_forms, ds_borel_label
     from superverma.superalgebra import all_roots, is_odd_root
 
     layout = verma_realization(n, label, (0,) * (2 * n), depth).layout
@@ -775,14 +747,87 @@ def test_anchor_signature_determines_the_blocks(n, label, depth, simple_only):
             ]
 
         first: dict = {}
+        views = []
         for t in product(range(-2, 3), repeat=4):
             view = verma_realization(n, label, t, depth, layout)
+            views.append(view)
             signature = view.signature(alpha, valid)
             if signature not in first:
                 first[signature] = seen_from(view)
             else:
                 assert seen_from(view) == first[signature], (alpha, t)
         assert len(first) < 625
+        if alpha in odd_simple_roots(n, label):
+            # on Verma data every map that certification reads is constant,
+            # so certificates split no further than signature and parity
+            target = ds_borel_label(n, label, alpha)
+            assert _certificate_forms(layout, alpha, target, valid) == ()
+            assert _certified_maps_follow_the_key(views, alpha, target, valid) < 625
+
+
+def _certified_maps_follow_the_key(views, alpha, target, valid) -> int:
+    """Views of one layout with equal certificate keys (signature, anchor
+    parity, values of the certificate forms) have equal matrices for every
+    map that certification reads: the lifted raising units at the two anchor
+    slots, and the lifted lowering units between offsets of the valid region.
+    Returns the number of distinct keys."""
+    from superverma.borels import positive_roots, simple_roots
+    from superverma.homology import _certificate_forms, lift_unit
+    from superverma.modules import form_values
+
+    layout = views[0].layout
+    n = layout.n
+    rw = root_weight(n, alpha)
+    top = (0,) * (2 * n)
+    maps = [
+        (lift_unit(n, alpha, beta), off)
+        for beta in simple_roots(n - 1, target)
+        for off in (top, sub_weights(top, rw))
+    ]
+    for r in positive_roots(n - 1, target):
+        unit = lift_unit(n, alpha, (r[1], r[0]))
+        step = root_weight(n, unit)
+        maps += [
+            (unit, off)
+            for off in layout.spaces
+            if max(layout.cost(off), layout.cost(add_weights(off, step))) <= valid
+        ]
+    maps = [(u, off) for u, off in maps if layout.map_entries(u, off, None) is not None]
+    assert maps
+    forms = _certificate_forms(layout, alpha, target, valid)
+    first: dict = {}
+    for view in views:
+        hw = view.datum.hw
+        key = (view.signature(alpha, valid), par(n, hw), form_values(forms, hw))
+        matrices = [view.unit_matrix(u, add_weights(hw, off)) for u, off in maps]
+        assert first.setdefault(key, matrices) == matrices, (alpha, hw)
+    return len(first)
+
+
+def test_certificates_agree_where_certified_maps_depend_on_the_anchor():
+    # on the enlarged-Borel module of unmatched tuples, the lifted raising
+    # unit of e_14 acts through a Cartan bracket, so the certificate forms
+    # are not empty; views with equal keys read equal maps and share one
+    # (refuted) certificate, which equals the one of a lone layout
+    from superverma.homology import _certificate_forms, certify_verma_iso, ds_homology
+    from superverma.weights import pr_alpha, to_tuple
+
+    alpha, target, depth = (1, 4), (1,), 6
+    grid = [t for t in product(range(-1, 2), repeat=4) if t[0] != t[2] and t[1] != t[3]]
+    views = []
+    for t in grid:
+        views.append(Realization(bg_datum(2, t), depth, layout=views[0].layout if views else None))
+    valid = ds_homology(views[0], alpha).valid_depth
+    assert _certificate_forms(views[0].layout, alpha, target, valid)
+    assert _certified_maps_follow_the_key(views, alpha, target, valid) < len(views)
+    for view in views:
+        hw = view.datum.hw
+        small = to_tuple(1, pr_alpha(2, hw, alpha), target)
+        warm = certify_verma_iso(ds_homology(view, alpha), target, small)
+        lone = Realization(view.datum, depth)
+        assert warm == certify_verma_iso(ds_homology(lone, alpha), target, small), hw
+    (memo,) = views[0].layout.certificates.values()
+    assert sum(len(made) for made in memo.by_key.values()) < len(views)
 
 
 @settings(max_examples=80, deadline=None)

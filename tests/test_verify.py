@@ -108,6 +108,34 @@ def test_conjecture_shift_classes_share_one_judgement():
     assert len({c.detail["expected"] for c in rep.cases}) == 1
 
 
+def test_a_borel_job_certifies_once_per_signature(monkeypatch):
+    # the doubled-Verma certificate is memoized on the job's layout: the
+    # checks run at most once per (root, target, valid depth, anchor
+    # signature, anchor parity), whatever the number of matched tuples
+    from itertools import product
+
+    import superverma.homology as homology
+    from superverma.verify import _conjecture_cases_for_borel
+    from superverma.weights import par
+
+    cold = homology._certify_verma_iso
+    runs: dict = {}
+
+    def counted(result, target_label, target_tuple, target_hw):
+        n, hw = result.n, result.source.datum.hw
+        key = (result.alpha, target_label, result.valid_depth, result.signature, par(n, hw))
+        runs[key] = runs.get(key, 0) + 1
+        return cold(result, target_label, target_tuple, target_hw)
+
+    monkeypatch.setattr(homology, "_certify_verma_iso", counted)
+    grid = list(product(range(-2, 3), repeat=4))
+    cases = _conjecture_cases_for_borel((2, (1,), None, grid, 6))
+    assert {c.verdict for c in cases} == {CERTIFIED}
+    matched = sum(c.detail == {"expected": "double-verma"} for c in cases)
+    assert runs and max(runs.values()) == 1
+    assert sum(runs.values()) < matched
+
+
 def test_conjecture_parallel_workers_match_sequential(monkeypatch):
     grid = default_conjecture_grid(2)[:40]
     seq = verify_conjecture(2, label=(2,), grid=grid, depth=4)
