@@ -101,6 +101,42 @@ def test_monomial_lookup_and_errors():
         r.monomial({(2, 1): -1})
 
 
+def test_datum_validation_rejects_unclosed_inducing():
+    # drop one even positive from the () system: not bracket-closed
+    full = verma_datum(2, (), (0, 0, 0, 0))
+    bad = set(full.inducing_roots) - {(1, 2)}
+    order = tuple(sorted(set(full.complement_order) | {(1, 2)}))
+    with pytest.raises(ValueError):
+        InductionDatum(
+            n=2,
+            inducing_roots=frozenset(bad),
+            complement_order=order,
+            hw=(0, 0, 0, 0),
+            parity_shift=0,
+            heights=full.heights,
+        )
+
+
+def test_datum_validation_rejects_nonvanishing_weight():
+    # the union span contains both e23 and e32, so the anchor must kill
+    # e22 + e33; (0, 1, 0, 0) does not
+    with pytest.raises(ValueError, match="vanish"):
+        union_borel_datum(2, [(), (1,)], (0, 1, 0, 0))
+
+
+def test_datum_validation_rejects_cheap_complement_root():
+    full = verma_datum(2, (), (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="cost"):
+        InductionDatum(
+            n=2,
+            inducing_roots=full.inducing_roots,
+            complement_order=full.complement_order,
+            hw=full.hw,
+            parity_shift=0,
+            heights=tuple(-h for h in full.heights),
+        )
+
+
 def _broken_datum(defect: str) -> InductionDatum:
     """A rank-2 datum with one defect, built from the Verma datum of ()."""
     if defect == "anchor":
