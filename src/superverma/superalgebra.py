@@ -20,7 +20,7 @@ which has at most two terms (combined when they coincide).
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Sequence
 from functools import lru_cache
 
 Unit = tuple[int, int]
@@ -117,58 +117,21 @@ def good_degree(n: int, unit: Unit) -> int:
     return j - i + n
 
 
-class Element:
-    """A finite rational linear combination of matrix units.
+def bracket_elements(
+    n: int, x: Sequence[tuple[Unit, int]], y: Sequence[tuple[Unit, int]]
+) -> dict[Unit, int]:
+    """Bilinear extension of ``bracket`` to integer combinations of units.
 
-    A convenience wrapper for tests of algebra identities; module actions
-    work on units directly.
+    ``x`` and ``y`` are sequences of ``(unit, coefficient)`` pairs, as
+    ``bracket`` returns them; the result maps units to their nonzero
+    coefficients.
+
+    >>> bracket_elements(2, (((1, 2), 1), ((1, 3), 2)), (((2, 1), 1),))
+    {(1, 1): 1, (2, 2): -1, (2, 3): -2}
     """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict[Unit, int | Fraction] | None = None):
-        self.n = n
-        self.terms: dict[Unit, Fraction] = {}
-        for u, c in (terms or {}).items():
-            fc = Fraction(c)
-            if fc:
-                self.terms[u] = fc
-
-    @classmethod
-    def unit(cls, n: int, u: Unit) -> "Element":
-        return cls(n, {u: 1})
-
-    def __add__(self, other: "Element") -> "Element":
-        acc = dict(self.terms)
-        for u, c in other.terms.items():
-            acc[u] = acc.get(u, Fraction(0)) + c
-        return Element(self.n, acc)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + other.scale(-1)
-
-    def scale(self, a: int | Fraction) -> "Element":
-        return Element(self.n, {u: Fraction(a) * c for u, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*e{u[0]},{u[1]}" for u, c in sorted(self.terms.items()))
-
-
-def bracket_elements(x: Element, y: Element) -> Element:
-    """Bilinear extension of the unit supercommutator."""
-    if x.n != y.n:
-        raise ValueError("rank mismatch")
-    acc: dict[Unit, Fraction] = {}
-    for u, a in x.terms.items():
-        for v, b in y.terms.items():
-            for w, c in bracket(x.n, u, v):
-                key = w
-                acc[key] = acc.get(key, Fraction(0)) + a * b * c
-    return Element(x.n, acc)
+    acc: dict[Unit, int] = {}
+    for u, a in x:
+        for v, b in y:
+            for w, c in bracket(n, u, v):
+                acc[w] = acc.get(w, 0) + a * b * c
+    return {w: c for w, c in acc.items() if c}

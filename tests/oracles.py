@@ -21,7 +21,7 @@ from superverma.borels import (
 )
 from superverma.linalg import SparseRationalMatrix, kernel_basis
 from superverma.modules import Realization
-from superverma.superalgebra import Element, Root, Unit, Weight, is_odd_root, root_weight
+from superverma.superalgebra import Root, Unit, Weight, bracket, is_odd_root, root_weight
 from superverma.weights import sub_weights
 
 
@@ -90,6 +90,61 @@ def singular_vectors(r: Realization, b: Label, mu: Weight) -> list:
         for kvec in kernel_basis(stacked):
             out.append((parity, {basis[cols[i]]: v for i, v in enumerate(kvec) if v}))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Rational linear combinations of matrix units, bracketed in Fraction
+# arithmetic: the independent side of the library's integer check of the
+# super-Jacobi identity.
+
+
+class Element:
+    """A finite rational linear combination of matrix units."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms: dict[Unit, int | Fraction] | None = None):
+        self.n = n
+        self.terms: dict[Unit, Fraction] = {}
+        for u, c in (terms or {}).items():
+            fc = Fraction(c)
+            if fc:
+                self.terms[u] = fc
+
+    @classmethod
+    def unit(cls, n: int, u: Unit) -> "Element":
+        return cls(n, {u: 1})
+
+    def __add__(self, other: "Element") -> "Element":
+        acc = dict(self.terms)
+        for u, c in other.terms.items():
+            acc[u] = acc.get(u, Fraction(0)) + c
+        return Element(self.n, acc)
+
+    def scale(self, a: int | Fraction) -> "Element":
+        return Element(self.n, {u: Fraction(a) * c for u, c in self.terms.items()})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Element):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(f"{c}*e{u[0]},{u[1]}" for u, c in sorted(self.terms.items()))
+
+
+def bracket_elements(x: Element, y: Element) -> Element:
+    """Bilinear extension of the unit supercommutator."""
+    if x.n != y.n:
+        raise ValueError("rank mismatch")
+    acc: dict[Unit, Fraction] = {}
+    for u, a in x.terms.items():
+        for v, b in y.terms.items():
+            for w, c in bracket(x.n, u, v):
+                acc[w] = acc.get(w, Fraction(0)) + a * b * c
+    return Element(x.n, acc)
 
 
 # ---------------------------------------------------------------------------

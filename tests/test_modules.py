@@ -102,11 +102,13 @@ def test_monomial_lookup_and_errors():
 
 
 def test_datum_validation_rejects_unclosed_inducing():
-    # drop one even positive from the () system: not bracket-closed
+    # [e13, e34] = e14: moving the non-simple positive (1, 4) of the ()
+    # system into the complement leaves the inducing set unclosed; a simple
+    # root such as (1, 2) would trip the depth-cost check instead
     full = verma_datum(2, (), (0, 0, 0, 0))
-    bad = set(full.inducing_roots) - {(1, 2)}
-    order = tuple(sorted(set(full.complement_order) | {(1, 2)}))
-    with pytest.raises(ValueError):
+    bad = set(full.inducing_roots) - {(1, 4)}
+    order = tuple(sorted(set(full.complement_order) | {(1, 4)}))
+    with pytest.raises(ValueError, match="not closed"):
         InductionDatum(
             n=2,
             inducing_roots=frozenset(bad),

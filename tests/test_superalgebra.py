@@ -5,10 +5,8 @@ import random
 import pytest
 
 from superverma.superalgebra import (
-    Element,
     all_units,
     bracket,
-    bracket_elements,
     good_degree,
     index_parity,
     is_odd_root,
@@ -19,9 +17,11 @@ from superverma.superalgebra import (
 )
 
 from oracles import (
+    Element,
     apply_automorphism,
     automorphism_at,
     automorphism_c,
+    bracket_elements,
     map_root_at,
     map_root_c,
 )

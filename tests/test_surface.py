@@ -4,6 +4,11 @@ Top-level functions and classes must each be named somewhere in
 ``superverma`` outside their own definition, and the public methods of every
 class must be looked up as an attribute there.  Helpers that only tests need
 live in ``tests/``.
+
+A method is matched by its name alone, so a same-named method on another
+class could mask one that nothing reaches.  The names that more than one
+class defines are therefore pinned: a new one fails the test until the call
+sites of each of its methods have been read and it is added here.
 """
 
 from __future__ import annotations
@@ -16,6 +21,10 @@ import superverma
 SRC = Path(superverma.__file__).parent
 
 ALLOWED_UNREACHED: set[str] = set()
+
+SHARED_METHOD_NAMES = {
+    "at", "coordinates", "dims", "ok", "to_json", "total", "unit_terms", "xi",
+}
 
 
 def _references_outside(trees, skip) -> tuple[set[str], set[str]]:
@@ -65,3 +74,14 @@ def test_every_public_definition_is_referenced_in_the_library():
         if not _reached(trees, node, is_method)
     }
     assert unreached == ALLOWED_UNREACHED
+
+
+def test_method_names_shared_between_classes_are_pinned():
+    owners: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for qualified, _node, is_method in _public_definitions(ast.parse(path.read_text())):
+            if is_method:
+                cls, method = qualified.split(".")
+                owners.setdefault(method, set()).add(cls)
+    shared = {method for method, classes in owners.items() if len(classes) > 1}
+    assert shared == SHARED_METHOD_NAMES

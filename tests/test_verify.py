@@ -7,12 +7,14 @@ import json
 
 import pytest
 
+from superverma import superalgebra, verify
 from superverma.verify import (
     CaseResult,
     FAIL,
     INCONCLUSIVE,
     PASS,
     ScenarioReport,
+    _axioms_case,
     _first_mismatch,
     default_conjecture_grid,
     default_mabg_grid,
@@ -282,6 +284,39 @@ def test_structure_combinatorial_only_at_outer_ranks():
 def test_structure_rejects_large_rank():
     with pytest.raises(ValueError):
         verify_structure(5)
+
+
+def _negate_bracket(monkeypatch, flipped) -> None:
+    """Negate the structure constants of the ordered unit pairs in
+    ``flipped`` wherever the axioms check reads ``bracket``: directly, and
+    through ``bracket_elements``."""
+    original = superalgebra.bracket
+
+    def mutant(n, a, b):
+        terms = original(n, a, b)
+        return tuple((u, -c) for u, c in terms) if (a, b) in flipped else terms
+
+    monkeypatch.setattr(verify, "bracket", mutant)
+    monkeypatch.setattr(superalgebra, "bracket", mutant)
+
+
+E12_E23, E23_E12 = ((1, 2), (2, 3)), ((2, 3), (1, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "flipped, detail",
+    [
+        # negating [e12, e23] with its mirror keeps antisymmetry
+        ({E12_E23, E23_E12}, {"triple": [[1, 2], [1, 3], [2, 1]]}),
+        ({E12_E23}, {"pair": [[1, 2], [2, 3]]}),
+    ],
+    ids=["jacobi", "antisymmetry"],
+)
+def test_axioms_refute_a_negated_structure_constant(monkeypatch, n, flipped, detail):
+    _negate_bracket(monkeypatch, flipped)
+    case = _axioms_case(n)
+    assert (case.verdict, case.detail) == (FAIL, detail)
 
 
 # ---------------------------------------------------------------------------
