@@ -155,29 +155,43 @@ class WeightClasses:
         return coeffs
 
 
+@dataclass(eq=False)
+class _Homology:
+    """The rank-one homology of one ``(alpha, anchor signature)`` on one
+    layout, in offsets from the anchor: the table, its least nonzero cell,
+    the cosets by offset, and the doubled-Verma certificates by ``(target
+    label, anchor parity)``, each a list of ``(anchor, forms read,
+    certificate)``.  On one layout the valid depth is a function of
+    ``alpha``, so it is no part of the key."""
+
+    cells: tuple
+    first_nonzero: tuple | None
+    classes: dict[Weight, WeightClasses] = field(default_factory=dict)
+    certificates: dict[tuple, list] = field(default_factory=dict)
+
+
 @dataclass
 class DSResult:
     """Homology of one odd root action, valid on a stated depth region.
 
-    ``cells`` holds ``(offset, (even, odd))`` for every offset from the
-    source's anchor in the valid region, and ``first_nonzero`` the least of
-    them with nonzero homology (None if there is none); both are shared by
-    every view of the layout with the same ``signature``.
+    Its table of ``(offset, (even, odd))`` over the valid region, its cosets
+    and its doubled-Verma certificates, all in offsets from the anchor, are
+    one record on the source's layout, shared by every view with the same
+    ``signature``; a view translates them by its own anchor.
     """
 
     source: Realization
     alpha: Root
     valid_depth: int
-    cells: tuple
-    first_nonzero: tuple | None
     signature: tuple  # the source's anchor signature for alpha and valid_depth
+    _record: _Homology = field(repr=False)
     _classes: dict[Weight, WeightClasses] = field(default_factory=dict, repr=False)
 
     @cached_property
     def dim_table(self) -> dict[Weight, tuple[int, int]]:
-        """``cells`` translated to the source's anchor."""
+        """The record's table translated to the source's anchor."""
         hw = self.source.datum.hw
-        return {tuple(map(add, hw, off)): dims for off, dims in self.cells}
+        return {tuple(map(add, hw, off)): dims for off, dims in self._record.cells}
 
     @property
     def n(self) -> int:
@@ -206,15 +220,15 @@ class DSResult:
             offset = sub_weights(weight, m.datum.hw)
             if not m.layout.spaces.get(offset):
                 return None
-            key = (self.alpha, self.valid_depth, self.signature, offset)
-            shared = m.layout.weight_classes.get(key)
+            shared = self._record.classes.get(offset)
             if shared is None:
                 rw = root_weight(m.datum.n, self.alpha)
                 out_m = m.unit_matrix(self.alpha, weight)
                 src = sub_weights(weight, rw)
                 in_m = m.unit_matrix(self.alpha, src)
-                shared = WeightClasses(m, weight, out_m, in_m, src)
-                m.layout.weight_classes[key] = shared
+                shared = self._record.classes[offset] = WeightClasses(
+                    m, weight, out_m, in_m, src
+                )
             cached = shared.at(weight)
             if cached.dims != self.dims(weight):
                 raise AssertionError(
@@ -256,8 +270,9 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     boundary so that both the outgoing and the incoming map at each counted
     weight are complete.  The table, in offsets from the anchor, is a
     function of the source's anchor signature: it is computed from the
-    differential ranks once per signature and kept on the layout, and each
-    view translates it by its own anchor.
+    differential ranks once per signature, kept on the layout in one record
+    with the cosets and certificates, and each view translates it by its
+    own anchor.
     """
     n = m.datum.n
     if not is_odd_root(n, alpha):
@@ -269,9 +284,8 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     valid_depth = m.depth - margin
     hw = m.datum.hw
     signature = m.signature(alpha, valid_depth)
-    key = (alpha, valid_depth, signature)
-    found = m.layout.ds_tables.get(key)
-    if found is None:
+    record = m.layout.homology.get((alpha, signature))
+    if record is None:
         table = []
         for off, counts, out_ranks, in_ranks in m.differential_ranks(alpha, valid_depth):
             # parity p: the kernel of the outgoing map on parity p, modulo the
@@ -285,8 +299,8 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
             table.append((off, (even, odd)))
         # translation by the anchor keeps the order of weights
         first = min((cell for cell in table if cell[1] != (0, 0)), default=None)
-        found = m.layout.ds_tables[key] = (tuple(table), first)
-    return DSResult(m, alpha, valid_depth, *found, signature)
+        record = m.layout.homology[(alpha, signature)] = _Homology(tuple(table), first)
+    return DSResult(m, alpha, valid_depth, signature, record)
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +432,11 @@ def certify_zero(result: DSResult) -> Certificate:
     refutation names the least weight with nonzero homology."""
     if result.valid_depth < 0:
         return Certificate(INCONCLUSIVE, 0, {"reason": "valid region is empty"})
-    checked = len(result.cells)
-    if result.first_nonzero is None:
+    checked = len(result._record.cells)
+    first = result._record.first_nonzero
+    if first is None:
         return Certificate(CERTIFIED, checked, {})
-    off, dims = result.first_nonzero
+    off, dims = first
     weight = list(map(add, result.source.datum.hw, off))
     return Certificate(REFUTED, checked, {"weight": weight, "dims": list(dims)})
 
@@ -451,16 +466,16 @@ def certify_verma_iso(
        anchor class, a subspace matching the target Verma census weight by
        weight.
 
-    In offsets from the anchor, these checks read the homology table and
-    cosets (a function of the source's anchor signature), the parity of the
-    anchor, the target character (which does not depend on the target
-    tuple), and the values at the anchor of the linear forms in the lifted
-    raising units at the two slots and in the lifted lowering units inside
-    the valid region.  So views of one layout that agree on all of these
-    share one certificate.  It is memoized on the layout with the anchor it
-    was made at, and every weight in its ``detail`` is translated to the
-    caller's anchor.  The forms are listed only when a second view with
-    the same signature and parity arrives.
+    In offsets from the anchor, these checks read the homology record of
+    the source's anchor signature, the parity of the anchor, the target
+    character (which does not depend on the target tuple) and the values at
+    the anchor of the coefficients of the raising and lowering maps they
+    apply.  Given the record, the parity and the target label, the checks
+    are deterministic, so an anchor at which every linear form they read
+    takes the same value runs the same branches on the same numbers.  Each
+    certificate is therefore kept in the record with the anchor it was made
+    at and the forms its run read, and reused, with every weight in its
+    ``detail`` translated to the caller's anchor, wherever those forms agree.
     """
     m = result.source
     n = m.datum.n
@@ -472,59 +487,32 @@ def certify_verma_iso(
             f"target highest weight {target_hw} is not the projected anchor "
             f"{pr_alpha(n, anchor, alpha)}"
         )
+    for unit in _target_lowering_units(n, alpha, n - 1, target_label):
+        if m.datum.root_cost(unit) <= 0:
+            raise ValueError(
+                f"the lowering unit {unit} of target Borel {target_label} "
+                f"does not lower the module"
+            )
     if result.valid_depth < 0:
         return Certificate(INCONCLUSIVE, 0, {"reason": "valid region is empty"})
     target_label = tuple(target_label)
-    memo = m.layout.certificates.setdefault(
-        (alpha, target_label, result.valid_depth), _Certificates()
-    )
-    made = memo.by_key.setdefault((result.signature, par(n, anchor)), [])
-    if made:
-        if memo.forms is None:
-            memo.forms = _certificate_forms(m.layout, alpha, target_label, result.valid_depth)
-        values = form_values(memo.forms, anchor)
-        for made_at, cert in made:
-            if form_values(memo.forms, made_at) == values:
-                return _translated(cert, sub_weights(anchor, made_at))
-    cert = _certify_verma_iso(result, target_label, target_tuple, target_hw)
-    made.append((anchor, cert))
+    made = result._record.certificates.setdefault((target_label, par(n, anchor)), [])
+    for made_at, forms, cert in made:
+        if form_values(forms, made_at) == form_values(forms, anchor):
+            return _translated(cert, sub_weights(anchor, made_at))
+    reads: set = set()
+    cert = _certify_verma_iso(result, target_label, target_tuple, target_hw, reads)
+    made.append((anchor, tuple(sorted(reads)), cert))
     return cert
 
 
-class _Certificates:
-    """The certificates of one ``(alpha, target label, valid depth)`` on one
-    layout.  ``by_key`` maps ``(anchor signature, anchor parity)`` to the
-    ``(anchor, certificate)`` pairs made under it, which differ in the
-    values of ``forms`` at their anchors; ``forms`` is listed when a second
-    anchor arrives under one key."""
-
-    __slots__ = ("forms", "by_key")
-
-    def __init__(self):
-        self.forms: tuple | None = None
-        self.by_key: dict = {}
-
-
-def _certificate_forms(layout, alpha: Root, target_label: Label, valid_depth: int) -> tuple:
-    """The linear forms in every unit map that certification reads: the
-    lifted raising units at the two anchor slots, and the lifted lowering
-    units between offsets of the valid region."""
-    n = layout.n
-    rw = root_weight(n, alpha)
-    slots = ((0,) * (2 * n), tuple(-c for c in rw))
-    maps = [
-        (lift_unit(n, alpha, beta), off)
-        for beta in simple_roots(n - 1, target_label)
-        for off in slots
-    ]
-    for unit in _target_lowering_units(n, alpha, n - 1, target_label):
-        step = root_weight(n, unit)
-        maps.extend(
-            (unit, off)
-            for off in layout.spaces
-            if max(layout.cost(off), layout.cost(add_weights(off, step))) <= valid_depth
-        )
-    return layout.entry_forms(maps)
+def _act_reading(m: Realization, unit: Unit, vec: dict, reads: set) -> dict:
+    """``m.act_unit(unit, vec)``, adding to ``reads`` the ``Affine.terms``
+    of every anchor-dependent coefficient it evaluates."""
+    for bvec in vec:
+        coefs = m.layout.act(unit, bvec).values()
+        reads.update(c.terms for c in coefs if type(c) is not int)
+    return m.act_unit(unit, vec)
 
 
 def _translated(cert: Certificate, delta: Weight) -> Certificate:
@@ -540,9 +528,10 @@ def _translated(cert: Certificate, delta: Weight) -> Certificate:
 
 
 def _certify_verma_iso(
-    result: DSResult, target_label: Label, target_tuple, target_hw: Weight
+    result: DSResult, target_label: Label, target_tuple, target_hw: Weight, reads: set
 ) -> Certificate:
-    """The checks of :func:`certify_verma_iso` on a nonempty valid region."""
+    """The checks of :func:`certify_verma_iso` on a nonempty valid region;
+    the forms of the coefficients they evaluate are added to ``reads``."""
     m = result.source
     n = m.datum.n
     alpha = result.alpha
@@ -561,9 +550,7 @@ def _certify_verma_iso(
 
     ratio = 1
     for unit in lowering_units:
-        amb_cost = -m.datum.xi(root_weight(n, unit))
-        if amb_cost <= 0:
-            raise AssertionError(f"lifted lowering {unit} is not an ambient lowering")
+        amb_cost = m.datum.root_cost(unit)
         small = _shrink_unit(n, alpha, unit)
         t_cost = -sum(
             h * v
@@ -637,7 +624,7 @@ def _certify_verma_iso(
                     checked,
                     {"reason": f"raising from slot {s} leaves the module region"},
                 )
-            moved = m.act_unit(unit, rep)
+            moved = _act_reading(m, unit, rep, reads)
             if not moved:
                 continue
             if not result.in_valid_region(tgt):
@@ -682,7 +669,7 @@ def _certify_verma_iso(
                 w2 = add_weights(w, root_weight(n, unit))
                 if not result.in_valid_region(w2):
                     continue
-                moved = m.act_unit(unit, expansion)
+                moved = _act_reading(m, unit, expansion, reads)
                 if not moved:
                     continue
                 wc2 = result.classes_at(w2)

@@ -392,12 +392,8 @@ class PBWLayout:
     unit's blocks up to a depth take the form ``const + form(hw)`` for the
     few linear forms that :meth:`forms` lists, so everything derived from
     those blocks is a function of a view's anchor signature
-    (:meth:`Realization.signature`).  The homology layer keeps its rank-one
-    tables (``ds_tables``) and per-weight cosets (``weight_classes``) here,
-    keyed by that signature, and its doubled-Verma certificates
-    (``certificates``), keyed by the signature, the anchor parity and the
-    values of the forms :meth:`entry_forms` lists for the maps that
-    certification reads; they live as long as the layout.  A
+    (:meth:`Realization.signature`).  ``homology`` is a memo that
+    :mod:`superverma.homology` owns and the layout never reads.  A
     :class:`Realization` evaluates everything at one anchor.
     """
 
@@ -431,9 +427,7 @@ class PBWLayout:
         self._rank_blocks: dict = {}
         self._differentials: dict = {}
         self._forms: dict = {}
-        self.ds_tables: dict = {}
-        self.weight_classes: dict = {}
-        self.certificates: dict = {}
+        self.homology: dict = {}
         self.spaces: dict[Weight, list] = {}
         self._enumerate()
         self.positions = {
@@ -665,17 +659,6 @@ class PBWLayout:
                         terms.update(c.terms for c in block.coefs)
             found = self._forms[key] = tuple(sorted(terms))
         return found
-
-    def entry_forms(self, maps) -> tuple:
-        """The distinct ``Affine.terms`` of the entries of the maps
-        ``(unit, offset)`` in ``maps``, sorted; a map that leaves the
-        truncation region has none."""
-        terms = set()
-        for unit, offset in maps:
-            found = self.map_entries(unit, offset, None)
-            if found is not None:
-                terms.update(v.terms for v in found[2].values() if type(v) is not int)
-        return tuple(sorted(terms))
 
 
 class Realization:

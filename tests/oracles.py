@@ -19,10 +19,11 @@ from superverma.borels import (
     positive_roots,
     simple_roots,
 )
+from superverma.homology import lift_unit
 from superverma.linalg import SparseRationalMatrix, kernel_basis
-from superverma.modules import Realization
+from superverma.modules import PBWLayout, Realization
 from superverma.superalgebra import Root, Unit, Weight, bracket, is_odd_root, root_weight
-from superverma.weights import sub_weights
+from superverma.weights import add_weights, sub_weights
 
 
 def verma_weight_multiplicity(
@@ -90,6 +91,48 @@ def singular_vectors(r: Realization, b: Label, mu: Weight) -> list:
         for kvec in kernel_basis(stacked):
             out.append((parity, {basis[cols[i]]: v for i, v in enumerate(kvec) if v}))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The maps a doubled-Verma certificate may read, listed ahead of any run.
+
+
+def certified_maps(
+    layout: PBWLayout, alpha: Root, target_label: Label, valid_depth: int
+) -> list[tuple[Unit, Weight]]:
+    """Every map ``(unit, offset)`` inside the truncation region that
+    certification may apply: the lifted raising units at the two anchor
+    slots, and the lifted lowering units between offsets of the valid
+    region."""
+    n = layout.n
+    rw = root_weight(n, alpha)
+    top = (0,) * (2 * n)
+    maps = [
+        (lift_unit(n, alpha, beta), off)
+        for beta in simple_roots(n - 1, target_label)
+        for off in (top, sub_weights(top, rw))
+    ]
+    for r in sorted(positive_roots(n - 1, target_label)):
+        unit = lift_unit(n, alpha, (r[1], r[0]))
+        step = root_weight(n, unit)
+        maps += [
+            (unit, off)
+            for off in layout.spaces
+            if max(layout.cost(off), layout.cost(add_weights(off, step))) <= valid_depth
+        ]
+    return [(u, off) for u, off in maps if layout.map_entries(u, off, None) is not None]
+
+
+def certificate_forms(
+    layout: PBWLayout, alpha: Root, target_label: Label, valid_depth: int
+) -> tuple:
+    """The distinct ``Affine.terms`` of the entries of the
+    :func:`certified_maps`, sorted: every form a certification run can read."""
+    terms = set()
+    for unit, off in certified_maps(layout, alpha, target_label, valid_depth):
+        _nrows, _ncols, entries = layout.map_entries(unit, off, None)
+        terms.update(v.terms for v in entries.values() if type(v) is not int)
+    return tuple(sorted(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -278,10 +278,10 @@ def test_refuted_census_carries_counterexample():
     # the same case on a layout warmed by another anchor of equal signature
     warm = verma_realization(2, (), (0, -2, -1, -2), 6)
     certify_verma_iso(ds13(warm), (), to_tuple(1, pr_alpha(2, warm.datum.hw, E13), ()))
-    tables = dict(warm.layout.ds_tables)
+    records = dict(warm.layout.homology)
     shared = ds13(verma_realization(2, (), (2, 0, 1, 0), 6, warm.layout))
     assert shared.signature == r.signature == ds13(warm).signature
-    assert warm.layout.ds_tables == tables
+    assert warm.layout.homology == records
     assert certify_verma_iso(shared, (), target) == cert
 
 
@@ -300,8 +300,8 @@ def test_an_inconclusive_certificate_is_shared_by_anchors():
     reason = {"reason": "anchor slot -1 outside the valid region"}
     assert _certify_matched(first, alpha, label).detail == reason
     warm = _certify_matched(second, alpha, label)
-    (memo,) = first.layout.certificates.values()
-    assert [len(made) for made in memo.by_key.values()] == [1]
+    (record,) = first.layout.homology.values()
+    assert [len(made) for made in record.certificates.values()] == [1]
     assert warm == _certify_matched(verma_realization(2, label, (1, -1, -1, 0), 1), alpha, label)
     assert warm.verdict == INCONCLUSIVE and warm.detail == reason
 
@@ -331,6 +331,66 @@ def test_certify_rejects_wrong_target_weight():
     m = verma_realization(2, (), (2, 0, 1, 0), 6)
     with pytest.raises(ValueError):
         certify_verma_iso(ds13(m), (), (5, 5))
+
+
+def test_certify_rejects_a_target_borel_the_module_does_not_lower():
+    # the inherited Borel of e_23 on the standard Borel is (); the lowering
+    # unit of (1,) lifts to e_14, a raising unit of the module
+    m = verma_realization(2, (), (-2, -2, -2, -2), 6)
+    alpha = (2, 3)
+    assert ds_borel_label(2, (), alpha) == ()
+    target = to_tuple(1, pr_alpha(2, m.datum.hw, alpha), (1,))
+    with pytest.raises(ValueError, match=r"lowering unit \(1, 4\)"):
+        certify_verma_iso(ds_homology(m, alpha), (1,), target)
+
+
+def test_certification_records_the_forms_of_anchor_dependent_maps():
+    # on the anchor vector v, e_13 e_31 v = [e_13, e_31] v = (hw_1 + hw_3) v
+    from superverma.homology import _act_reading
+    from superverma.modules import form_values
+
+    m = verma_realization(2, (), (1, 0, 2, 0), 4)
+    top = {m.monomial({}): 1}
+    lowered = m.act_unit((3, 1), top)
+    reads: set = set()
+    raised = _act_reading(m, E13, lowered, reads)
+    assert raised == m.act_unit(E13, lowered)
+    assert reads == {((0, 1), (2, 1))}
+    (value,) = form_values(reads, m.datum.hw)
+    assert raised == {m.monomial({}): value} and value
+    # a constant map records nothing
+    reads.clear()
+    assert _act_reading(m, (3, 1), top, reads) == lowered
+    assert not reads
+
+
+def test_a_certificate_is_shared_only_where_its_reads_agree(monkeypatch):
+    # make every cold run also read the form hw_1: anchors of one signature
+    # and parity share a certificate exactly when hw_1 agrees there
+    import superverma.homology as homology
+
+    cold = homology._certify_verma_iso
+    runs = []
+
+    def reading_hw1(result, target_label, target_tuple, target_hw, reads):
+        runs.append(result.source.datum.hw)
+        reads.add(((0, 1),))
+        return cold(result, target_label, target_tuple, target_hw, reads)
+
+    monkeypatch.setattr(homology, "_certify_verma_iso", reading_hw1)
+    label, alpha, depth = (), (2, 3), 4
+    first = verma_realization(2, label, (-2, -2, -2, -2), depth)
+    views = [first] + [
+        verma_realization(2, label, t, depth, first.layout)
+        for t in ((-2, -2, -2, 0), (0, -2, -2, -2))
+    ]
+    assert len({(ds_homology(v, alpha).signature, par(2, v.datum.hw)) for v in views}) == 1
+    assert [v.datum.hw[0] for v in views] == [-2, -2, 0]
+    certs = [_certify_matched(v, alpha, label) for v in views]
+    assert runs == [views[0].datum.hw, views[2].datum.hw]
+    for view, cert in zip(views, certs):
+        assert cert.verdict == CERTIFIED
+        assert cert == _certify_matched(Realization(view.datum, depth), alpha, label)
 
 
 def test_shallow_region_is_inconclusive():

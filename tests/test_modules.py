@@ -42,7 +42,12 @@ from superverma.weights import (
     verma_character,
 )
 
-from oracles import singular_vectors, verma_weight_multiplicity
+from oracles import (
+    certificate_forms,
+    certified_maps,
+    singular_vectors,
+    verma_weight_multiplicity,
+)
 
 ONE = Fraction(1)
 
@@ -674,7 +679,7 @@ def _check_representation(r, basis_count):
 )
 def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, basis_count):
     from superverma.borels import odd_simple_roots
-    from superverma.homology import ds_homology
+    from superverma.homology import ds_borel_label, ds_homology
     from superverma.weights import bilinear_form
 
     n = len(tuples[0]) // 2
@@ -711,9 +716,33 @@ def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, 
             if rounds == 0:
                 _check_representation(view, basis_count)
     # one doubled-Verma certificate per signature and anchor parity: on Verma
-    # data the certificate forms are empty
-    memos = views[0].layout.certificates.values()
-    assert sum(len(made) for memo in memos for made in memo.by_key.values()) == len(certified)
+    # data no run reads an anchor-dependent coefficient
+    made = []
+    for alpha in alphas:
+        target = ds_borel_label(n, label, alpha)
+        valid = depth - abs(views[0].datum.xi(root_weight(n, alpha)))
+        made += _certificates_made(views[0].layout, alpha, target, valid)
+    assert len(made) == len(certified)
+    assert all(reads == () for _anchor, reads, _cert in made)
+
+
+def _certificates_made(layout, alpha, target, valid) -> list:
+    """The ``(anchor, forms read, certificate)`` of every doubled-Verma
+    certificate memoized on the layout for ``alpha`` and the target label;
+    each recorded read is one of the forms the oracle lists for the maps
+    that certification may apply."""
+    listed = set(certificate_forms(layout, alpha, target, valid))
+    made = [
+        entry
+        for (root, _signature), record in layout.homology.items()
+        if root == alpha
+        for (target_label, _parity), entries in record.certificates.items()
+        if target_label == target
+        for entry in entries
+    ]
+    for _anchor, reads, _cert in made:
+        assert set(reads) <= listed, (alpha, reads)
+    return made
 
 
 def _assert_same_classes(warm, cold):
@@ -748,7 +777,7 @@ def test_anchor_signature_determines_the_blocks(n, label, depth, simple_only):
     # the forms of a simple root are L and -L for one L; other odd roots
     # have several independent forms, so every form must enter the signature
     from superverma.borels import odd_simple_roots
-    from superverma.homology import _certificate_forms, ds_borel_label
+    from superverma.homology import ds_borel_label
     from superverma.superalgebra import all_roots, is_odd_root
 
     layout = verma_realization(n, label, (0,) * (2 * n), depth).layout
@@ -799,40 +828,22 @@ def test_anchor_signature_determines_the_blocks(n, label, depth, simple_only):
             # on Verma data every map that certification reads is constant,
             # so certificates split no further than signature and parity
             target = ds_borel_label(n, label, alpha)
-            assert _certificate_forms(layout, alpha, target, valid) == ()
+            assert certificate_forms(layout, alpha, target, valid) == ()
             assert _certified_maps_follow_the_key(views, alpha, target, valid) < 625
 
 
 def _certified_maps_follow_the_key(views, alpha, target, valid) -> int:
     """Views of one layout with equal certificate keys (signature, anchor
-    parity, values of the certificate forms) have equal matrices for every
-    map that certification reads: the lifted raising units at the two anchor
-    slots, and the lifted lowering units between offsets of the valid region.
-    Returns the number of distinct keys."""
-    from superverma.borels import positive_roots, simple_roots
-    from superverma.homology import _certificate_forms, lift_unit
+    parity, values of the oracle's certificate forms) have equal matrices for
+    every map that certification may apply.  Returns the number of distinct
+    keys."""
     from superverma.modules import form_values
 
     layout = views[0].layout
     n = layout.n
-    rw = root_weight(n, alpha)
-    top = (0,) * (2 * n)
-    maps = [
-        (lift_unit(n, alpha, beta), off)
-        for beta in simple_roots(n - 1, target)
-        for off in (top, sub_weights(top, rw))
-    ]
-    for r in positive_roots(n - 1, target):
-        unit = lift_unit(n, alpha, (r[1], r[0]))
-        step = root_weight(n, unit)
-        maps += [
-            (unit, off)
-            for off in layout.spaces
-            if max(layout.cost(off), layout.cost(add_weights(off, step))) <= valid
-        ]
-    maps = [(u, off) for u, off in maps if layout.map_entries(u, off, None) is not None]
+    maps = certified_maps(layout, alpha, target, valid)
     assert maps
-    forms = _certificate_forms(layout, alpha, target, valid)
+    forms = certificate_forms(layout, alpha, target, valid)
     first: dict = {}
     for view in views:
         hw = view.datum.hw
@@ -847,7 +858,7 @@ def test_certificates_agree_where_certified_maps_depend_on_the_anchor():
     # unit of e_14 acts through a Cartan bracket, so the certificate forms
     # are not empty; views with equal keys read equal maps and share one
     # (refuted) certificate, which equals the one of a lone layout
-    from superverma.homology import _certificate_forms, certify_verma_iso, ds_homology
+    from superverma.homology import certify_verma_iso, ds_homology
     from superverma.weights import pr_alpha, to_tuple
 
     alpha, target, depth = (1, 4), (1,), 6
@@ -856,7 +867,7 @@ def test_certificates_agree_where_certified_maps_depend_on_the_anchor():
     for t in grid:
         views.append(Realization(bg_datum(2, t), depth, layout=views[0].layout if views else None))
     valid = ds_homology(views[0], alpha).valid_depth
-    assert _certificate_forms(views[0].layout, alpha, target, valid)
+    assert certificate_forms(views[0].layout, alpha, target, valid)
     assert _certified_maps_follow_the_key(views, alpha, target, valid) < len(views)
     for view in views:
         hw = view.datum.hw
@@ -864,8 +875,8 @@ def test_certificates_agree_where_certified_maps_depend_on_the_anchor():
         warm = certify_verma_iso(ds_homology(view, alpha), target, small)
         lone = Realization(view.datum, depth)
         assert warm == certify_verma_iso(ds_homology(lone, alpha), target, small), hw
-    (memo,) = views[0].layout.certificates.values()
-    assert sum(len(made) for made in memo.by_key.values()) < len(views)
+    made = _certificates_made(views[0].layout, alpha, target, valid)
+    assert len(made) < len(views)
 
 
 @settings(max_examples=80, deadline=None)

@@ -111,9 +111,10 @@ def test_conjecture_shift_classes_share_one_judgement():
 
 
 def test_a_borel_job_certifies_once_per_signature(monkeypatch):
-    # the doubled-Verma certificate is memoized on the job's layout: the
-    # checks run at most once per (root, target, valid depth, anchor
-    # signature, anchor parity), whatever the number of matched tuples
+    # the doubled-Verma certificate is memoized in the homology record of
+    # one root and anchor signature on the job's layout: on Verma data the
+    # checks run at most once per (record, target, anchor parity), whatever
+    # the number of matched tuples
     from itertools import product
 
     import superverma.homology as homology
@@ -123,11 +124,10 @@ def test_a_borel_job_certifies_once_per_signature(monkeypatch):
     cold = homology._certify_verma_iso
     runs: dict = {}
 
-    def counted(result, target_label, target_tuple, target_hw):
-        n, hw = result.n, result.source.datum.hw
-        key = (result.alpha, target_label, result.valid_depth, result.signature, par(n, hw))
+    def counted(result, target_label, *rest):
+        key = (id(result._record), target_label, par(result.n, result.source.datum.hw))
         runs[key] = runs.get(key, 0) + 1
-        return cold(result, target_label, target_tuple, target_hw)
+        return cold(result, target_label, *rest)
 
     monkeypatch.setattr(homology, "_certify_verma_iso", counted)
     grid = list(product(range(-2, 3), repeat=4))
@@ -226,21 +226,22 @@ def test_every_gl22_inconclusive_names_its_reason():
 
 
 @pytest.mark.parametrize(
-    "scenario",
+    "scenario, depths",
     [
-        lambda d: verify_maBG(2, depth=d),
-        lambda d: verify_maBG(3, depth=d),
-        lambda d: verify_conjecture(1, depth=d),
-        lambda d: verify_conjecture(2, depth=d),
+        (lambda d: verify_maBG(2, depth=d), range(4)),
+        (lambda d: verify_maBG(3, depth=d), range(4)),
+        (lambda d: verify_conjecture(1, depth=d), range(4)),
+        (lambda d: verify_conjecture(2, depth=d), range(4)),
+        (lambda d: verify_conjecture(3, depth=d), range(5)),
     ],
-    ids=["mabg2", "mabg3", "conjecture1", "conjecture2"],
+    ids=["mabg2", "mabg3", "conjecture1", "conjecture2", "conjecture3"],
 )
-def test_every_shallow_inconclusive_names_its_reason(scenario):
-    # depths 0-1 of the rank-2 conjecture run the shared homology tables
-    # through empty and shallow valid regions; a shallow region may leave a
-    # case undecided, never refute it
+def test_every_shallow_inconclusive_names_its_reason(scenario, depths):
+    # depths 0-1 of the rank-2 and rank-3 conjectures run the shared
+    # homology records through empty and shallow valid regions; a shallow
+    # region may leave a case undecided, never refute it
     seen = 0
-    for depth in range(4):
+    for depth in depths:
         for case in scenario(depth).cases:
             assert case.verdict not in (FAIL, REFUTED), (depth, case.key, case.detail)
             if case.verdict == INCONCLUSIVE:
