@@ -21,7 +21,8 @@ The full default verification suite is the composition::
 
 Reports are deterministic; pass ``--timing`` to include measured wall time
 in JSON output (at the cost of byte-identical reruns).  The environment
-variable ``SUPERVERMA_JOBS`` spreads Borel sweeps over worker processes.
+variable ``SUPERVERMA_JOBS=k`` spreads Borel sweeps over ``k`` worker
+processes; the worker-pool modules load only when ``k > 1``.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ import json
 from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from operator import add
 
@@ -177,13 +177,12 @@ class DSResult:
     Its table of ``(offset, (even, odd))`` over the valid region, its cosets
     and its doubled-Verma certificates, all in offsets from the anchor, are
     one record on the source's layout, shared by every view with the same
-    ``signature``; a view translates them by its own anchor.
+    anchor signature; a view translates them by its own anchor.
     """
 
     source: Realization
     alpha: Root
     valid_depth: int
-    signature: tuple  # the source's anchor signature for alpha and valid_depth
     _record: _Homology = field(repr=False)
     _classes: dict[Weight, WeightClasses] = field(default_factory=dict, repr=False)
 
@@ -283,8 +282,8 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     margin = abs(m.datum.xi(rw))
     valid_depth = m.depth - margin
     hw = m.datum.hw
-    signature = m.signature(alpha, valid_depth)
-    record = m.layout.homology.get((alpha, signature))
+    key = (alpha, m.signature(alpha, valid_depth))
+    record = m.layout.homology.get(key)
     if record is None:
         table = []
         for off, counts, out_ranks, in_ranks in m.differential_ranks(alpha, valid_depth):
@@ -299,8 +298,8 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
             table.append((off, (even, odd)))
         # translation by the anchor keeps the order of weights
         first = min((cell for cell in table if cell[1] != (0, 0)), default=None)
-        record = m.layout.homology[(alpha, signature)] = _Homology(tuple(table), first)
-    return DSResult(m, alpha, valid_depth, signature, record)
+        record = m.layout.homology[key] = _Homology(tuple(table), first)
+    return DSResult(m, alpha, valid_depth, record)
 
 
 # ---------------------------------------------------------------------------
@@ -970,13 +969,6 @@ class ContractionComplex:
         """The odd superderivation pairing with delta to the degree map."""
         return _derive(self.parities, self._h_images, mono)
 
-    def s(self, mono) -> dict:
-        """Degree-normalized homotopy: s = D^{-1} h, zero on constants."""
-        d = self.degree(mono)
-        if d == 0:
-            return {}
-        return {k: Fraction(v, d) for k, v in self.h(mono).items()}
-
     def monomials(self, max_degree: int):
         ranges = [
             range(2) if p else range(max_degree + 1) for p in self.parities
@@ -986,16 +978,20 @@ class ContractionComplex:
                 yield exps
 
     def check(self, max_degree: int) -> dict:
+        # the composites reach each monomial's images many times: compute
+        # every delta, h and s image once per check, and expand on them
+        delta, h = cache(self.delta), cache(self.h)
+        s = cache(lambda mono: _homotopy(h(mono), self.degree(mono)))
         failures = []
         count = 0
         for mono in self.monomials(max_degree):
             count += 1
             deg = self.degree(mono)
-            lhs = _combine(self.delta, self.h, mono)
+            lhs = _combine(delta, h, mono)
             if lhs != ({mono: deg} if deg else {}):
                 failures.append({"identity": "delta*h + h*delta = D", "monomial": mono})
                 continue
-            lhs = _combine(self.delta, self.s, mono)
+            lhs = _combine(delta, s, mono)
             expected = {mono: 1} if deg else {}
             if lhs != expected:
                 failures.append(
@@ -1043,6 +1039,13 @@ def _derive(parities, images, mono) -> dict:
                         out.pop(key, None)
             prefix = (prefix + a * parities[j]) % 2
     return out
+
+
+def _homotopy(h_image: dict, degree: int) -> dict:
+    """Degree-normalized homotopy: s = D^{-1} h, zero on constants."""
+    if degree == 0:
+        return {}
+    return {k: Fraction(v, degree) for k, v in h_image.items()}
 
 
 def _combine(first, second, mono) -> dict:

@@ -19,7 +19,8 @@ a :class:`ScenarioReport` whose cases carry one verdict each:
 Reports are deterministic: cases are sorted by key and all numeric work is
 exact, so repeated runs produce identical content.  Set the environment
 variable ``SUPERVERMA_JOBS`` to a number greater than 1 to spread the Borel
-sweeps of ``verify_conjecture`` over worker processes.
+sweeps of ``verify_conjecture`` over worker processes; the worker-pool
+modules are imported only then, so a one-job run never loads them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from math import comb
@@ -283,6 +283,9 @@ def verify_conjecture(
     jobs = [(n, b, alpha, grid, depth) for b in labels]
     workers = min(_job_count(), len(jobs))
     if workers > 1:
+        # imported only here, so a one-job run never loads the pool modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_conjecture_cases_for_borel, jobs))
     else:

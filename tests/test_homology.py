@@ -280,7 +280,8 @@ def test_refuted_census_carries_counterexample():
     certify_verma_iso(ds13(warm), (), to_tuple(1, pr_alpha(2, warm.datum.hw, E13), ()))
     records = dict(warm.layout.homology)
     shared = ds13(verma_realization(2, (), (2, 0, 1, 0), 6, warm.layout))
-    assert shared.signature == r.signature == ds13(warm).signature
+    assert shared._record is ds13(warm)._record
+    assert m.signature(E13, r.valid_depth) == warm.signature(E13, r.valid_depth)
     assert warm.layout.homology == records
     assert certify_verma_iso(shared, (), target) == cert
 
@@ -296,7 +297,7 @@ def test_an_inconclusive_certificate_is_shared_by_anchors():
     label, alpha = (), (2, 3)
     first = verma_realization(2, label, (0, -1, -1, 0), 1)
     second = verma_realization(2, label, (1, -1, -1, 0), 1, first.layout)
-    assert ds_homology(first, alpha).signature == ds_homology(second, alpha).signature
+    assert ds_homology(first, alpha)._record is ds_homology(second, alpha)._record
     reason = {"reason": "anchor slot -1 outside the valid region"}
     assert _certify_matched(first, alpha, label).detail == reason
     warm = _certify_matched(second, alpha, label)
@@ -320,7 +321,7 @@ def test_a_certificate_is_keyed_by_the_anchor_parity():
     assert par(2, datum.hw) != par(2, verma.datum.hw)
     datum = replace(datum, parity_shift=verma.datum.parity_shift)
     twisted = Realization(datum, 6, layout=verma.layout)
-    assert ds_homology(twisted, alpha).signature == ds_homology(verma, alpha).signature
+    assert ds_homology(twisted, alpha)._record is ds_homology(verma, alpha)._record
     assert _certify_matched(verma, alpha, label).verdict == CERTIFIED
     cold = _certify_matched(Realization(datum, 6), alpha, label)
     assert cold.verdict == REFUTED
@@ -384,7 +385,7 @@ def test_a_certificate_is_shared_only_where_its_reads_agree(monkeypatch):
         verma_realization(2, label, t, depth, first.layout)
         for t in ((-2, -2, -2, 0), (0, -2, -2, -2))
     ]
-    assert len({(ds_homology(v, alpha).signature, par(2, v.datum.hw)) for v in views}) == 1
+    assert len({(id(ds_homology(v, alpha)._record), par(2, v.datum.hw)) for v in views}) == 1
     assert [v.datum.hw[0] for v in views] == [-2, -2, 0]
     certs = [_certify_matched(v, alpha, label) for v in views]
     assert runs == [views[0].datum.hw, views[2].datum.hw]
@@ -604,6 +605,23 @@ def test_contraction_identities_hold():
     report = contraction_check(3, 6)
     assert report["ok"]
     assert report["monomials"] == 1289
+
+
+def test_contraction_check_derives_each_image_once(monkeypatch):
+    import superverma.homology as homology
+
+    derive = homology._derive
+    derived: dict = {}
+
+    def counted(parities, images, mono):
+        key = (id(images), mono)
+        derived[key] = derived.get(key, 0) + 1
+        return derive(parities, images, mono)
+
+    monkeypatch.setattr(homology, "_derive", counted)
+    report = contraction_check(3, 4)
+    assert report["ok"] and report["monomials"] > 1
+    assert derived and max(derived.values()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -711,7 +711,7 @@ def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, 
                 _assert_same_classes(warm, cold)
                 assert _certificate(label, warm) == _certificate(label, cold), (t, alpha)
                 if bilinear_form(n, view.datum.hw, root_weight(n, alpha)) == 0:
-                    certified.add((alpha, warm.signature, par(n, view.datum.hw)))
+                    certified.add((id(warm._record), par(n, view.datum.hw)))
             assert view.census() == alone.census()
             if rounds == 0:
                 _check_representation(view, basis_count)

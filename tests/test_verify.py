@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,12 +142,47 @@ def test_a_borel_job_certifies_once_per_signature(monkeypatch):
     assert sum(runs.values()) < matched
 
 
+def _fresh_run(code: str, jobs: int) -> dict:
+    """Run ``code`` in a new interpreter with ``SUPERVERMA_JOBS=jobs``; it
+    binds ``report``, and the result holds that report's JSON and the
+    worker-pool modules loaded by then."""
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ, SUPERVERMA_JOBS=str(jobs))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = code + (
+        "\nimport json, sys\n"
+        "pool = sorted(m for m in sys.modules if m.partition('.')[0] in"
+        " ('concurrent', 'multiprocessing'))\n"
+        "print(json.dumps({'pool': pool, 'report': report.to_json()}))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_a_one_job_run_never_loads_the_worker_pool():
+    run = _fresh_run(
+        "import superverma.cli, superverma.verify\n"
+        "report = superverma.verify.verify_conjecture(1)",
+        jobs=1,
+    )
+    assert run["pool"] == []
+    assert json.loads(run["report"])["cases"]
+
+
 def test_conjecture_parallel_workers_match_sequential(monkeypatch):
+    # one job per Borel: a single label would never start the pool
     grid = default_conjecture_grid(2)[:40]
-    seq = verify_conjecture(2, label=(2,), grid=grid, depth=4)
-    monkeypatch.setenv("SUPERVERMA_JOBS", "2")
-    par = verify_conjecture(2, label=(2,), grid=grid, depth=4)
-    assert seq.to_json() == par.to_json()
+    run = _fresh_run(
+        "from superverma.verify import verify_conjecture\n"
+        f"report = verify_conjecture(2, grid={grid!r}, depth=4)",
+        jobs=2,
+    )
+    assert "concurrent.futures.process" in run["pool"]
+    monkeypatch.setenv("SUPERVERMA_JOBS", "1")
+    assert run["report"] == verify_conjecture(2, grid=grid, depth=4).to_json()
 
 
 # ---------------------------------------------------------------------------
