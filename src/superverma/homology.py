@@ -29,7 +29,6 @@ was too shallow to decide.
 from __future__ import annotations
 
 import json
-from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -69,54 +68,37 @@ INCONCLUSIVE = "INCONCLUSIVE"
 _ZERO = Fraction(0)
 
 
-def _column_submatrix(m: SparseRationalMatrix, cols: list[int]) -> SparseRationalMatrix:
-    pos = {c: k for k, c in enumerate(cols)}
-    entries = {}
-    for (r, c), v in m.entries.items():
-        k = pos.get(c)
-        if k is not None:
-            entries[(r, k)] = v
-    return SparseRationalMatrix(m.nrows, len(cols), entries)
-
-
-def _scatter(vec, cols: list[int], dim: int) -> Vector:
-    out = [_ZERO] * dim
-    for val, c in zip(vec, cols, strict=True):
-        out[c] = Fraction(val)
-    return tuple(out)
-
-
 class WeightClasses:
-    """Homology data of one weight space: kernels, images, chosen cosets.
+    """Homology data of one weight space, in offsets from the anchor:
+    kernels, images, chosen cosets.
 
-    Everything but ``weight`` is anchor-free: coordinate vectors over the
-    layout's basis at one offset, the echelon and ``dims``.  Views of one
-    layout with equal anchor signatures share one object, which holds no
-    weight; :meth:`at` gives it the weight of the caller.
+    Everything is anchor-free: coordinate vectors over the layout's basis at
+    ``offset``, the echelon and ``dims``.  Views of one layout with equal
+    anchor signatures share one object per offset.  ``x`` is odd, so its
+    matrices are block-diagonal by parity and the canonical kernel and image
+    bases of the whole matrices split by the parity of each vector's support.
     """
 
-    weight: Weight | None = None
-
-    def __init__(self, realization: Realization, weight: Weight, out_m, in_m, source_weight):
-        self.basis = realization.basis(weight)
-        dim = len(self.basis)
+    def __init__(self, realization: Realization, offset: Weight, out_m, in_m):
+        self.offset = offset
+        self.basis = realization.layout.spaces[offset]
         parities = [realization.vector_parity(bv) for bv in self.basis]
-        src_basis = realization.basis(source_weight)
-        src_parities = [realization.vector_parity(bv) for bv in src_basis]
-
         self.kernels: tuple[list[Vector], list[Vector]] = ([], [])
         self.images: tuple[list[Vector], list[Vector]] = ([], [])
-        for p in (0, 1):
-            cols = [k for k, q in enumerate(parities) if q == p]
-            local = kernel_basis(_column_submatrix(out_m, cols))
-            self.kernels[p].extend(_scatter(v, cols, dim) for v in local)
-            src_cols = [k for k, q in enumerate(src_parities) if q == 1 - p]
-            self.images[p].extend(image_basis(_column_submatrix(in_m, src_cols)))
+        for vectors, split in (
+            (kernel_basis(out_m), self.kernels),
+            (image_basis(in_m), self.images),
+        ):
+            for vec in vectors:
+                support = {parities[k] for k, c in enumerate(vec) if c}
+                if len(support) != 1:
+                    raise AssertionError(f"homology at offset {offset}: a vector mixes parities")
+                split[support.pop()].append(vec)
 
         # the image goes in untagged, so every representative accepted below
         # is independent modulo the image; tags count the representatives,
         # even ones first
-        self._echelon = quotient_basis(dim, self.images[0] + self.images[1])
+        self._echelon = quotient_basis(len(self.basis), self.images[0] + self.images[1])
         self.reps: tuple[list[Vector], list[Vector]] = ([], [])
         for p in (0, 1):
             want = len(self.kernels[p]) - len(self.images[p])
@@ -127,14 +109,8 @@ class WeightClasses:
                     self.reps[p].append(k)
             if len(self.reps[p]) != want:
                 raise AssertionError(
-                    f"homology at {weight}: images of parity {p} not inside the kernel"
+                    f"homology at offset {offset}: images of parity {p} not inside the kernel"
                 )
-
-    def at(self, weight: Weight) -> "WeightClasses":
-        """The same cosets, seen at ``weight``."""
-        view = copy(self)
-        view.weight = weight
-        return view
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -151,7 +127,7 @@ class WeightClasses:
         """Class coordinates of a kernel vector over the chosen cosets."""
         coeffs = self.coordinates(vector)
         if coeffs is None:
-            raise AssertionError(f"vector at {self.weight} is not a homology class")
+            raise AssertionError(f"vector at offset {self.offset} is not a homology class")
         return coeffs
 
 
@@ -184,7 +160,6 @@ class DSResult:
     alpha: Root
     valid_depth: int
     _record: _Homology = field(repr=False)
-    _classes: dict[Weight, WeightClasses] = field(default_factory=dict, repr=False)
 
     @cached_property
     def dim_table(self) -> dict[Weight, tuple[int, int]]:
@@ -210,32 +185,28 @@ class DSResult:
         return sorted(w for w, d in self.dim_table.items() if d != (0, 0))
 
     def classes_at(self, weight: Weight) -> WeightClasses | None:
-        """Full kernel/image/coset data, or None off the module support."""
+        """The record's kernels, images and cosets at ``weight``, or None off
+        the module support.  They are built once per record offset, and the
+        rank census is checked against the coset census then."""
         if not self.in_valid_region(weight):
             raise ValueError(f"weight {weight} is outside the valid region")
-        cached = self._classes.get(weight)
-        if cached is None:
-            m = self.source
-            offset = sub_weights(weight, m.datum.hw)
+        m = self.source
+        offset = sub_weights(weight, m.datum.hw)
+        classes = self._record.classes.get(offset)
+        if classes is None:
             if not m.layout.spaces.get(offset):
                 return None
-            shared = self._record.classes.get(offset)
-            if shared is None:
-                rw = root_weight(m.datum.n, self.alpha)
-                out_m = m.unit_matrix(self.alpha, weight)
-                src = sub_weights(weight, rw)
-                in_m = m.unit_matrix(self.alpha, src)
-                shared = self._record.classes[offset] = WeightClasses(
-                    m, weight, out_m, in_m, src
-                )
-            cached = shared.at(weight)
-            if cached.dims != self.dims(weight):
+            src = sub_weights(weight, root_weight(m.datum.n, self.alpha))
+            classes = WeightClasses(
+                m, offset, m.unit_matrix(self.alpha, weight), m.unit_matrix(self.alpha, src)
+            )
+            if classes.dims != self.dims(weight):
                 raise AssertionError(
-                    f"rank census {self.dims(weight)} and coset census {cached.dims} "
-                    f"disagree at {weight}"
+                    f"rank census {self.dims(weight)} and coset census {classes.dims} "
+                    f"disagree at offset {offset}"
                 )
-            self._classes[weight] = cached
-        return cached
+            self._record.classes[offset] = classes
+        return classes
 
     def rep_dict(self, weight: Weight, parity: int, index: int) -> dict:
         """A coset representative as a basis-vector expansion."""
@@ -368,7 +339,7 @@ def induced_action(result: DSResult, g: Unit) -> dict[Weight, SparseRationalMatr
                     columns.append(())
                     continue
                 _assert_in_kernel(m, result.alpha, moved)
-                full = _as_coordinates(moved, tgt_wc.basis)
+                full = _as_coordinates(m, moved, tgt_wc)
                 columns.append(tgt_wc.reduce(full))
         _assert_image_stability(m, result, g, mu, tgt, wc, tgt_wc)
         entries = {}
@@ -385,9 +356,9 @@ def _act_on_vector(m: Realization, unit: Unit, basis, vec) -> dict:
     return m.act_unit(unit, expansion)
 
 
-def _as_coordinates(expansion: dict, basis) -> Vector:
-    index = {bv: k for k, bv in enumerate(basis)}
-    out = [_ZERO] * len(basis)
+def _as_coordinates(m: Realization, expansion: dict, wc: WeightClasses) -> Vector:
+    index = m.layout.positions[wc.offset]
+    out = [_ZERO] * len(index)
     for bv, c in expansion.items():
         out[index[bv]] = c
     return tuple(out)
@@ -406,7 +377,7 @@ def _assert_image_stability(m, result, g, mu, tgt, wc, tgt_wc) -> None:
                 continue
             if tgt_wc is None:
                 raise AssertionError(f"image at {mu} moved by {g} into an empty space")
-            coords = tgt_wc.coordinates(_as_coordinates(out, tgt_wc.basis))
+            coords = tgt_wc.coordinates(_as_coordinates(m, out, tgt_wc))
             if coords is None or any(coords):
                 raise AssertionError(f"unit {g} does not preserve the image at {tgt}")
 
@@ -633,7 +604,7 @@ def _certify_verma_iso(
                     {"reason": f"raising image at slot {s} leaves the valid region"},
                 )
             wc = result.classes_at(tgt)
-            if any(wc.reduce(_as_coordinates(moved, wc.basis))):
+            if any(wc.reduce(_as_coordinates(m, moved, wc))):
                 return Certificate(
                     REFUTED,
                     checked,
@@ -651,7 +622,7 @@ def _certify_verma_iso(
     # 3. freeness probe from each anchor class.
     for s, (mu0, parity) in singular.items():
         wc0 = result.classes_at(mu0)
-        start = wc0.reduce(_as_coordinates(result.rep_dict(mu0, parity, 0), wc0.basis))
+        start = wc0.reduce(_as_coordinates(m, result.rep_dict(mu0, parity, 0), wc0))
         spans = {mu0: Echelon(sum(wc0.dims))}
         spans[mu0].add(start)
         queue = [(mu0, start)]
@@ -672,7 +643,7 @@ def _certify_verma_iso(
                 if not moved:
                     continue
                 wc2 = result.classes_at(w2)
-                coords2 = wc2.reduce(_as_coordinates(moved, wc2.basis))
+                coords2 = wc2.reduce(_as_coordinates(m, moved, wc2))
                 if not any(coords2):
                     continue
                 if spans.setdefault(w2, Echelon(sum(wc2.dims))).add(coords2):

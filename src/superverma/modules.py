@@ -710,9 +710,6 @@ class Realization:
     def basis_parity(self, weight: Weight, idx: int) -> int:
         return self.vector_parity(self.weight_spaces[weight][idx])
 
-    def basis(self, weight: Weight) -> list:
-        return list(self.layout.spaces.get(self._offset(weight), ()))
-
     def monomial(self, unit_exponents: dict[Unit, int], levi_state: int = 0):
         """Basis vector with the given exponents keyed by complement unit."""
         units = self.layout.units

@@ -225,21 +225,17 @@ def _expand_product(
     return {w: m for w, m in table.items() if m}
 
 
-def _parity_split(
-    n: int, table: dict[Weight, int], parity_shift: int
-) -> dict[Weight, tuple[int, int]]:
+def _parity_split(n: int, table: dict[Weight, int]) -> dict[Weight, tuple[int, int]]:
     out: dict[Weight, tuple[int, int]] = {}
     for w, m in table.items():
-        if (par(n, w) + parity_shift) % 2 == 0:
+        if par(n, w) == 0:
             out[w] = (m, 0)
         else:
             out[w] = (0, m)
     return out
 
 
-def verma_character(
-    n: int, label: Label, t: TupleWeight, depth: int, parity_shift: int = 0
-) -> Character:
+def verma_character(n: int, label: Label, t: TupleWeight, depth: int) -> Character:
     """Truncated character of the Verma module named by (tuple, Borel)."""
     label = normalize_label(label, n)
     top = from_tuple(n, t, label)
@@ -248,12 +244,10 @@ def verma_character(
     even = sorted(r for r in pos if not is_odd_root(n, r))
     odd = sorted(r for r in pos if is_odd_root(n, r))
     table = _expand_product(n, top, heights, depth, even, odd)
-    return Character(n, top, heights, depth, _parity_split(n, table, parity_shift))
+    return Character(n, top, heights, depth, _parity_split(n, table))
 
 
-def bg_character(
-    n: int, t: TupleWeight, depth: int, parity_shift: int = 0
-) -> Character:
+def bg_character(n: int, t: TupleWeight, depth: int) -> Character:
     """Truncated character of the enlarged-Borel module named by a tuple.
 
     Product of the standard even Verma denominator, the odd roots positive
@@ -274,4 +268,4 @@ def bg_character(
     # diagonal gl(1|1) factors: typical pairs contribute (1 + e^{-(eps_k - delta_k)})
     odd += [(k, n + k) for k in range(1, n + 1) if t[k - 1] != t[n + k - 1]]
     table = _expand_product(n, top, heights, depth, even, odd)
-    return Character(n, top, heights, depth, _parity_split(n, table, parity_shift))
+    return Character(n, top, heights, depth, _parity_split(n, table))

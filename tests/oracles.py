@@ -20,7 +20,7 @@ from superverma.borels import (
     simple_roots,
 )
 from superverma.homology import lift_unit
-from superverma.linalg import SparseRationalMatrix, kernel_basis
+from superverma.linalg import SparseRationalMatrix, image_basis, kernel_basis
 from superverma.modules import PBWLayout, Realization
 from superverma.superalgebra import Root, Unit, Weight, bracket, is_odd_root, root_weight
 from superverma.weights import add_weights, sub_weights
@@ -91,6 +91,36 @@ def singular_vectors(r: Realization, b: Label, mu: Weight) -> list:
         for kvec in kernel_basis(stacked):
             out.append((parity, {basis[cols[i]]: v for i, v in enumerate(kvec) if v}))
     return out
+
+
+def _column_submatrix(m: SparseRationalMatrix, cols: list[int]) -> SparseRationalMatrix:
+    pos = {c: k for k, c in enumerate(cols)}
+    entries = {(r, pos[c]): v for (r, c), v in m.entries.items() if c in pos}
+    return SparseRationalMatrix(m.nrows, len(cols), entries)
+
+
+def parity_split_classes(r: Realization, alpha: Root, weight: Weight) -> tuple:
+    """``(kernels, images)`` of ``e_alpha`` at ``weight``, each a pair of
+    lists indexed by parity, from one elimination per parity block: the
+    kernel of the outgoing matrix on the columns of parity ``p``, scattered
+    back to the whole weight space, and the image of the incoming matrix on
+    the source columns of parity ``1 - p``."""
+    basis = r.weight_spaces[weight]
+    src = sub_weights(weight, root_weight(r.datum.n, alpha))
+    src_basis = r.weight_spaces.get(src, [])
+    out_m, in_m = r.unit_matrix(alpha, weight), r.unit_matrix(alpha, src)
+    kernels: tuple[list, list] = ([], [])
+    images: tuple[list, list] = ([], [])
+    for p in (0, 1):
+        cols = [k for k, bv in enumerate(basis) if r.vector_parity(bv) == p]
+        for vec in kernel_basis(_column_submatrix(out_m, cols)):
+            full = [Fraction(0)] * len(basis)
+            for val, c in zip(vec, cols, strict=True):
+                full[c] = val
+            kernels[p].append(tuple(full))
+        src_cols = [k for k, bv in enumerate(src_basis) if r.vector_parity(bv) == 1 - p]
+        images[p].extend(image_basis(_column_submatrix(in_m, src_cols)))
+    return kernels, images
 
 
 # ---------------------------------------------------------------------------

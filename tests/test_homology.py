@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
 from itertools import product
+from types import SimpleNamespace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from superverma.homology import (
     INCONCLUSIVE,
     REFUTED,
     ContractionComplex,
+    WeightClasses,
     certify_verma_iso,
     certify_zero,
     contraction_check,
@@ -36,12 +39,14 @@ from superverma.modules import (
     bg_realization,
     gl11_simple_datum,
     parabolic_IJ_realization,
+    union_borel_datum,
     verma_realization,
 )
-from superverma.superalgebra import root_weight
+from superverma.linalg import SparseRationalMatrix
+from superverma.superalgebra import is_odd_root, root_weight
 from superverma.weights import add_weights, from_tuple, par, pr_alpha, to_tuple
 
-from oracles import map_root_at, map_root_c, map_weight, mapped_label
+from oracles import map_root_at, map_root_c, map_weight, mapped_label, parity_split_classes
 
 E13 = (1, 3)
 
@@ -167,6 +172,60 @@ def test_reduce_refuses_a_vector_outside_the_kernel():
                 wc.reduce(e)
             refused += 1
     assert refused
+
+
+def _parity_oracle_cases():
+    """Homology results on every rank-2 Borel (its simple odd roots, a few
+    tuples on one layout) and on a bg realization, a bg module and the
+    two-Borel union datum (every odd root), all at depth 6."""
+    for label in all_borels(2):
+        layout = None
+        for t in ((0, 0, 0, 0), (1, 0, 1, 0), (2, 1, -1, -2), (1, 2, 0, -1)):
+            m = verma_realization(2, label, t, 6, layout)
+            layout = m.layout
+            for alpha in odd_simple_roots(2, label):
+                yield ds_homology(m, alpha)
+    odd = [(i, j) for i in range(1, 5) for j in range(1, 5) if i != j and is_odd_root(2, (i, j))]
+    for m in (
+        bg_realization(2, (1, 2, 1, 2), 6),
+        bg_module(2, [("verma_delta", 2, 2), ("simple", 2, 2)], 6),
+        Realization(union_borel_datum(2, [(), (1,)], (2, 1, -1, -3)), 6),
+    ):
+        for alpha in odd:
+            yield ds_homology(m, alpha)
+
+
+def test_cosets_match_the_parity_split_oracle():
+    """Kernels and images of the whole unit matrices, split by the parity of
+    each vector's support, are those of one elimination per parity block,
+    in the same order, at every valid offset."""
+    checked = 0
+    for result in _parity_oracle_cases():
+        for w in result.dim_table:
+            wc = result.classes_at(w)
+            want = parity_split_classes(result.source, result.alpha, w)
+            assert (wc.kernels, wc.images) == want, (result.alpha, w)
+            checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("side", ["kernel", "image"])
+def test_a_vector_that_mixes_parities_is_refused(side):
+    # every weight space of the modules built here has one parity, so the
+    # control stands in a realization whose one weight space has both
+    offset = (0, 0, 0, 0)
+    stub = SimpleNamespace(
+        layout=SimpleNamespace(spaces={offset: ["even", "odd"]}),
+        vector_parity={"even": 0, "odd": 1}.__getitem__,
+    )
+    mixed = SparseRationalMatrix(1, 2, {(0, 0): 1, (0, 1): 1})
+    if side == "kernel":
+        # the kernel of the row (1, 1) is spanned by (-1, 1)
+        out_m, in_m = mixed, SparseRationalMatrix(2, 0)
+    else:
+        out_m, in_m = SparseRationalMatrix(0, 2), mixed.transpose()
+    with pytest.raises(AssertionError, match=re.escape(f"offset {offset}: a vector mixes")):
+        WeightClasses(stub, offset, out_m, in_m)
 
 
 def test_result_json_is_deterministic():

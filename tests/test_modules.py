@@ -700,6 +700,8 @@ def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, 
     )
     # interleave the views so each one reads memo entries another one filled
     certified = set()
+    first_view = {}
+    shared = 0
     for rounds in range(2):
         for view, t in zip(views, tuples):
             alone = verma_realization(n, label, t, depth)
@@ -709,6 +711,10 @@ def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, 
                 warm, cold = ds_homology(view, alpha), ds_homology(alone, alpha)
                 assert warm.dim_table == cold.dim_table
                 _assert_same_classes(warm, cold)
+                first = first_view.setdefault(warm._record, warm)
+                if first.source is not view:
+                    _assert_one_classes_object(warm, first)
+                    shared += 1
                 assert _certificate(label, warm) == _certificate(label, cold), (t, alpha)
                 if bilinear_form(n, view.datum.hw, root_weight(n, alpha)) == 0:
                     certified.add((id(warm._record), par(n, view.datum.hw)))
@@ -724,6 +730,7 @@ def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, 
         made += _certificates_made(views[0].layout, alpha, target, valid)
     assert len(made) == len(certified)
     assert all(reads == () for _anchor, reads, _cert in made)
+    assert shared
 
 
 def _certificates_made(layout, alpha, target, valid) -> list:
@@ -749,12 +756,19 @@ def _assert_same_classes(warm, cold):
     """Cosets of a view of a shared layout equal those of a lone layout."""
     for w in warm.dim_table:
         got, want = warm.classes_at(w), cold.classes_at(w)
-        assert got.weight == want.weight == w
+        assert got.offset == want.offset == sub_weights(w, warm.source.datum.hw)
         assert got.basis == want.basis
         assert got.dims == want.dims, w
         assert got.reps == want.reps, w
         for rep in want.all_reps():
             assert got.reduce(rep) == want.reduce(rep), w
+
+
+def _assert_one_classes_object(view, other):
+    """Two views of one record get one cosets object at each offset."""
+    for w in view.dim_table:
+        off = sub_weights(w, view.source.datum.hw)
+        assert view.classes_at(w) is other.classes_at(add_weights(other.source.datum.hw, off))
 
 
 def _certificate(label, result):
