@@ -69,59 +69,41 @@ _ZERO = Fraction(0)
 
 
 class WeightClasses:
-    """Homology data of one weight space, in offsets from the anchor:
-    kernels, images, chosen cosets.
+    """Homology data of one weight space, in offsets from the anchor: the
+    kernel and image bases of the whole unit matrices and chosen cosets.
 
     Everything is anchor-free: coordinate vectors over the layout's basis at
     ``offset``, the echelon and ``dims``.  Views of one layout with equal
-    anchor signatures share one object per offset.  ``x`` is odd, so its
-    matrices are block-diagonal by parity and the canonical kernel and image
-    bases of the whole matrices split by the parity of each vector's support.
+    anchor signatures share one object per offset.  The weight space has one
+    ``parity``, so every class sits there.
     """
 
-    def __init__(self, realization: Realization, offset: Weight, out_m, in_m):
+    def __init__(self, realization: Realization, offset: Weight, parity: int, out_m, in_m):
         self.offset = offset
         self.basis = realization.layout.spaces[offset]
-        parities = [realization.vector_parity(bv) for bv in self.basis]
-        self.kernels: tuple[list[Vector], list[Vector]] = ([], [])
-        self.images: tuple[list[Vector], list[Vector]] = ([], [])
-        for vectors, split in (
-            (kernel_basis(out_m), self.kernels),
-            (image_basis(in_m), self.images),
-        ):
-            for vec in vectors:
-                support = {parities[k] for k, c in enumerate(vec) if c}
-                if len(support) != 1:
-                    raise AssertionError(f"homology at offset {offset}: a vector mixes parities")
-                split[support.pop()].append(vec)
-
+        self.parity = parity
+        self.kernel: list[Vector] = kernel_basis(out_m)
+        self.image: list[Vector] = image_basis(in_m)
         # the image goes in untagged, so every representative accepted below
-        # is independent modulo the image; tags count the representatives,
-        # even ones first
-        self._echelon = quotient_basis(len(self.basis), self.images[0] + self.images[1])
-        self.reps: tuple[list[Vector], list[Vector]] = ([], [])
-        for p in (0, 1):
-            want = len(self.kernels[p]) - len(self.images[p])
-            for k in self.kernels[p]:
-                if len(self.reps[p]) == want:
-                    break
-                if self._echelon.add(k, tag=sum(self.dims)):
-                    self.reps[p].append(k)
-            if len(self.reps[p]) != want:
-                raise AssertionError(
-                    f"homology at offset {offset}: images of parity {p} not inside the kernel"
-                )
+        # is independent modulo the image; tags count the representatives
+        self._echelon = quotient_basis(len(self.basis), self.image)
+        self.reps: list[Vector] = []
+        want = len(self.kernel) - len(self.image)
+        for k in self.kernel:
+            if len(self.reps) == want:
+                break
+            if self._echelon.add(k, tag=len(self.reps)):
+                self.reps.append(k)
+        if len(self.reps) != want:
+            raise AssertionError(f"homology at offset {offset}: image not inside the kernel")
 
     @property
     def dims(self) -> tuple[int, int]:
-        return (len(self.reps[0]), len(self.reps[1]))
-
-    def all_reps(self) -> list[Vector]:
-        return [*self.reps[0], *self.reps[1]]
+        return (0, len(self.reps)) if self.parity else (len(self.reps), 0)
 
     def coordinates(self, vector) -> Vector | None:
         """Class coordinates over the chosen cosets, or None outside the kernel."""
-        return self._echelon.coordinates(vector, sum(self.dims))
+        return self._echelon.coordinates(vector, len(self.reps))
 
     def reduce(self, vector) -> Vector:
         """Class coordinates of a kernel vector over the chosen cosets."""
@@ -198,7 +180,11 @@ class DSResult:
                 return None
             src = sub_weights(weight, root_weight(m.datum.n, self.alpha))
             classes = WeightClasses(
-                m, offset, m.unit_matrix(self.alpha, weight), m.unit_matrix(self.alpha, src)
+                m,
+                offset,
+                m.space_parity(weight),
+                m.unit_matrix(self.alpha, weight),
+                m.unit_matrix(self.alpha, src),
             )
             if classes.dims != self.dims(weight):
                 raise AssertionError(
@@ -208,10 +194,11 @@ class DSResult:
             self._record.classes[offset] = classes
         return classes
 
-    def rep_dict(self, weight: Weight, parity: int, index: int) -> dict:
-        """A coset representative as a basis-vector expansion."""
+    def rep_dict(self, weight: Weight, index: int) -> dict:
+        """The ``index``-th coset representative at ``weight`` as a
+        basis-vector expansion."""
         wc = self.classes_at(weight)
-        vec = wc.reps[parity][index]
+        vec = wc.reps[index]
         return {bv: c for bv, c in zip(wc.basis, vec, strict=True) if c}
 
     def to_json(self) -> str:
@@ -257,16 +244,16 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     record = m.layout.homology.get(key)
     if record is None:
         table = []
-        for off, counts, out_ranks, in_ranks in m.differential_ranks(alpha, valid_depth):
-            # parity p: the kernel of the outgoing map on parity p, modulo the
-            # image of the incoming map from parity 1 - p
-            even = counts[0] - out_ranks[0] - in_ranks[1]
-            odd = counts[1] - out_ranks[1] - in_ranks[0]
-            if even < 0 or odd < 0:
+        for off, parity, count, out_rank, in_rank in m.differential_ranks(
+            alpha, valid_depth
+        ):
+            # the kernel of the outgoing map modulo the image of the incoming
+            dim = count - out_rank - in_rank
+            if dim < 0:
                 raise AssertionError(
-                    f"negative homology dimension at {add_weights(hw, off)}: {(even, odd)}"
+                    f"negative homology dimension at {add_weights(hw, off)}: {dim}"
                 )
-            table.append((off, (even, odd)))
+            table.append((off, (0, dim) if parity else (dim, 0)))
         # translation by the anchor keeps the order of weights
         first = min((cell for cell in table if cell[1] != (0, 0)), default=None)
         record = m.layout.homology[key] = _Homology(tuple(table), first)
@@ -304,8 +291,8 @@ def induced_action(result: DSResult, g: Unit) -> dict[Weight, SparseRationalMatr
     """Matrices of a centralizer unit on homology classes, per source weight.
 
     Keys are source weights ``mu`` whose translate also lies in the valid
-    region; the matrix sends class coordinates at ``mu`` (even cosets first)
-    to class coordinates at ``mu + root(g)``.  Well-definedness is asserted:
+    region; the matrix sends class coordinates at ``mu`` to class
+    coordinates at ``mu + root(g)``.  Well-definedness is asserted:
     the unit must commute with the differential, map kernels into kernels
     and images into images.
     """
@@ -326,28 +313,27 @@ def induced_action(result: DSResult, g: Unit) -> dict[Weight, SparseRationalMatr
         if wc is None:
             continue
         tgt_wc = result.classes_at(tgt)
-        tgt_dim = 0 if tgt_wc is None else sum(tgt_wc.dims)
+        tgt_dim = 0 if tgt_wc is None else len(tgt_wc.reps)
         columns = []
-        for p in (0, 1):
-            for vec in wc.reps[p]:
-                moved = _act_on_vector(m, g, wc.basis, vec)
-                if tgt_wc is None:
-                    if moved:
-                        raise AssertionError(
-                            f"class at {mu} moved by {g} into an empty weight space"
-                        )
-                    columns.append(())
-                    continue
-                _assert_in_kernel(m, result.alpha, moved)
-                full = _as_coordinates(m, moved, tgt_wc)
-                columns.append(tgt_wc.reduce(full))
+        for vec in wc.reps:
+            moved = _act_on_vector(m, g, wc.basis, vec)
+            if tgt_wc is None:
+                if moved:
+                    raise AssertionError(
+                        f"class at {mu} moved by {g} into an empty weight space"
+                    )
+                columns.append(())
+                continue
+            _assert_in_kernel(m, result.alpha, moved)
+            full = _as_coordinates(m, moved, tgt_wc)
+            columns.append(tgt_wc.reduce(full))
         _assert_image_stability(m, result, g, mu, tgt, wc, tgt_wc)
         entries = {}
         for c, col in enumerate(columns):
             for r, val in enumerate(col):
                 if val:
                     entries[(r, c)] = val
-        matrices[mu] = SparseRationalMatrix(tgt_dim, sum(wc.dims), entries)
+        matrices[mu] = SparseRationalMatrix(tgt_dim, len(wc.reps), entries)
     return matrices
 
 
@@ -370,16 +356,15 @@ def _assert_in_kernel(m: Realization, alpha: Root, expansion: dict) -> None:
 
 
 def _assert_image_stability(m, result, g, mu, tgt, wc, tgt_wc) -> None:
-    for p in (0, 1):
-        for vec in wc.images[p]:
-            out = _act_on_vector(m, g, wc.basis, vec)
-            if not out:
-                continue
-            if tgt_wc is None:
-                raise AssertionError(f"image at {mu} moved by {g} into an empty space")
-            coords = tgt_wc.coordinates(_as_coordinates(m, out, tgt_wc))
-            if coords is None or any(coords):
-                raise AssertionError(f"unit {g} does not preserve the image at {tgt}")
+    for vec in wc.image:
+        out = _act_on_vector(m, g, wc.basis, vec)
+        if not out:
+            continue
+        if tgt_wc is None:
+            raise AssertionError(f"image at {mu} moved by {g} into an empty space")
+        coords = tgt_wc.coordinates(_as_coordinates(m, out, tgt_wc))
+        if coords is None or any(coords):
+            raise AssertionError(f"unit {g} does not preserve the image at {tgt}")
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +415,9 @@ def certify_verma_iso(
     1. census -- each weight holds exactly the target Verma dimension at the
        weight's own parity, on the two translation slots of the anchor, and
        nothing anywhere else;
-    2. singular classes -- the two anchor classes have opposite parities and
-       are killed by every raising unit of the inherited Borel;
+    2. singular classes -- each anchor slot holds one class, killed by every
+       raising unit of the inherited Borel (the census has put the two at
+       opposite parities, as the slots differ by the odd root);
     3. freeness -- lowering units of the inherited Borel generate, from each
        anchor class, a subspace matching the target Verma census weight by
        weight.
@@ -566,8 +552,10 @@ def _certify_verma_iso(
             )
         checked += 1
 
-    # 2. singular classes on the two anchor slots.
-    singular: dict[int, tuple[Weight, int]] = {}
+    # 2. singular classes on the two anchor slots.  Every raising unit is
+    # the opposite of a lowering unit, which costs depth, so its target lies
+    # above ``mu`` and inside the valid region.
+    singular: dict[int, Weight] = {}
     for s in (0, -1):
         mu = add_weights(anchor, tuple(c * s for c in rw))
         if not result.in_valid_region(mu):
@@ -582,28 +570,14 @@ def _certify_verma_iso(
                 checked,
                 {"weight": list(mu), "dims": list(result.dims(mu)), "expected_total": 1},
             )
-        parity = 0 if result.dims(mu)[0] else 1
-        singular[s] = (mu, parity)
-        rep = result.rep_dict(mu, parity, 0)
+        singular[s] = mu
+        rep = result.rep_dict(mu, 0)
         for beta in target_pos:
             unit = lift_unit(n, alpha, beta)
-            tgt = add_weights(mu, root_weight(n, unit))
-            if m.datum.depth_of(tgt) > m.depth:
-                return Certificate(
-                    INCONCLUSIVE,
-                    checked,
-                    {"reason": f"raising from slot {s} leaves the module region"},
-                )
             moved = _act_reading(m, unit, rep, reads)
             if not moved:
                 continue
-            if not result.in_valid_region(tgt):
-                return Certificate(
-                    INCONCLUSIVE,
-                    checked,
-                    {"reason": f"raising image at slot {s} leaves the valid region"},
-                )
-            wc = result.classes_at(tgt)
+            wc = result.classes_at(add_weights(mu, root_weight(n, unit)))
             if any(wc.reduce(_as_coordinates(m, moved, wc))):
                 return Certificate(
                     REFUTED,
@@ -614,24 +588,19 @@ def _certify_verma_iso(
                         "reason": "anchor class is not singular",
                     },
                 )
-    if singular[0][1] == singular[-1][1]:
-        return Certificate(
-            REFUTED, checked, {"reason": "anchor classes share a parity"}
-        )
 
     # 3. freeness probe from each anchor class.
-    for s, (mu0, parity) in singular.items():
+    for s, mu0 in singular.items():
         wc0 = result.classes_at(mu0)
-        start = wc0.reduce(_as_coordinates(m, result.rep_dict(mu0, parity, 0), wc0))
-        spans = {mu0: Echelon(sum(wc0.dims))}
+        start = wc0.reduce(_as_coordinates(m, result.rep_dict(mu0, 0), wc0))
+        spans = {mu0: Echelon(len(wc0.reps))}
         spans[mu0].add(start)
         queue = [(mu0, start)]
         while queue:
             w, coords = queue.pop()
             wc = result.classes_at(w)
-            reps = wc.all_reps()
             full = [_ZERO] * len(wc.basis)
-            for c, repv in zip(coords, reps, strict=True):
+            for c, repv in zip(coords, wc.reps, strict=True):
                 if c:
                     full = [a + c * b for a, b in zip(full, repv, strict=True)]
             expansion = {bv: c for bv, c in zip(wc.basis, full, strict=True) if c}
@@ -646,7 +615,7 @@ def _certify_verma_iso(
                 coords2 = wc2.reduce(_as_coordinates(m, moved, wc2))
                 if not any(coords2):
                     continue
-                if spans.setdefault(w2, Echelon(sum(wc2.dims))).add(coords2):
+                if spans.setdefault(w2, Echelon(len(wc2.reps))).add(coords2):
                     queue.append((w2, coords2))
         for mu in sorted(candidates):
             if _slot(alpha, anchor, mu) != s:
@@ -669,7 +638,7 @@ def _certify_verma_iso(
     return Certificate(
         CERTIFIED,
         checked,
-        {"singular_weights": [list(singular[0][0]), list(singular[-1][0])]},
+        {"singular_weights": [list(singular[0]), list(singular[-1])]},
     )
 
 

@@ -24,11 +24,13 @@ induction (rank, inducing and levi roots, PBW order, heights, depth, levi
 module) but not on the anchor weight ``hw``.  It enumerates the basis by
 weight offset from the anchor and holds the one straightening memo, whose
 coefficients are integers affine in ``hw``: a plain ``int`` when constant
-(almost always), otherwise an :class:`Affine`.  A :class:`Realization` is a
-thin view of a layout at one anchor; it evaluates weight spaces, parities,
-actions and integer unit matrices there.  Views of one shared layout, such
-as the Verma modules of one Borel over a grid of tuples, straighten once,
-and views with equal anchor signatures share their rank-one homology.
+(almost always), otherwise an :class:`Affine`.  Every weight space has one
+parity (here always that of its weight), and the layout refuses a shape
+where it would not.  A :class:`Realization` is a thin view of a layout at
+one anchor; it evaluates weight spaces, parities, actions and integer unit
+matrices there.  Views of one shared layout, such as the Verma modules of
+one Borel over a grid of tuples, straighten once, and views with equal
+anchor signatures share their rank-one homology.
 """
 
 from __future__ import annotations
@@ -213,9 +215,7 @@ class RealizationFactor:
             for idx in range(len(realization.weight_spaces[w])):
                 self._by_local[(w, idx)] = len(self.states)
                 self._local_keys.append((w, idx))
-                self.states.append(
-                    (self._lift_weight(w), realization.basis_parity(w, idx))
-                )
+                self.states.append((self._lift_weight(w), realization.space_parity(w)))
         self.roots = frozenset(
             (coord_map[p - 1], coord_map[q - 1]) for p, q in all_roots(m)
         )
@@ -349,14 +349,14 @@ def form_values(forms, hw: Weight) -> tuple[int, ...]:
 
 
 class _RankBlock:
-    """The rank of a unit's map on the source columns of one raw parity, at
-    any anchor.  Ranks are memoized by the values of the ``Affine`` entries;
-    a miss rebuilds the matrix from the layout's straightening memo."""
+    """The rank of a unit's map out of one weight space, at any anchor.
+    Ranks are memoized by the values of the ``Affine`` entries; a miss
+    rebuilds the matrix from the layout's straightening memo."""
 
     __slots__ = ("key", "coefs", "ranks")
 
     def __init__(self, key: tuple, nrows: int, ncols: int, entries: dict):
-        self.key = key  # (unit, offset, raw parity) in the layout
+        self.key = key  # (unit, offset) in the layout
         self.coefs = tuple(v for v in entries.values() if type(v) is not int)
         self.ranks: dict[tuple[int, ...], int] | int = {}
         if not self.coefs:
@@ -386,10 +386,12 @@ class PBWLayout:
     levi state indexes the levi module's basis.  Construction enumerates
     every basis vector of height-depth at most ``depth``, grouped by its
     weight offset from the anchor, so every offset of height-depth at most
-    ``depth`` has a complete basis.  Actions are straightened on demand and
-    memoized with coefficients affine in ``hw``.  The ranks of parity blocks
-    are memoized by their evaluated entries.  Above them, the entries of one
-    unit's blocks up to a depth take the form ``const + form(hw)`` for the
+    ``depth`` has a complete basis.  ``parities`` maps each offset to the one
+    raw parity of its basis vectors; construction raises ``ValueError`` if a
+    weight space holds both.  Actions are straightened on demand and
+    memoized with coefficients affine in ``hw``.  The ranks of unit maps are
+    memoized by their evaluated entries.  Above them, the entries of one
+    unit's maps up to a depth take the form ``const + form(hw)`` for the
     few linear forms that :meth:`forms` lists, so everything derived from
     those blocks is a function of a view's anchor signature
     (:meth:`Realization.signature`).  ``homology`` is a memo that
@@ -434,10 +436,12 @@ class PBWLayout:
             off: {bv: i for i, bv in enumerate(basis)}
             for off, basis in self.spaces.items()
         }
-        self._by_parity = {
-            off: tuple([bv for bv in basis if self.raw_parity(bv) == q] for q in (0, 1))
-            for off, basis in self.spaces.items()
-        }
+        self.parities: dict[Weight, int] = {}
+        for off, basis in self.spaces.items():
+            raw = {self.raw_parity(bv) for bv in basis}
+            if len(raw) != 1:
+                raise ValueError(f"the weight space at offset {off} holds both parities")
+            self.parities[off] = raw.pop()
 
     def _enumerate(self):
         k = len(self._roots)
@@ -574,10 +578,9 @@ class PBWLayout:
 
     # -- matrices -----------------------------------------------------
 
-    def map_entries(self, unit: Unit, offset: Weight, raw_parity: int | None):
+    def map_entries(self, unit: Unit, offset: Weight):
         """``(nrows, ncols, entries)`` of the unit's map from the weight space
-        at ``offset`` to the one at ``offset + root``, on the source columns
-        of one raw parity (all of them for ``None``), with ``int`` and
+        at ``offset`` to the one at ``offset + root``, with ``int`` and
         ``Affine`` entries; ``None`` when either space leaves the truncation
         region.  Rows and columns follow the canonical bases."""
         target = offset
@@ -586,59 +589,53 @@ class PBWLayout:
         if max(self.cost(offset), self.cost(target)) > self.depth:
             return None
         rows = self.positions.get(target, {})
-        if raw_parity is None:
-            cols = self.spaces.get(offset, ())
-        else:
-            cols = self._by_parity.get(offset, ((), ()))[raw_parity]
+        cols = self.spaces.get(offset, ())
         entries: dict = {}
         for c, bvec in enumerate(cols):
             for bv, value in self.act(unit, bvec).items():
                 entries[(rows[bv], c)] = value
         return len(rows), len(cols), entries
 
-    def matrix_at(self, unit: Unit, offset: Weight, raw_parity: int | None, hw: Weight):
+    def matrix_at(self, unit: Unit, offset: Weight, hw: Weight):
         """The same map as an integer matrix at the anchor ``hw``."""
-        found = self.map_entries(unit, offset, raw_parity)
+        found = self.map_entries(unit, offset)
         if found is None:
             return None
         nrows, ncols, entries = found
         evaluated = {k: _at(v, hw) for k, v in entries.items()}
         return SparseRationalMatrix(nrows, ncols, evaluated)
 
-    def rank_block(self, unit: Unit, offset: Weight, raw_parity: int):
-        """The rank of the same map on the source columns of one raw parity,
-        at any anchor; ``None`` when the map leaves the truncation region."""
-        key = (unit, offset, raw_parity)
+    def rank_block(self, unit: Unit, offset: Weight):
+        """The rank of the same map at any anchor; ``None`` when the map
+        leaves the truncation region."""
+        key = (unit, offset)
         if key not in self._rank_blocks:
             found = self.map_entries(*key)
             self._rank_blocks[key] = None if found is None else _RankBlock(key, *found)
         return self._rank_blocks[key]
 
     def differential_blocks(self, unit: Unit, max_depth: int) -> list:
-        """The unit's parity blocks around every offset of height-depth at
-        most ``max_depth``: ``(offset, counts, out_blocks, in_blocks)``,
-        where ``counts[q]`` is the number of basis vectors of raw parity
-        ``q``, ``out_blocks[q]`` leaves the offset and ``in_blocks[q]``
-        arrives from ``offset - root``, each on the source columns of raw
-        parity ``q``; a block is ``None`` when its map leaves the truncation
-        region."""
+        """The unit's rank blocks around every offset of height-depth at
+        most ``max_depth``: ``(offset, raw parity, count, out_block,
+        in_block)``, where ``count`` is the number of basis vectors at the
+        offset, ``out_block`` leaves the offset and ``in_block`` arrives from
+        ``offset - root``; a block is ``None`` when its map leaves the
+        truncation region."""
         key = (unit, max_depth)
         found = self._differentials.get(key)
         if found is None:
             rw = root_weight(self.n, unit)
-            found = []
-            for off, (even, odd) in self._by_parity.items():
-                if self.cost(off) > max_depth:
-                    continue
-                src = sub_weights(off, rw)
-                found.append(
-                    (
-                        off,
-                        (len(even), len(odd)),
-                        tuple(self.rank_block(unit, off, q) for q in (0, 1)),
-                        tuple(self.rank_block(unit, src, q) for q in (0, 1)),
-                    )
+            found = [
+                (
+                    off,
+                    self.parities[off],
+                    len(basis),
+                    self.rank_block(unit, off),
+                    self.rank_block(unit, sub_weights(off, rw)),
                 )
+                for off, basis in self.spaces.items()
+                if self.cost(off) <= max_depth
+            ]
             self._differentials[key] = found
         return found
 
@@ -651,10 +648,8 @@ class PBWLayout:
         found = self._forms.get(key)
         if found is None:
             terms = set()
-            for _off, _counts, out_blocks, in_blocks in self.differential_blocks(
-                unit, max_depth
-            ):
-                for block in out_blocks + in_blocks:
+            for *_head, out_block, in_block in self.differential_blocks(unit, max_depth):
+                for block in (out_block, in_block):
                     if block is not None:
                         terms.update(c.terms for c in block.coefs)
             found = self._forms[key] = tuple(sorted(terms))
@@ -704,11 +699,9 @@ class Realization:
     def vector_weight(self, bvec) -> Weight:
         return add_weights(self._hw, self.layout.offset(bvec))
 
-    def vector_parity(self, bvec) -> int:
-        return self.layout.raw_parity(bvec) ^ self._shift
-
-    def basis_parity(self, weight: Weight, idx: int) -> int:
-        return self.vector_parity(self.weight_spaces[weight][idx])
+    def space_parity(self, weight: Weight) -> int:
+        """The parity of every vector of the weight space at ``weight``."""
+        return self.layout.parities[self._offset(weight)] ^ self._shift
 
     def monomial(self, unit_exponents: dict[Unit, int], levi_state: int = 0):
         """Basis vector with the given exponents keyed by complement unit."""
@@ -773,7 +766,7 @@ class Realization:
     def unit_matrix(self, unit: Unit, source: Weight) -> SparseRationalMatrix:
         """Integer matrix of the unit from the weight space at ``source`` to
         the one at ``source + root``.  Shapes follow the canonical bases."""
-        matrix = self.layout.matrix_at(unit, self._offset(source), None, self._hw)
+        matrix = self.layout.matrix_at(unit, self._offset(source), self._hw)
         if matrix is None:
             self._overflow(unit, source)
         return matrix
@@ -781,41 +774,36 @@ class Realization:
     def signature(self, unit: Unit, max_depth: int) -> tuple:
         """``(parity shift, value at hw of each of the layout's forms)``.
 
-        The evaluated entries of the unit's blocks up to ``max_depth`` are
+        The evaluated entries of the unit's maps up to ``max_depth`` are
         ``const + form value``, and parities are raw parities flipped by the
-        shift; so the ranks, kernels, images and cosets of those blocks, at
+        shift; so the ranks, kernels, images and cosets of those maps, at
         each offset, are functions of this signature.  Views of one layout
         with equal signatures have the same rank-one homology in offsets."""
         return (self._shift, form_values(self.layout.forms(unit, max_depth), self._hw))
 
     def differential_ranks(self, unit: Unit, max_depth: int):
         """For every offset of height-depth at most ``max_depth`` from the
-        anchor, yield ``(offset, dims, out_ranks, in_ranks)``, each a pair
-        indexed by parity: the basis vectors of that parity, the rank of the
-        unit's map on them, and the rank of the unit's map on the vectors of
-        that parity at ``offset - root``.  Ranks are memoized on the layout
-        by the evaluated block entries."""
+        anchor, yield ``(offset, parity, count, out_rank, in_rank)``: the
+        parity and the number of the basis vectors at the offset, the rank
+        of the unit's map out of them, and the rank of the unit's map into
+        them from ``offset - root``.  Ranks are memoized on the layout by
+        the evaluated block entries."""
         hw = self._hw
-        flip = self._shift
+        shift = self._shift
         layout = self.layout
-        for off, counts, out_blocks, in_blocks in layout.differential_blocks(
+        for off, raw, count, out_block, in_block in layout.differential_blocks(
             unit, max_depth
         ):
-            if None in out_blocks or None in in_blocks:
+            if out_block is None or in_block is None:
                 weight = tuple(map(add, hw, off))
                 self._overflow(unit, weight)
                 self._overflow(unit, sub_weights(weight, root_weight(self.datum.n, unit)))
             yield (
                 off,
-                (counts[flip], counts[1 - flip]),
-                (
-                    out_blocks[flip].rank_at(hw, layout),
-                    out_blocks[1 - flip].rank_at(hw, layout),
-                ),
-                (
-                    in_blocks[flip].rank_at(hw, layout),
-                    in_blocks[1 - flip].rank_at(hw, layout),
-                ),
+                raw ^ shift,
+                count,
+                out_block.rank_at(hw, layout),
+                in_block.rank_at(hw, layout),
             )
 
     # -- derived structure --------------------------------------------
@@ -823,9 +811,7 @@ class Realization:
     def census(self) -> Character:
         table: dict[Weight, tuple[int, int]] = {}
         for w, basis in self.weight_spaces.items():
-            even = sum(1 for bv in basis if self.vector_parity(bv) == 0)
-            odd = len(basis) - even
-            table[w] = (even, odd)
+            table[w] = (0, len(basis)) if self.space_parity(w) else (len(basis), 0)
         return Character(
             self.datum.n, self.datum.hw, self.datum.heights, self.depth, table
         )

@@ -1,0 +1,68 @@
+"""Source mutants that tier-1 must kill.
+
+Each mutant is an exact patch: ``old`` occurs exactly once in ``file``
+(relative to the checkout root) and is replaced by ``new``.  A mutant models
+a plausible bug in a soundness-critical line; a mutant that survives tier-1
+marks a behaviour no test pins.  ``python tests/mutate.py`` runs tier-1
+against each of them; ``tests/test_mutants.py`` only checks that every patch
+still applies.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import NamedTuple
+
+MODULES = "src/superverma/modules.py"
+HOMOLOGY = "src/superverma/homology.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+
+    def apply(self, root: Path) -> None:
+        """Patch the copy of the checkout at ``root`` in place."""
+        path = root / self.file
+        text = path.read_text()
+        if text.count(self.old) != 1:
+            raise ValueError(f"mutant {self.name}: the patched text is not in {self.file} once")
+        path.write_text(text.replace(self.old, self.new))
+
+
+MUTANTS = (
+    Mutant(
+        "layout-accepts-both-parities",
+        MODULES,
+        '            if len(raw) != 1:\n'
+        '                raise ValueError(f"the weight space at offset {off} holds both parities")\n',
+        "",
+    ),
+    Mutant("view-parity-without-shift", MODULES, "                raw ^ shift,\n", "                raw,\n"),
+    Mutant(
+        "homology-at-opposite-parity",
+        HOMOLOGY,
+        "table.append((off, (0, dim) if parity else (dim, 0)))",
+        "table.append((off, (dim, 0) if parity else (0, dim)))",
+    ),
+    Mutant(
+        "slot-sign-flipped",
+        HOMOLOGY,
+        "    s = weight[r1 - 1] - anchor[r1 - 1]\n",
+        "    s = anchor[r1 - 1] - weight[r1 - 1]\n",
+    ),
+    Mutant(
+        "affine-without-hw-terms",
+        MODULES,
+        "            value += c * hw[i]\n",
+        "            pass\n",
+    ),
+    Mutant(
+        "certificate-key-without-anchor-parity",
+        HOMOLOGY,
+        "setdefault((target_label, par(n, anchor)), [])",
+        "setdefault((target_label, 0), [])",
+    ),
+)

@@ -69,6 +69,12 @@ def verma_weight_multiplicity(
     return count(0, diff)
 
 
+def vector_parity(r: Realization, bvec) -> int:
+    """The parity of one basis vector of ``r``, from its own PBW exponents
+    and levi state, independently of the parity of its weight space."""
+    return r.layout.raw_parity(bvec) ^ (r.datum.parity_shift % 2)
+
+
 def singular_vectors(r: Realization, b: Label, mu: Weight) -> list:
     """Joint kernel of the raising actions of all b-simple roots at mu,
     split by parity: a list of (parity, vector dict)."""
@@ -77,7 +83,7 @@ def singular_vectors(r: Realization, b: Label, mu: Weight) -> list:
     basis = r.weight_spaces.get(mu, [])
     out = []
     for parity in (0, 1):
-        cols = [i for i, bv in enumerate(basis) if r.vector_parity(bv) == parity]
+        cols = [i for i, bv in enumerate(basis) if vector_parity(r, bv) == parity]
         if not cols:
             continue
         entries: dict[tuple[int, int], int] = {}
@@ -112,13 +118,13 @@ def parity_split_classes(r: Realization, alpha: Root, weight: Weight) -> tuple:
     kernels: tuple[list, list] = ([], [])
     images: tuple[list, list] = ([], [])
     for p in (0, 1):
-        cols = [k for k, bv in enumerate(basis) if r.vector_parity(bv) == p]
+        cols = [k for k, bv in enumerate(basis) if vector_parity(r, bv) == p]
         for vec in kernel_basis(_column_submatrix(out_m, cols)):
             full = [Fraction(0)] * len(basis)
             for val, c in zip(vec, cols, strict=True):
                 full[c] = val
             kernels[p].append(tuple(full))
-        src_cols = [k for k, bv in enumerate(src_basis) if r.vector_parity(bv) == 1 - p]
+        src_cols = [k for k, bv in enumerate(src_basis) if vector_parity(r, bv) == 1 - p]
         images[p].extend(image_basis(_column_submatrix(in_m, src_cols)))
     return kernels, images
 
@@ -150,7 +156,7 @@ def certified_maps(
             for off in layout.spaces
             if max(layout.cost(off), layout.cost(add_weights(off, step))) <= valid_depth
         ]
-    return [(u, off) for u, off in maps if layout.map_entries(u, off, None) is not None]
+    return [(u, off) for u, off in maps if layout.map_entries(u, off) is not None]
 
 
 def certificate_forms(
@@ -160,7 +166,7 @@ def certificate_forms(
     :func:`certified_maps`, sorted: every form a certification run can read."""
     terms = set()
     for unit, off in certified_maps(layout, alpha, target_label, valid_depth):
-        _nrows, _ncols, entries = layout.map_entries(unit, off, None)
+        _nrows, _ncols, entries = layout.map_entries(unit, off)
         terms.update(v.terms for v in entries.values() if type(v) is not int)
     return tuple(sorted(terms))
 

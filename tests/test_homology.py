@@ -18,7 +18,6 @@ from superverma.homology import (
     INCONCLUSIVE,
     REFUTED,
     ContractionComplex,
-    WeightClasses,
     certify_verma_iso,
     certify_zero,
     contraction_check,
@@ -34,15 +33,17 @@ from superverma.homology import (
     surviving_indices,
 )
 from superverma.modules import (
+    PBWLayout,
     Realization,
+    TensorLevi,
     bg_module,
     bg_realization,
     gl11_simple_datum,
     parabolic_IJ_realization,
     union_borel_datum,
+    verma_datum,
     verma_realization,
 )
-from superverma.linalg import SparseRationalMatrix
 from superverma.superalgebra import is_odd_root, root_weight
 from superverma.weights import add_weights, from_tuple, par, pr_alpha, to_tuple
 
@@ -152,9 +153,8 @@ def test_class_representatives_cross_check():
     for mu in r.support():
         wc = r.classes_at(mu)
         assert wc.dims == r.dims(mu)
-        reps = wc.all_reps()
-        assert len(reps) == r.total(mu)
-        rep = r.rep_dict(mu, max(range(2), key=lambda p: wc.dims[p]), 0)
+        assert len(wc.reps) == r.total(mu)
+        rep = r.rep_dict(mu, 0)
         assert rep and all(isinstance(c, Fraction) for c in rep.values())
     assert r.classes_at((99, 0, 0, 0)) is None
 
@@ -196,36 +196,32 @@ def _parity_oracle_cases():
 
 
 def test_cosets_match_the_parity_split_oracle():
-    """Kernels and images of the whole unit matrices, split by the parity of
-    each vector's support, are those of one elimination per parity block,
-    in the same order, at every valid offset."""
+    """Kernels and images of the whole unit matrices are those of one
+    elimination per parity block, in the same order, at every valid offset:
+    the blocks of the other parity are empty, and the classes sit at the
+    parity of the weight."""
     checked = 0
     for result in _parity_oracle_cases():
         for w in result.dim_table:
             wc = result.classes_at(w)
-            want = parity_split_classes(result.source, result.alpha, w)
-            assert (wc.kernels, wc.images) == want, (result.alpha, w)
+            kernels, images = parity_split_classes(result.source, result.alpha, w)
+            p = wc.parity
+            assert p == par(result.n, w)
+            assert kernels[1 - p] == images[1 - p] == [], (result.alpha, w)
+            assert (kernels[p], images[p]) == (wc.kernel, wc.image), (result.alpha, w)
             checked += 1
     assert checked > 1000
 
 
-@pytest.mark.parametrize("side", ["kernel", "image"])
-def test_a_vector_that_mixes_parities_is_refused(side):
+def test_a_weight_space_of_both_parities_is_refused():
     # every weight space of the modules built here has one parity, so the
-    # control stands in a realization whose one weight space has both
-    offset = (0, 0, 0, 0)
-    stub = SimpleNamespace(
-        layout=SimpleNamespace(spaces={offset: ["even", "odd"]}),
-        vector_parity={"even": 0, "odd": 1}.__getitem__,
-    )
-    mixed = SparseRationalMatrix(1, 2, {(0, 0): 1, (0, 1): 1})
-    if side == "kernel":
-        # the kernel of the row (1, 1) is spanned by (-1, 1)
-        out_m, in_m = mixed, SparseRationalMatrix(2, 0)
-    else:
-        out_m, in_m = SparseRationalMatrix(0, 2), mixed.transpose()
-    with pytest.raises(AssertionError, match=re.escape(f"offset {offset}: a vector mixes")):
-        WeightClasses(stub, offset, out_m, in_m)
+    # control stands in a levi factor with two states of one weight and
+    # opposite parities
+    top = (0, 0, 0, 0)
+    factor = SimpleNamespace(roots=frozenset(), hw=top, states=[(top, 0), (top, 1)])
+    levi = TensorLevi(2, [factor])
+    with pytest.raises(ValueError, match=re.escape(f"offset {top} holds both parities")):
+        PBWLayout(verma_datum(2, (), top), 0, levi)
 
 
 def test_result_json_is_deterministic():

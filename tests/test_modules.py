@@ -46,6 +46,7 @@ from oracles import (
     certificate_forms,
     certified_maps,
     singular_vectors,
+    vector_parity,
     verma_weight_multiplicity,
 )
 
@@ -68,7 +69,7 @@ def test_gl11_verma_realization_shape():
     assert (0, 0) not in r.weight_spaces
     top = r.monomial({})
     assert r.vector_weight(top) == (3, -5)
-    assert r.vector_parity(top) == par(1, (3, -5))
+    assert vector_parity(r, top) == par(1, (3, -5))
 
 
 def test_verma_census_matches_character_rank2():
@@ -417,7 +418,7 @@ def test_parity_tracks_weight_parity():
     for r in sample_realizations():
         for w, basis in r.weight_spaces.items():
             for bv in basis:
-                assert r.vector_parity(bv) == par(r.datum.n, w)
+                assert vector_parity(r, bv) == r.space_parity(w) == par(r.datum.n, w)
 
 
 def test_truncation_overflow_is_raised_not_dropped():
@@ -444,7 +445,7 @@ def test_singular_vectors_at_the_top():
     assert len(found) == 1
     parity, vec = found[0]
     assert vec == {r.monomial({}): ONE}
-    assert parity == r.vector_parity(r.monomial({}))
+    assert parity == vector_parity(r, r.monomial({}))
 
 
 def test_gl11_singular_vectors_follow_atypicality():
@@ -614,10 +615,10 @@ def test_random_actions_preserve_weight_and_parity(t, label_idx, data):
     bv = data.draw(st.sampled_from(r.weight_spaces[w]))
     unit = data.draw(st.sampled_from(root_units(2)))
     target = add_weights(w, root_weight(2, root_of(2, unit)))
-    expected_parity = (r.vector_parity(bv) + unit_parity(2, unit)) % 2
+    expected_parity = (vector_parity(r, bv) + unit_parity(2, unit)) % 2
     for bv2 in act_bvec(r, unit, bv):
         assert r.vector_weight(bv2) == target
-        assert r.vector_parity(bv2) == expected_parity
+        assert vector_parity(r, bv2) == expected_parity
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +761,7 @@ def _assert_same_classes(warm, cold):
         assert got.basis == want.basis
         assert got.dims == want.dims, w
         assert got.reps == want.reps, w
-        for rep in want.all_reps():
+        for rep in want.reps:
             assert got.reduce(rep) == want.reduce(rep), w
 
 
@@ -800,16 +801,15 @@ def test_anchor_signature_determines_the_blocks(n, label, depth, simple_only):
         rw = root_weight(n, alpha)
         valid = depth - abs(verma_datum(n, label, (0,) * (2 * n)).xi(rw))
         forms = set(layout.forms(alpha, valid))
-        # every anchor-dependent entry of a parity block in or into the valid
+        # every anchor-dependent entry of a map out of or into the valid
         # region is a constant plus one of the forms
         offsets = [off for off in layout.spaces if layout.cost(off) <= valid]
         for off in offsets:
             for source in (off, sub_weights(off, rw)):
-                for q in (0, 1):
-                    _nrows, _ncols, entries = layout.map_entries(alpha, source, q)
-                    for entry in entries.values():
-                        if type(entry) is not int:
-                            assert entry.terms in forms, (alpha, source, entry.terms)
+                _nrows, _ncols, entries = layout.map_entries(alpha, source)
+                for entry in entries.values():
+                    if type(entry) is not int:
+                        assert entry.terms in forms, (alpha, source, entry.terms)
         if n != 2:
             continue
         # views with equal signatures have equal parities, and equal matrices
@@ -817,13 +817,13 @@ def test_anchor_signature_determines_the_blocks(n, label, depth, simple_only):
         sources = sorted(
             source
             for source in {s for off in offsets for s in (off, sub_weights(off, rw))}
-            if any(type(e) is not int for e in layout.map_entries(alpha, source, None)[2].values())
+            if any(type(e) is not int for e in layout.map_entries(alpha, source)[2].values())
         )
         top = layout.spaces[(0,) * (2 * n)]
 
         def seen_from(view):
             hw = view.datum.hw
-            return [view.vector_parity(bv) for bv in top] + [
+            return [vector_parity(view, bv) for bv in top] + [
                 view.unit_matrix(alpha, add_weights(hw, source)) for source in sources
             ]
 
