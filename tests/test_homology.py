@@ -213,15 +213,30 @@ def test_cosets_match_the_parity_split_oracle():
     assert checked > 1000
 
 
-def test_a_weight_space_of_both_parities_is_refused():
+@pytest.mark.parametrize("side", ["kernel", "image"])
+def test_a_vector_that_mixes_parities_is_refused(side):
     # every weight space of the modules built here has one parity, so the
-    # control stands in a levi factor with two states of one weight and
-    # opposite parities
+    # layout refuses one that holds both before any kernel or image is taken
+    # there; the control stands in a levi factor that puts both parities in
+    # one weight space.  kernel: two states at the anchor, where nothing lies
+    # above, with opposite parities.  image: a state one odd lowering unit
+    # below the anchor with the anchor state's parity, which the image of
+    # that unit on the anchor state does not have.
     top = (0, 0, 0, 0)
-    factor = SimpleNamespace(roots=frozenset(), hw=top, states=[(top, 0), (top, 1)])
+    datum = verma_datum(2, (), top)
+    lowering = (3, 1)
+    assert lowering in datum.complement_order and is_odd_root(2, lowering)
+    mixed = top if side == "kernel" else root_weight(2, lowering)
+    factor = SimpleNamespace(
+        roots=frozenset(), hw=top, states=[(top, 0), (mixed, int(side == "kernel"))]
+    )
     levi = TensorLevi(2, [factor])
-    with pytest.raises(ValueError, match=re.escape(f"offset {top} holds both parities")):
-        PBWLayout(verma_datum(2, (), top), 0, levi)
+    with pytest.raises(ValueError, match=re.escape(f"offset {mixed} holds both parities")):
+        PBWLayout(datum, datum.root_cost(lowering), levi)
+    # with one parity at that weight the same layout is built
+    factor.states[1] = (mixed, int(side != "kernel"))
+    layout = PBWLayout(datum, datum.root_cost(lowering), TensorLevi(2, [factor]))
+    assert layout.parities[mixed] == int(side != "kernel")
 
 
 def test_result_json_is_deterministic():
