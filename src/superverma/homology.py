@@ -6,6 +6,14 @@ On a truncated realization the homology at a weight ``mu`` is trustworthy
 exactly when both maps into and out of ``mu`` are complete, i.e. when
 ``mu`` sits at least ``|xi(alpha)|`` above the truncation boundary.
 
+With ``alpha = (i, n+j)`` and ``y = e_(n+j, i)``, the supercommutator
+``xy + yx = e_ii + e_(n+j, n+j)`` acts on the weight ``mu`` by the invariant
+form ``(mu, alpha)``.  Where that value is not zero, every kernel vector
+``z`` is ``x(yz) / (mu, alpha)``, so the homology there is zero by homotopy
+(Duflo--Serganova).  Ranks are therefore taken only on the slice
+``(mu, alpha) = 0``; every other cell of the valid region is ``(0, 0)``
+without a matrix built.
+
 The homology carries an action of the centralizer subalgebra spanned by
 the units avoiding both index lines of ``alpha`` -- a copy of the general
 linear superalgebra one size down.  This module computes:
@@ -51,6 +59,7 @@ from .weights import (
     Character,
     Weight,
     add_weights,
+    bilinear_form,
     canonical_odd_pair,
     from_tuple,
     par,
@@ -74,8 +83,8 @@ class WeightClasses:
 
     Everything is anchor-free: coordinate vectors over the layout's basis at
     ``offset``, the echelon and ``dims``.  Views of one layout with equal
-    anchor signatures share one object per offset.  The weight space has one
-    ``parity``, so every class sits there.
+    anchor signatures share one object per offset of the slice.  The weight
+    space has one ``parity``, so every class sits there.
     """
 
     def __init__(self, realization: Realization, offset: Weight, parity: int, out_m, in_m):
@@ -117,9 +126,9 @@ class WeightClasses:
 class _Homology:
     """The rank-one homology of one ``(alpha, anchor signature)`` on one
     layout, in offsets from the anchor: the table, its least nonzero cell,
-    the cosets by offset, and the doubled-Verma certificates by ``(target
-    label, anchor parity)``, each a list of ``(anchor, forms read,
-    certificate)``.  On one layout the valid depth is a function of
+    the cosets by slice offset, and the doubled-Verma certificates by
+    ``(target label, anchor parity)``, each a list of ``(anchor, forms
+    read, certificate)``.  On one layout the valid depth is a function of
     ``alpha``, so it is no part of the key."""
 
     cells: tuple
@@ -133,9 +142,9 @@ class DSResult:
     """Homology of one odd root action, valid on a stated depth region.
 
     Its table of ``(offset, (even, odd))`` over the valid region, its cosets
-    and its doubled-Verma certificates, all in offsets from the anchor, are
-    one record on the source's layout, shared by every view with the same
-    anchor signature; a view translates them by its own anchor.
+    on the slice and its doubled-Verma certificates, all in offsets from the
+    anchor, are one record on the source's layout, shared by every view with
+    the same anchor signature; a view translates them by its own anchor.
     """
 
     source: Realization
@@ -167,9 +176,13 @@ class DSResult:
         return sorted(w for w, d in self.dim_table.items() if d != (0, 0))
 
     def classes_at(self, weight: Weight) -> WeightClasses | None:
-        """The record's kernels, images and cosets at ``weight``, or None off
-        the module support.  They are built once per record offset, and the
-        rank census is checked against the coset census then."""
+        """The kernels, images and cosets at ``weight``, or None off the
+        module support, with the rank census checked against the coset
+        census.  On the slice ``(weight, alpha) = 0`` they are a function of
+        the anchor signature and built once per record offset.  Off it the
+        signature does not fix the maps, so they are built from the source's
+        own matrices on every call, and the census check confirms the zero
+        by homotopy."""
         if not self.in_valid_region(weight):
             raise ValueError(f"weight {weight} is outside the valid region")
         m = self.source
@@ -191,7 +204,8 @@ class DSResult:
                     f"rank census {self.dims(weight)} and coset census {classes.dims} "
                     f"disagree at offset {offset}"
                 )
-            self._record.classes[offset] = classes
+            if not bilinear_form(m.datum.n, weight, root_weight(m.datum.n, self.alpha)):
+                self._record.classes[offset] = classes
         return classes
 
     def rep_dict(self, weight: Weight, index: int) -> dict:
@@ -225,11 +239,13 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     ``alpha`` must be an odd root, so its root vector squares to zero.  The
     valid region keeps a margin of ``|xi(alpha)|`` above the truncation
     boundary so that both the outgoing and the incoming map at each counted
-    weight are complete.  The table, in offsets from the anchor, is a
-    function of the source's anchor signature: it is computed from the
-    differential ranks once per signature, kept on the layout in one record
-    with the cosets and certificates, and each view translates it by its
-    own anchor.
+    weight are complete.  The table lists a cell for every offset of the
+    valid region: on the slice ``(mu, alpha) = 0`` it comes from the
+    differential ranks, and everywhere else it is ``(0, 0)``, zero by
+    homotopy.  In offsets from the anchor the table is a function of the
+    source's anchor signature: it is computed once per signature, kept on
+    the layout in one record with the cosets and certificates, and each view
+    translates it by its own anchor.
     """
     n = m.datum.n
     if not is_odd_root(n, alpha):
@@ -240,10 +256,12 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     margin = abs(m.datum.xi(rw))
     valid_depth = m.depth - margin
     hw = m.datum.hw
+    layout = m.layout
     key = (alpha, m.signature(alpha, valid_depth))
-    record = m.layout.homology.get(key)
+    record = layout.homology.get(key)
     if record is None:
-        table = []
+        # off the slice every cell is zero by homotopy
+        cells = {off: (0, 0) for off in layout.spaces if layout.cost(off) <= valid_depth}
         for off, parity, count, out_rank, in_rank in m.differential_ranks(
             alpha, valid_depth
         ):
@@ -253,10 +271,11 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
                 raise AssertionError(
                     f"negative homology dimension at {add_weights(hw, off)}: {dim}"
                 )
-            table.append((off, (0, dim) if parity else (dim, 0)))
+            cells[off] = (0, dim) if parity else (dim, 0)
+        table = list(cells.items())
         # translation by the anchor keeps the order of weights
         first = min((cell for cell in table if cell[1] != (0, 0)), default=None)
-        record = m.layout.homology[key] = _Homology(tuple(table), first)
+        record = layout.homology[key] = _Homology(tuple(table), first)
     return DSResult(m, alpha, valid_depth, record)
 
 

@@ -66,6 +66,7 @@ from .superalgebra import (
 from .weights import (
     Character,
     add_weights,
+    bilinear_form,
     from_tuple,
     par,
     sub_weights,
@@ -391,11 +392,12 @@ class PBWLayout:
     weight space holds both.  Actions are straightened on demand and
     memoized with coefficients affine in ``hw``.  The ranks of unit maps are
     memoized by their evaluated entries.  Above them, the entries of one
-    unit's maps up to a depth take the form ``const + form(hw)`` for the
-    few linear forms that :meth:`forms` lists, so everything derived from
-    those blocks is a function of a view's anchor signature
-    (:meth:`Realization.signature`).  ``homology`` is a memo that
-    :mod:`superverma.homology` owns and the layout never reads.  A
+    unit's maps around the offsets of one level ``(offset, root)``, up to a
+    depth, take the form ``const + form(hw)`` for the few linear forms that
+    :meth:`forms` lists, so everything derived from those blocks is a
+    function of a view's anchor signature (:meth:`Realization.signature`).
+    ``homology`` is a memo that :mod:`superverma.homology` owns and the
+    layout never reads.  A
     :class:`Realization` evaluates everything at one anchor.
     """
 
@@ -614,14 +616,15 @@ class PBWLayout:
             self._rank_blocks[key] = None if found is None else _RankBlock(key, *found)
         return self._rank_blocks[key]
 
-    def differential_blocks(self, unit: Unit, max_depth: int) -> list:
+    def differential_blocks(self, unit: Unit, max_depth: int, level: int) -> list:
         """The unit's rank blocks around every offset of height-depth at
-        most ``max_depth``: ``(offset, raw parity, count, out_block,
-        in_block)``, where ``count`` is the number of basis vectors at the
-        offset, ``out_block`` leaves the offset and ``in_block`` arrives from
+        most ``max_depth`` on the level ``(offset, root) = level``:
+        ``(offset, raw parity, count, out_block, in_block)``, where
+        ``count`` is the number of basis vectors at the offset,
+        ``out_block`` leaves the offset and ``in_block`` arrives from
         ``offset - root``; a block is ``None`` when its map leaves the
         truncation region."""
-        key = (unit, max_depth)
+        key = (unit, max_depth, level)
         found = self._differentials.get(key)
         if found is None:
             rw = root_weight(self.n, unit)
@@ -634,21 +637,23 @@ class PBWLayout:
                     self.rank_block(unit, sub_weights(off, rw)),
                 )
                 for off, basis in self.spaces.items()
-                if self.cost(off) <= max_depth
+                if bilinear_form(self.n, off, rw) == level and self.cost(off) <= max_depth
             ]
             self._differentials[key] = found
         return found
 
-    def forms(self, unit: Unit, max_depth: int) -> tuple:
+    def forms(self, unit: Unit, max_depth: int, level: int) -> tuple:
         """The distinct ``Affine.terms`` of the entries of the unit's
-        :meth:`differential_blocks` up to ``max_depth``, sorted.  Every
-        entry of those blocks is an integer constant plus one of these
-        linear forms evaluated at the anchor."""
-        key = (unit, max_depth)
+        :meth:`differential_blocks` up to ``max_depth`` on ``level``,
+        sorted.  Every entry of those blocks is an integer constant plus one
+        of these linear forms evaluated at the anchor."""
+        key = (unit, max_depth, level)
         found = self._forms.get(key)
         if found is None:
             terms = set()
-            for *_head, out_block, in_block in self.differential_blocks(unit, max_depth):
+            for *_head, out_block, in_block in self.differential_blocks(
+                unit, max_depth, level
+            ):
                 for block in (out_block, in_block):
                     if block is not None:
                         terms.update(c.terms for c in block.coefs)
@@ -771,28 +776,39 @@ class Realization:
             self._overflow(unit, source)
         return matrix
 
-    def signature(self, unit: Unit, max_depth: int) -> tuple:
-        """``(parity shift, value at hw of each of the layout's forms)``.
+    def level(self, unit: Unit) -> int:
+        """The offset level ``-(hw, root)`` of the slice where the
+        weight ``mu = hw + offset`` has ``(mu, root) = 0``."""
+        return -bilinear_form(self.datum.n, self._hw, root_weight(self.datum.n, unit))
 
-        The evaluated entries of the unit's maps up to ``max_depth`` are
-        ``const + form value``, and parities are raw parities flipped by the
-        shift; so the ranks, kernels, images and cosets of those maps, at
-        each offset, are functions of this signature.  Views of one layout
-        with equal signatures have the same rank-one homology in offsets."""
-        return (self._shift, form_values(self.layout.forms(unit, max_depth), self._hw))
+    def signature(self, unit: Unit, max_depth: int) -> tuple:
+        """``(parity shift, level, value at hw of each of the layout's forms
+        on that level)``.
+
+        The evaluated entries of the unit's maps around the offsets of the
+        slice (:meth:`level`) up to ``max_depth`` are ``const + form
+        value``, and parities are raw parities flipped by the shift; so the
+        ranks, kernels, images and cosets of those maps, at each slice
+        offset, are functions of this signature.  Off the slice the
+        homology of an odd root vector is zero by homotopy, so views of one
+        layout with equal signatures have the same rank-one homology in
+        offsets."""
+        level = self.level(unit)
+        forms = self.layout.forms(unit, max_depth, level)
+        return (self._shift, level, form_values(forms, self._hw))
 
     def differential_ranks(self, unit: Unit, max_depth: int):
         """For every offset of height-depth at most ``max_depth`` from the
-        anchor, yield ``(offset, parity, count, out_rank, in_rank)``: the
-        parity and the number of the basis vectors at the offset, the rank
-        of the unit's map out of them, and the rank of the unit's map into
-        them from ``offset - root``.  Ranks are memoized on the layout by
-        the evaluated block entries."""
+        anchor on the slice (:meth:`level`), yield ``(offset, parity,
+        count, out_rank, in_rank)``: the parity and the number of the basis
+        vectors at the offset, the rank of the unit's map out of them, and
+        the rank of the unit's map into them from ``offset - root``.  Ranks
+        are memoized on the layout by the evaluated block entries."""
         hw = self._hw
         shift = self._shift
         layout = self.layout
         for off, raw, count, out_block, in_block in layout.differential_blocks(
-            unit, max_depth
+            unit, max_depth, self.level(unit)
         ):
             if out_block is None or in_block is None:
                 weight = tuple(map(add, hw, off))

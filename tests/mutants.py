@@ -44,8 +44,8 @@ MUTANTS = (
     Mutant(
         "homology-at-opposite-parity",
         HOMOLOGY,
-        "table.append((off, (0, dim) if parity else (dim, 0)))",
-        "table.append((off, (dim, 0) if parity else (0, dim)))",
+        "cells[off] = (0, dim) if parity else (dim, 0)",
+        "cells[off] = (dim, 0) if parity else (0, dim)",
     ),
     Mutant(
         "slot-sign-flipped",
@@ -64,5 +64,24 @@ MUTANTS = (
         HOMOLOGY,
         "setdefault((target_label, par(n, anchor)), [])",
         "setdefault((target_label, 0), [])",
+    ),
+    Mutant(
+        "signature-without-level",
+        MODULES,
+        "        return (self._shift, level, form_values(forms, self._hw))\n",
+        "        return (self._shift, form_values(forms, self._hw))\n",
+    ),
+    Mutant(
+        "slice-on-the-wrong-sign",
+        MODULES,
+        "        return -bilinear_form(self.datum.n, self._hw, root_weight(self.datum.n, unit))\n",
+        "        return bilinear_form(self.datum.n, self._hw, root_weight(self.datum.n, unit))\n",
+    ),
+    Mutant(
+        "off-slice-cosets-shared",
+        HOMOLOGY,
+        "            if not bilinear_form(m.datum.n, weight, root_weight(m.datum.n, self.alpha)):\n"
+        "                self._record.classes[offset] = classes\n",
+        "            self._record.classes[offset] = classes\n",
     ),
 )

@@ -20,7 +20,7 @@ from superverma.borels import (
     simple_roots,
 )
 from superverma.homology import lift_unit
-from superverma.linalg import SparseRationalMatrix, image_basis, kernel_basis
+from superverma.linalg import SparseRationalMatrix, image_basis, kernel_basis, rank
 from superverma.modules import PBWLayout, Realization
 from superverma.superalgebra import Root, Unit, Weight, bracket, is_odd_root, root_weight
 from superverma.weights import add_weights, sub_weights
@@ -127,6 +127,29 @@ def parity_split_classes(r: Realization, alpha: Root, weight: Weight) -> tuple:
         src_cols = [k for k, bv in enumerate(src_basis) if vector_parity(r, bv) == 1 - p]
         images[p].extend(image_basis(_column_submatrix(in_m, src_cols)))
     return kernels, images
+
+
+# ---------------------------------------------------------------------------
+# The homology table at every weight, with no slice and no memo.
+
+
+def full_ds_table(r: Realization, alpha: Root) -> dict[Weight, tuple[int, int]]:
+    """``(even, odd)`` homology dimensions of ``e_alpha`` at every weight of
+    the valid region, each from the ranks of the two integer unit matrices
+    at that weight: the every-offset path, blind to the homotopy that puts
+    every nonzero cell on the slice ``(mu, alpha) = 0``."""
+    n = r.datum.n
+    rw = root_weight(n, alpha)
+    valid = r.depth - abs(r.datum.xi(rw))
+    table = {}
+    for w, basis in r.weight_spaces.items():
+        if r.datum.depth_of(w) > valid:
+            continue
+        out_m, in_m = r.unit_matrix(alpha, w), r.unit_matrix(alpha, sub_weights(w, rw))
+        dim = len(basis) - rank(out_m) - rank(in_m)
+        assert dim >= 0, (w, dim)
+        table[w] = (0, dim) if r.space_parity(w) else (dim, 0)
+    return table
 
 
 # ---------------------------------------------------------------------------

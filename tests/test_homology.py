@@ -32,10 +32,12 @@ from superverma.homology import (
     projected_ds_census,
     surviving_indices,
 )
+from superverma.linalg import SparseRationalMatrix
 from superverma.modules import (
     PBWLayout,
     Realization,
     TensorLevi,
+    bg_datum,
     bg_module,
     bg_realization,
     gl11_simple_datum,
@@ -45,9 +47,24 @@ from superverma.modules import (
     verma_realization,
 )
 from superverma.superalgebra import is_odd_root, root_weight
-from superverma.weights import add_weights, from_tuple, par, pr_alpha, to_tuple
+from superverma.weights import (
+    add_weights,
+    bilinear_form,
+    from_tuple,
+    par,
+    pr_alpha,
+    sub_weights,
+    to_tuple,
+)
 
-from oracles import map_root_at, map_root_c, map_weight, mapped_label, parity_split_classes
+from oracles import (
+    full_ds_table,
+    map_root_at,
+    map_root_c,
+    map_weight,
+    mapped_label,
+    parity_split_classes,
+)
 
 E13 = (1, 3)
 
@@ -211,6 +228,69 @@ def test_cosets_match_the_parity_split_oracle():
             assert (kernels[p], images[p]) == (wc.kernel, wc.image), (result.alpha, w)
             checked += 1
     assert checked > 1000
+
+
+@pytest.mark.parametrize("label", [*sorted(all_borels(2)), "bg"], ids=str)
+def test_sliced_tables_match_the_full_table_oracle(label):
+    """On every rank-2 Borel, and on the enlarged-Borel (bg) module, over a
+    grid of anchors that share layouts: the table ``ds_homology`` takes ranks for
+    only on the slice ``(mu, alpha) = 0`` equals, cell by cell, the table of
+    ranks at every weight, for every odd root; no cell off the slice is
+    nonzero, in either."""
+    views, layouts = [], {}
+    for t in product((0, 1), repeat=4):
+        datum = bg_datum(2, t) if label == "bg" else verma_datum(2, label, t)
+        views.append(Realization(datum, 6, layout=layouts.get(datum.shape)))
+        layouts.setdefault(datum.shape, views[-1].layout)
+    odd = [(i, j) for i in range(1, 5) for j in range(1, 5) if i != j and is_odd_root(2, (i, j))]
+    off_slice_homology = False
+    for alpha in odd:
+        rw = root_weight(2, alpha)
+        matched = set()
+        for m in views:
+            full = full_ds_table(m, alpha)
+            table = ds_homology(m, alpha).dim_table
+            assert table == full, (alpha, m.datum.hw)
+            for w, dims in table.items():
+                if bilinear_form(2, w, rw):
+                    assert dims == (0, 0), (alpha, w)
+            level = bilinear_form(2, m.datum.hw, rw)
+            matched.add(level == 0)
+            off_slice_homology |= level != 0 and any(d != (0, 0) for d in full.values())
+        assert matched == {True, False}, alpha
+    # some anchor off the matched hyperplane carries homology (on its slice),
+    # so slicing on the wrong sign of (hw, alpha) would show
+    assert off_slice_homology
+
+
+@pytest.mark.parametrize(
+    "n, label, t, depth, alpha",
+    [
+        (2, (1,), (1, 0, 2, -1), 6, (1, 3)),
+        (2, (1,), (1, 0, 1, 0), 6, (1, 3)),
+        (3, (2, 1), (1, 0, 2, -1, 1, 0), 4, (2, 5)),
+    ],
+    ids=["rank2-unmatched", "rank2-matched", "rank3"],
+)
+def test_the_homotopy_identity_on_unit_matrices(n, label, t, depth, alpha):
+    """With ``x = e_alpha`` and ``y`` the opposite odd unit, ``xy + yx`` acts
+    on the weight ``mu`` by ``(mu, alpha)`` at every weight of the valid
+    region; so the homology vanishes wherever that value is not zero."""
+    m = verma_realization(n, label, t, depth)
+    rw = root_weight(n, alpha)
+    y = (alpha[1], alpha[0])
+    valid = ds_homology(m, alpha).valid_depth
+    weights = [w for w in sorted(m.weight_spaces) if m.datum.depth_of(w) <= valid]
+    levels = set()
+    for mu in weights:
+        below, above = sub_weights(mu, rw), add_weights(mu, rw)
+        lhs = m.unit_matrix(alpha, below) @ m.unit_matrix(y, mu) + m.unit_matrix(
+            y, above
+        ) @ m.unit_matrix(alpha, mu)
+        level = bilinear_form(n, mu, rw)
+        assert lhs == SparseRationalMatrix.identity(len(m.weight_spaces[mu])).scale(level), mu
+        levels.add(level)
+    assert len(levels) > 3
 
 
 @pytest.mark.parametrize("side", ["kernel", "image"])
@@ -487,6 +567,28 @@ def test_induced_action_shapes_and_guards():
         assert mat.nrows == r.total(add_weights(mu, rw))
     with pytest.raises(ValueError):
         induced_action(r, (1, 2))
+
+
+def test_views_of_one_record_act_through_their_own_maps_off_the_slice():
+    # two anchors of one layout share the signature of e_13 and so a record,
+    # yet the maps of e_13 off their slice differ; the induced action reads
+    # kernels and images there, so each view must take them from its own
+    # maps, as a lone layout does
+    depth = 6
+    first = verma_realization(2, (), (-2, -2, 2, -1), depth)
+    other = verma_realization(2, (), (-2, -1, 2, -1), depth, first.layout)
+    shared, own = ds13(first), ds13(other)
+    assert shared._record is own._record
+    offsets = [sub_weights(w, first.datum.hw) for w in shared.dim_table]
+    assert any(
+        first.unit_matrix(E13, add_weights(first.datum.hw, off))
+        != other.unit_matrix(E13, add_weights(other.datum.hw, off))
+        for off in offsets
+    )
+    alone = ds13(Realization(other.datum, depth))
+    for g in ((2, 4), (4, 2)):
+        induced_action(shared, g)
+        assert induced_action(own, g) == induced_action(alone, g), g
 
 
 def test_induced_matrices_close_under_bracket():
