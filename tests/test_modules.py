@@ -144,6 +144,21 @@ def _broken_datum(defect: str) -> InductionDatum:
     return InductionDatum(**fields)
 
 
+def test_datum_validation_rejects_unclosed_inducing():
+    with pytest.raises(ValueError, match="not closed"):
+        _broken_datum("closure")
+
+
+def test_datum_validation_rejects_nonvanishing_weight():
+    with pytest.raises(ValueError, match="vanish"):
+        _broken_datum("anchor")
+
+
+def test_datum_validation_rejects_cheap_complement_root():
+    with pytest.raises(ValueError, match="cost"):
+        _broken_datum("cost")
+
+
 @pytest.mark.parametrize(
     "defect, message",
     [
