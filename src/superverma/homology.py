@@ -52,7 +52,7 @@ from .borels import (
     sequence_of,
     simple_roots,
 )
-from .linalg import Echelon, SparseRationalMatrix, image_basis, kernel_basis, quotient_basis
+from .linalg import Echelon, SparseRationalMatrix, image_basis, kernel_basis, quotient_basis, rank
 from .modules import Realization, bg_module, bg_module_datum, form_values
 from .superalgebra import Root, Unit, bracket, is_odd_root, root_weight
 from .weights import (
@@ -81,16 +81,14 @@ class WeightClasses:
     """Homology data of one weight space, in offsets from the anchor: the
     kernel and image bases of the whole unit matrices and chosen cosets.
 
-    Everything is anchor-free: coordinate vectors over the layout's basis at
-    ``offset``, the echelon and ``dims``.  Views of one layout with equal
-    anchor signatures share one object per offset of the slice.  The weight
-    space has one ``parity``, so every class sits there.
+    Everything is anchor-free and parity-free: coordinate vectors over the
+    layout's basis at ``offset`` and the echelon.  Views of one layout with
+    equal anchor signatures share one object per offset of the slice.
     """
 
-    def __init__(self, realization: Realization, offset: Weight, parity: int, out_m, in_m):
+    def __init__(self, realization: Realization, offset: Weight, out_m, in_m):
         self.offset = offset
         self.basis = realization.layout.spaces[offset]
-        self.parity = parity
         self.kernel: list[Vector] = kernel_basis(out_m)
         self.image: list[Vector] = image_basis(in_m)
         # the image goes in untagged, so every representative accepted below
@@ -106,10 +104,6 @@ class WeightClasses:
         if len(self.reps) != want:
             raise AssertionError(f"homology at offset {offset}: image not inside the kernel")
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (0, len(self.reps)) if self.parity else (len(self.reps), 0)
-
     def coordinates(self, vector) -> Vector | None:
         """Class coordinates over the chosen cosets, or None outside the kernel."""
         return self._echelon.coordinates(vector, len(self.reps))
@@ -124,12 +118,14 @@ class WeightClasses:
 
 @dataclass(eq=False)
 class _Homology:
-    """The rank-one homology of one ``(alpha, anchor signature)`` on one
-    layout, in offsets from the anchor: the table, its least nonzero cell,
-    the cosets by slice offset, and the doubled-Verma certificates by
-    ``(target label, anchor parity)``, each a list of ``(anchor, forms
-    read, certificate)``.  On one layout the valid depth is a function of
-    ``alpha``, so it is no part of the key."""
+    """The rank-one homology of one ``(alpha, *anchor signature)`` on one
+    layout, in offsets from the anchor: the class count at every offset of
+    the valid region, its least nonzero ``(offset, count)``, the cosets by
+    slice offset, and the doubled-Verma certificates by ``(target label,
+    parity shift, anchor parity)``, each a list of ``(anchor, forms read,
+    certificate)``.  On one layout the valid depth is a function of
+    ``alpha``, so it is no part of the key; the counts hold no parity, so
+    views of either parity shift read one record."""
 
     cells: tuple
     first_nonzero: tuple | None
@@ -141,10 +137,11 @@ class _Homology:
 class DSResult:
     """Homology of one odd root action, valid on a stated depth region.
 
-    Its table of ``(offset, (even, odd))`` over the valid region, its cosets
-    on the slice and its doubled-Verma certificates, all in offsets from the
-    anchor, are one record on the source's layout, shared by every view with
-    the same anchor signature; a view translates them by its own anchor.
+    Its class counts over the valid region, its cosets on the slice and its
+    doubled-Verma certificates, all in offsets from the anchor, are one
+    record on the source's layout, shared by every view with the same anchor
+    signature; a view translates them by its own anchor and places each
+    count at its own parity there.
     """
 
     source: Realization
@@ -154,9 +151,19 @@ class DSResult:
 
     @cached_property
     def dim_table(self) -> dict[Weight, tuple[int, int]]:
-        """The record's table translated to the source's anchor."""
+        """The record's counts translated to the source's anchor and placed
+        at its parities."""
         hw = self.source.datum.hw
-        return {tuple(map(add, hw, off)): dims for off, dims in self._record.cells}
+        return {
+            tuple(map(add, hw, off)): self._place(off, count) for off, count in self._record.cells
+        }
+
+    def _place(self, offset: Weight, count: int) -> tuple[int, int]:
+        """``(even, odd)`` of ``count`` classes at ``offset``, at the source's
+        parity there: the raw parity of the layout flipped by the shift."""
+        m = self.source
+        parity = m.layout.parities[offset] ^ m.datum.parity_shift % 2
+        return (0, count) if parity else (count, 0)
 
     @property
     def n(self) -> int:
@@ -193,15 +200,11 @@ class DSResult:
                 return None
             src = sub_weights(weight, root_weight(m.datum.n, self.alpha))
             classes = WeightClasses(
-                m,
-                offset,
-                m.space_parity(weight),
-                m.unit_matrix(self.alpha, weight),
-                m.unit_matrix(self.alpha, src),
+                m, offset, m.unit_matrix(self.alpha, weight), m.unit_matrix(self.alpha, src)
             )
-            if classes.dims != self.dims(weight):
+            if len(classes.reps) != self.total(weight):
                 raise AssertionError(
-                    f"rank census {self.dims(weight)} and coset census {classes.dims} "
+                    f"rank census {self.total(weight)} and coset census {len(classes.reps)} "
                     f"disagree at offset {offset}"
                 )
             if not bilinear_form(m.datum.n, weight, root_weight(m.datum.n, self.alpha)):
@@ -240,12 +243,13 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     valid region keeps a margin of ``|xi(alpha)|`` above the truncation
     boundary so that both the outgoing and the incoming map at each counted
     weight are complete.  The table lists a cell for every offset of the
-    valid region: on the slice ``(mu, alpha) = 0`` it comes from the
-    differential ranks, and everywhere else it is ``(0, 0)``, zero by
-    homotopy.  In offsets from the anchor the table is a function of the
-    source's anchor signature: it is computed once per signature, kept on
-    the layout in one record with the cosets and certificates, and each view
-    translates it by its own anchor.
+    valid region: on the slice ``(mu, alpha) = 0`` it comes from the ranks
+    of the maps of ``e_alpha`` at the anchor, and everywhere else it is
+    ``(0, 0)``, zero by homotopy.  In offsets from the anchor the class
+    counts are a function of the source's anchor signature: they are
+    computed once per signature, kept on the layout in one record with the
+    cosets and certificates, and each view translates them by its own anchor
+    and places them at its own parities.
     """
     n = m.datum.n
     if not is_odd_root(n, alpha):
@@ -257,25 +261,27 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     valid_depth = m.depth - margin
     hw = m.datum.hw
     layout = m.layout
-    key = (alpha, m.signature(alpha, valid_depth))
+    key = (alpha, *m.signature(alpha, valid_depth))
     record = layout.homology.get(key)
     if record is None:
-        # off the slice every cell is zero by homotopy
-        cells = {off: (0, 0) for off in layout.spaces if layout.cost(off) <= valid_depth}
-        for off, parity, count, out_rank, in_rank in m.differential_ranks(
-            alpha, valid_depth
-        ):
+        offsets, _forms = layout.slice_of(alpha, valid_depth, m.level(alpha))
+        # off the slice every count is zero by homotopy
+        cells = {off: 0 for off in layout.spaces if layout.cost(off) <= valid_depth}
+        # the map into ``off`` is the map out of ``off - alpha``, which lies
+        # on the same level as (alpha, alpha) = 0; each map is ranked once
+        sources = {s for off in offsets for s in (off, sub_weights(off, rw))}
+        ranks = {s: rank(m.unit_matrix(alpha, add_weights(hw, s))) for s in sources}
+        for off in offsets:
             # the kernel of the outgoing map modulo the image of the incoming
-            dim = count - out_rank - in_rank
-            if dim < 0:
+            count = len(layout.spaces[off]) - ranks[off] - ranks[sub_weights(off, rw)]
+            if count < 0:
                 raise AssertionError(
-                    f"negative homology dimension at {add_weights(hw, off)}: {dim}"
+                    f"negative homology dimension at {add_weights(hw, off)}: {count}"
                 )
-            cells[off] = (0, dim) if parity else (dim, 0)
-        table = list(cells.items())
+            cells[off] = count
         # translation by the anchor keeps the order of weights
-        first = min((cell for cell in table if cell[1] != (0, 0)), default=None)
-        record = layout.homology[key] = _Homology(tuple(table), first)
+        first = min(((off, count) for off, count in cells.items() if count), default=None)
+        record = layout.homology[key] = _Homology(tuple(cells.items()), first)
     return DSResult(m, alpha, valid_depth, record)
 
 
@@ -410,9 +416,10 @@ def certify_zero(result: DSResult) -> Certificate:
     first = result._record.first_nonzero
     if first is None:
         return Certificate(CERTIFIED, checked, {})
-    off, dims = first
+    off, count = first
     weight = list(map(add, result.source.datum.hw, off))
-    return Certificate(REFUTED, checked, {"weight": weight, "dims": list(dims)})
+    dims = list(result._place(off, count))
+    return Certificate(REFUTED, checked, {"weight": weight, "dims": dims})
 
 
 def _slot(alpha: Root, anchor: Weight, weight: Weight) -> int | None:
@@ -442,10 +449,11 @@ def certify_verma_iso(
        weight.
 
     In offsets from the anchor, these checks read the homology record of
-    the source's anchor signature, the parity of the anchor, the target
-    character (which does not depend on the target tuple) and the values at
-    the anchor of the coefficients of the raising and lowering maps they
-    apply.  Given the record, the parity and the target label, the checks
+    the source's anchor signature, the parity shift that places its counts,
+    the parity of the anchor, the target character (which does not depend
+    on the target tuple) and the values at the anchor of the coefficients of
+    the raising and lowering maps they apply.  Given the record, the shift,
+    the parity and the target label, the checks
     are deterministic, so an anchor at which every linear form they read
     takes the same value runs the same branches on the same numbers.  Each
     certificate is therefore kept in the record with the anchor it was made
@@ -471,7 +479,8 @@ def certify_verma_iso(
     if result.valid_depth < 0:
         return Certificate(INCONCLUSIVE, 0, {"reason": "valid region is empty"})
     target_label = tuple(target_label)
-    made = result._record.certificates.setdefault((target_label, par(n, anchor)), [])
+    key = (target_label, m.datum.parity_shift % 2, par(n, anchor))
+    made = result._record.certificates.setdefault(key, [])
     for made_at, forms, cert in made:
         if form_values(forms, made_at) == form_values(forms, anchor):
             return _translated(cert, sub_weights(anchor, made_at))

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import product
-from operator import add, mul
+from operator import mul
 
 from .borels import (
     Label,
@@ -49,7 +49,7 @@ from .borels import (
     positive_roots,
     star,
 )
-from .linalg import SparseRationalMatrix, rank
+from .linalg import SparseRationalMatrix
 from .superalgebra import (
     Root,
     Unit,
@@ -349,30 +349,6 @@ def form_values(forms, hw: Weight) -> tuple[int, ...]:
     return tuple(sum(c * hw[i] for i, c in terms) for terms in forms)
 
 
-class _RankBlock:
-    """The rank of a unit's map out of one weight space, at any anchor.
-    Ranks are memoized by the values of the ``Affine`` entries; a miss
-    rebuilds the matrix from the layout's straightening memo."""
-
-    __slots__ = ("key", "coefs", "ranks")
-
-    def __init__(self, key: tuple, nrows: int, ncols: int, entries: dict):
-        self.key = key  # (unit, offset) in the layout
-        self.coefs = tuple(v for v in entries.values() if type(v) is not int)
-        self.ranks: dict[tuple[int, ...], int] | int = {}
-        if not self.coefs:
-            self.ranks = rank(SparseRationalMatrix(nrows, ncols, entries))
-
-    def rank_at(self, hw: Weight, layout: "PBWLayout") -> int:
-        if not self.coefs:
-            return self.ranks
-        values = tuple([c.at(hw) for c in self.coefs])
-        found = self.ranks.get(values)
-        if found is None:
-            found = self.ranks[values] = rank(layout.matrix_at(*self.key, hw))
-        return found
-
-
 # ---------------------------------------------------------------------------
 # The realization engine: an anchor-free layout and its views.
 
@@ -390,15 +366,14 @@ class PBWLayout:
     ``depth`` has a complete basis.  ``parities`` maps each offset to the one
     raw parity of its basis vectors; construction raises ``ValueError`` if a
     weight space holds both.  Actions are straightened on demand and
-    memoized with coefficients affine in ``hw``.  The ranks of unit maps are
-    memoized by their evaluated entries.  Above them, the entries of one
-    unit's maps around the offsets of one level ``(offset, root)``, up to a
-    depth, take the form ``const + form(hw)`` for the few linear forms that
-    :meth:`forms` lists, so everything derived from those blocks is a
+    memoized with coefficients affine in ``hw``.  The entries of one unit's
+    maps around the offsets of one level ``(offset, root)``, up to a depth,
+    take the form ``const + form(hw)`` for the few linear forms that
+    :meth:`slice_of` lists, so everything derived from those maps is a
     function of a view's anchor signature (:meth:`Realization.signature`).
     ``homology`` is a memo that :mod:`superverma.homology` owns and the
-    layout never reads.  A
-    :class:`Realization` evaluates everything at one anchor.
+    layout never reads.  A :class:`Realization` evaluates everything at one
+    anchor.
     """
 
     def __init__(self, datum: InductionDatum, depth: int, levi=None):
@@ -428,9 +403,7 @@ class PBWLayout:
             self._state_offsets.append(off)
         self._offset_memo: dict = {}
         self._act_memo: dict = {}
-        self._rank_blocks: dict = {}
-        self._differentials: dict = {}
-        self._forms: dict = {}
+        self._slices: dict = {}
         self.homology: dict = {}
         self.spaces: dict[Weight, list] = {}
         self._enumerate()
@@ -607,57 +580,29 @@ class PBWLayout:
         evaluated = {k: _at(v, hw) for k, v in entries.items()}
         return SparseRationalMatrix(nrows, ncols, evaluated)
 
-    def rank_block(self, unit: Unit, offset: Weight):
-        """The rank of the same map at any anchor; ``None`` when the map
-        leaves the truncation region."""
-        key = (unit, offset)
-        if key not in self._rank_blocks:
-            found = self.map_entries(*key)
-            self._rank_blocks[key] = None if found is None else _RankBlock(key, *found)
-        return self._rank_blocks[key]
-
-    def differential_blocks(self, unit: Unit, max_depth: int, level: int) -> list:
-        """The unit's rank blocks around every offset of height-depth at
-        most ``max_depth`` on the level ``(offset, root) = level``:
-        ``(offset, raw parity, count, out_block, in_block)``, where
-        ``count`` is the number of basis vectors at the offset,
-        ``out_block`` leaves the offset and ``in_block`` arrives from
-        ``offset - root``; a block is ``None`` when its map leaves the
-        truncation region."""
+    def slice_of(self, unit: Unit, max_depth: int, level: int) -> tuple:
+        """``(offsets, forms)`` of the slice ``(offset, root) = level`` up to
+        height-depth ``max_depth``: its offsets, in the order of ``spaces``,
+        and the distinct ``Affine.terms`` of the entries of the unit's maps
+        out of each of them and into each from ``offset - root``, sorted.
+        Every entry of those maps is an integer constant plus one of these
+        linear forms evaluated at the anchor."""
         key = (unit, max_depth, level)
-        found = self._differentials.get(key)
+        found = self._slices.get(key)
         if found is None:
             rw = root_weight(self.n, unit)
-            found = [
-                (
-                    off,
-                    self.parities[off],
-                    len(basis),
-                    self.rank_block(unit, off),
-                    self.rank_block(unit, sub_weights(off, rw)),
-                )
-                for off, basis in self.spaces.items()
+            offsets = tuple(
+                off
+                for off in self.spaces
                 if bilinear_form(self.n, off, rw) == level and self.cost(off) <= max_depth
-            ]
-            self._differentials[key] = found
-        return found
-
-    def forms(self, unit: Unit, max_depth: int, level: int) -> tuple:
-        """The distinct ``Affine.terms`` of the entries of the unit's
-        :meth:`differential_blocks` up to ``max_depth`` on ``level``,
-        sorted.  Every entry of those blocks is an integer constant plus one
-        of these linear forms evaluated at the anchor."""
-        key = (unit, max_depth, level)
-        found = self._forms.get(key)
-        if found is None:
+            )
             terms = set()
-            for *_head, out_block, in_block in self.differential_blocks(
-                unit, max_depth, level
-            ):
-                for block in (out_block, in_block):
-                    if block is not None:
-                        terms.update(c.terms for c in block.coefs)
-            found = self._forms[key] = tuple(sorted(terms))
+            for off in offsets:
+                for source in (off, sub_weights(off, rw)):
+                    entries = self.map_entries(unit, source)
+                    if entries is not None:
+                        terms.update(v.terms for v in entries[2].values() if type(v) is not int)
+            found = self._slices[key] = (offsets, tuple(sorted(terms)))
         return found
 
 
@@ -782,45 +727,23 @@ class Realization:
         return -bilinear_form(self.datum.n, self._hw, root_weight(self.datum.n, unit))
 
     def signature(self, unit: Unit, max_depth: int) -> tuple:
-        """``(parity shift, level, value at hw of each of the layout's forms
-        on that level)``.
+        """``(level, value at hw of each of the layout's forms on that
+        level)``, or ``()`` when the slice (:meth:`level`) holds no offset
+        of height-depth at most ``max_depth``.
 
         The evaluated entries of the unit's maps around the offsets of the
-        slice (:meth:`level`) up to ``max_depth`` are ``const + form
-        value``, and parities are raw parities flipped by the shift; so the
-        ranks, kernels, images and cosets of those maps, at each slice
-        offset, are functions of this signature.  Off the slice the
-        homology of an odd root vector is zero by homotopy, so views of one
-        layout with equal signatures have the same rank-one homology in
-        offsets."""
+        slice up to ``max_depth`` are ``const + form value``, so the ranks,
+        kernels, images and cosets of those maps, at each slice offset, are
+        functions of this signature.  Off the slice the homology of an odd
+        root vector is zero by homotopy, so views of one layout with equal
+        signatures have the same rank-one homology counts in offsets, each
+        view placing them at its own parities.  An empty slice leaves every
+        count zero, whatever the level."""
         level = self.level(unit)
-        forms = self.layout.forms(unit, max_depth, level)
-        return (self._shift, level, form_values(forms, self._hw))
-
-    def differential_ranks(self, unit: Unit, max_depth: int):
-        """For every offset of height-depth at most ``max_depth`` from the
-        anchor on the slice (:meth:`level`), yield ``(offset, parity,
-        count, out_rank, in_rank)``: the parity and the number of the basis
-        vectors at the offset, the rank of the unit's map out of them, and
-        the rank of the unit's map into them from ``offset - root``.  Ranks
-        are memoized on the layout by the evaluated block entries."""
-        hw = self._hw
-        shift = self._shift
-        layout = self.layout
-        for off, raw, count, out_block, in_block in layout.differential_blocks(
-            unit, max_depth, self.level(unit)
-        ):
-            if out_block is None or in_block is None:
-                weight = tuple(map(add, hw, off))
-                self._overflow(unit, weight)
-                self._overflow(unit, sub_weights(weight, root_weight(self.datum.n, unit)))
-            yield (
-                off,
-                raw ^ shift,
-                count,
-                out_block.rank_at(hw, layout),
-                in_block.rank_at(hw, layout),
-            )
+        offsets, forms = self.layout.slice_of(unit, max_depth, level)
+        if not offsets:
+            return ()
+        return (level, form_values(forms, self._hw))
 
     # -- derived structure --------------------------------------------
 

@@ -40,12 +40,29 @@ MUTANTS = (
         '                raise ValueError(f"the weight space at offset {off} holds both parities")\n',
         "",
     ),
-    Mutant("view-parity-without-shift", MODULES, "                raw ^ shift,\n", "                raw,\n"),
+    Mutant(
+        "view-parity-without-shift",
+        MODULES,
+        "        return self.layout.parities[self._offset(weight)] ^ self._shift\n",
+        "        return self.layout.parities[self._offset(weight)]\n",
+    ),
+    Mutant(
+        "count-at-raw-parity",
+        HOMOLOGY,
+        "        parity = m.layout.parities[offset] ^ m.datum.parity_shift % 2\n",
+        "        parity = m.layout.parities[offset]\n",
+    ),
     Mutant(
         "homology-at-opposite-parity",
         HOMOLOGY,
-        "cells[off] = (0, dim) if parity else (dim, 0)",
-        "cells[off] = (dim, 0) if parity else (0, dim)",
+        "        return (0, count) if parity else (count, 0)\n",
+        "        return (count, 0) if parity else (0, count)\n",
+    ),
+    Mutant(
+        "incoming-rank-at-the-offset",
+        HOMOLOGY,
+        "ranks[off] - ranks[sub_weights(off, rw)]",
+        "ranks[off] - ranks[off]",
     ),
     Mutant(
         "slot-sign-flipped",
@@ -62,14 +79,26 @@ MUTANTS = (
     Mutant(
         "certificate-key-without-anchor-parity",
         HOMOLOGY,
-        "setdefault((target_label, par(n, anchor)), [])",
-        "setdefault((target_label, 0), [])",
+        "    key = (target_label, m.datum.parity_shift % 2, par(n, anchor))\n",
+        "    key = (target_label, m.datum.parity_shift % 2, 0)\n",
+    ),
+    Mutant(
+        "certificate-key-without-shift",
+        HOMOLOGY,
+        "    key = (target_label, m.datum.parity_shift % 2, par(n, anchor))\n",
+        "    key = (target_label, 0, par(n, anchor))\n",
     ),
     Mutant(
         "signature-without-level",
         MODULES,
-        "        return (self._shift, level, form_values(forms, self._hw))\n",
-        "        return (self._shift, form_values(forms, self._hw))\n",
+        "        return (level, form_values(forms, self._hw))\n",
+        "        return (form_values(forms, self._hw),)\n",
+    ),
+    Mutant(
+        "empty-slice-key-for-a-nonempty-slice",
+        MODULES,
+        "        if not offsets:\n            return ()\n",
+        "        if offsets:\n            return ()\n",
     ),
     Mutant(
         "slice-on-the-wrong-sign",

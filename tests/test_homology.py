@@ -169,7 +169,6 @@ def test_class_representatives_cross_check():
     r = ds13(verma_realization(2, (1,), (0, 1, 0, 1), 6))
     for mu in r.support():
         wc = r.classes_at(mu)
-        assert wc.dims == r.dims(mu)
         assert len(wc.reps) == r.total(mu)
         rep = r.rep_dict(mu, 0)
         assert rep and all(isinstance(c, Fraction) for c in rep.values())
@@ -222,8 +221,8 @@ def test_cosets_match_the_parity_split_oracle():
         for w in result.dim_table:
             wc = result.classes_at(w)
             kernels, images = parity_split_classes(result.source, result.alpha, w)
-            p = wc.parity
-            assert p == par(result.n, w)
+            p = par(result.n, w)
+            assert result.source.space_parity(w) == p and result.dims(w)[1 - p] == 0
             assert kernels[1 - p] == images[1 - p] == [], (result.alpha, w)
             assert (kernels[p], images[p]) == (wc.kernel, wc.image), (result.alpha, w)
             checked += 1
@@ -476,6 +475,52 @@ def test_a_certificate_is_keyed_by_the_anchor_parity():
     cold = _certify_matched(Realization(datum, 6), alpha, label)
     assert cold.verdict == REFUTED
     assert _certify_matched(twisted, alpha, label) == cold
+    # the census also reads each count where the parity shift places it: a
+    # datum with the Verma anchor (so equal par(n, hw)) and the opposite
+    # shift shares the record too, and must not reuse its certificate either
+    flipped = replace(verma.datum, parity_shift=1 - verma.datum.parity_shift % 2)
+    shifted = Realization(flipped, 6, layout=verma.layout)
+    assert ds_homology(shifted, alpha)._record is ds_homology(verma, alpha)._record
+    cold = _certify_matched(Realization(flipped, 6), alpha, label)
+    assert cold.verdict == REFUTED
+    assert _certify_matched(shifted, alpha, label) == cold
+
+
+def test_shift_twins_share_one_record_at_opposite_parities():
+    # two matched anchors of one layout on one level, with equal form values
+    # and opposite parity shifts: their maps agree, so they share the counts
+    # and the slice cosets, and each view places the counts at its parity
+    first = verma_realization(2, (), (-2, -2, -2, -2), 6)
+    second = verma_realization(2, (), (-2, -2, -2, -1), 6, first.layout)
+    assert first.datum.parity_shift % 2 != second.datum.parity_shift % 2
+    a, b = ds13(first), ds13(second)
+    assert first.signature(E13, a.valid_depth) == second.signature(E13, b.valid_depth) != ()
+    assert a._record is b._record
+    for result in (a, b):
+        assert result.dim_table == ds13(Realization(result.source.datum, 6)).dim_table
+    rw = root_weight(2, E13)
+    on_slice = 0
+    for off, count in a._record.cells:
+        mu, nu = add_weights(first.datum.hw, off), add_weights(second.datum.hw, off)
+        assert a.dims(mu) == b.dims(nu)[::-1] and a.total(mu) == count
+        if not bilinear_form(2, mu, rw) and first.layout.spaces.get(off):
+            assert a.classes_at(mu) is b.classes_at(nu)
+            on_slice += count > 0
+    assert on_slice
+
+
+def test_empty_slices_share_one_record_across_levels():
+    # where the slice holds no offset of the valid region every count is
+    # zero, whatever the level, so one record serves every such anchor
+    first = verma_realization(2, (), (-2, -2, -1, -2), 6)
+    second = verma_realization(2, (), (-2, -2, 0, -2), 6, first.layout)
+    assert first.level(E13) != second.level(E13)
+    a, b = ds13(first), ds13(second)
+    assert first.signature(E13, a.valid_depth) == second.signature(E13, b.valid_depth) == ()
+    assert a._record is b._record
+    for result in (a, b):
+        assert result.dim_table == ds13(Realization(result.source.datum, 6)).dim_table
+        assert not result.support() and certify_zero(result).verdict == CERTIFIED
 
 
 def test_certify_rejects_wrong_target_weight():
@@ -852,4 +897,4 @@ def test_homology_dimensions_property(t, label, alpha):
         e, o = r.dims(mu)
         assert min(e, o) == 0
         assert e + o <= len(m.weight_spaces[mu])
-        assert r.classes_at(mu).dims == (e, o)
+        assert len(r.classes_at(mu).reps) == e + o

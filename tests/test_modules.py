@@ -699,12 +699,13 @@ def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, 
                     shared += 1
                 assert _certificate(label, warm) == _certificate(label, cold), (t, alpha)
                 if bilinear_form(n, view.datum.hw, root_weight(n, alpha)) == 0:
-                    certified.add((id(warm._record), par(n, view.datum.hw)))
+                    shift = view.datum.parity_shift % 2
+                    certified.add((id(warm._record), shift, par(n, view.datum.hw)))
             assert view.census() == alone.census()
             if rounds == 0:
                 _check_representation(view, basis_count)
-    # one doubled-Verma certificate per signature and anchor parity: on Verma
-    # data no run reads an anchor-dependent coefficient
+    # one doubled-Verma certificate per signature, shift and anchor parity:
+    # on Verma data no run reads an anchor-dependent coefficient
     made = []
     for alpha in alphas:
         target = ds_borel_label(n, label, alpha)
@@ -723,9 +724,9 @@ def _certificates_made(layout, alpha, target, valid) -> list:
     listed = set(certificate_forms(layout, alpha, target, valid))
     made = [
         entry
-        for (root, _signature), record in layout.homology.items()
+        for (root, *_signature), record in layout.homology.items()
         if root == alpha
-        for (target_label, _parity), entries in record.certificates.items()
+        for (target_label, _shift, _parity), entries in record.certificates.items()
         if target_label == target
         for entry in entries
     ]
@@ -741,7 +742,6 @@ def _assert_same_classes(warm, cold):
         assert got.offset == want.offset == sub_weights(w, warm.source.datum.hw)
         assert got.basis == want.basis
         assert (got.kernel, got.image) == (want.kernel, want.image), w
-        assert got.dims == want.dims, w
         assert got.reps == want.reps, w
         for rep in want.reps:
             assert got.reduce(rep) == want.reduce(rep), w
@@ -799,8 +799,9 @@ def test_anchor_signature_determines_the_blocks(n, label, depth, simple_only):
         # is a constant plus one of the forms listed for that level
         levels = {bilinear_form(n, off, rw) for off in in_region}
         for level in levels:
-            forms = set(layout.forms(alpha, valid, level))
-            for off in on_level(level):
+            offsets, forms = layout.slice_of(alpha, valid, level)
+            assert list(offsets) == on_level(level)
+            for off in offsets:
                 for source in (off, sub_weights(off, rw)):
                     _nrows, _ncols, entries = layout.map_entries(alpha, source)
                     for entry in entries.values():
@@ -808,32 +809,32 @@ def test_anchor_signature_determines_the_blocks(n, label, depth, simple_only):
                             assert entry.terms in forms, (alpha, source, entry.terms)
         if n != 2:
             continue
-        top = layout.spaces[(0,) * (2 * n)]
 
         def seen_from(view, level):
-            # the parities, and every map out of or into the slice
+            # every map out of or into the slice (the signature fixes no parity)
             hw = view.datum.hw
             sources = sorted({s for off in on_level(level) for s in (off, sub_weights(off, rw))})
-            return [vector_parity(view, bv) for bv in top] + [
-                view.unit_matrix(alpha, add_weights(hw, source)) for source in sources
-            ]
+            return [view.unit_matrix(alpha, add_weights(hw, source)) for source in sources]
 
         first: dict = {}
-        level_of: dict = {}
         views = []
         for t in product(range(-2, 3), repeat=4):
             view = verma_realization(n, label, t, depth, layout)
             views.append(view)
             level = -bilinear_form(n, view.datum.hw, rw)
             signature = view.signature(alpha, valid)
-            # views on different levels never share a signature
-            assert level_of.setdefault(signature, level) == level, (alpha, t)
+            # views on different levels share a signature only where the
+            # slice is empty, and then every count is zero
+            if on_level(level):
+                assert signature[0] == level, (alpha, t)
+            else:
+                assert signature == (), (alpha, t)
             if signature not in first:
                 first[signature] = seen_from(view, level)
             else:
                 assert seen_from(view, level) == first[signature], (alpha, t)
         assert len(first) < 625
-        assert len(set(level_of.values())) > 1
+        assert len({signature[0] for signature in first if signature}) > 1
         if alpha in odd_simple_roots(n, label):
             # on Verma data every map that certification reads is constant,
             # so certificates split no further than signature and parity
@@ -843,10 +844,10 @@ def test_anchor_signature_determines_the_blocks(n, label, depth, simple_only):
 
 
 def _certified_maps_follow_the_key(views, alpha, target, valid) -> int:
-    """Views of one layout with equal certificate keys (signature, anchor
-    parity, values of the oracle's certificate forms) have equal matrices for
-    every map that certification may apply.  Returns the number of distinct
-    keys."""
+    """Views of one layout with equal certificate keys (signature, parity
+    shift, anchor parity, values of the oracle's certificate forms) have
+    equal matrices for every map that certification may apply.  Returns the
+    number of distinct keys."""
     from superverma.modules import form_values
 
     layout = views[0].layout
@@ -857,7 +858,8 @@ def _certified_maps_follow_the_key(views, alpha, target, valid) -> int:
     first: dict = {}
     for view in views:
         hw = view.datum.hw
-        key = (view.signature(alpha, valid), par(n, hw), form_values(forms, hw))
+        shift = view.datum.parity_shift % 2
+        key = (view.signature(alpha, valid), shift, par(n, hw), form_values(forms, hw))
         matrices = [view.unit_matrix(u, add_weights(hw, off)) for u, off in maps]
         assert first.setdefault(key, matrices) == matrices, (alpha, hw)
     return len(first)

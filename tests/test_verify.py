@@ -117,8 +117,8 @@ def test_conjecture_shift_classes_share_one_judgement():
 def test_a_borel_job_certifies_once_per_signature(monkeypatch):
     # the doubled-Verma certificate is memoized in the homology record of
     # one root and anchor signature on the job's layout: on Verma data the
-    # checks run at most once per (record, target, anchor parity), whatever
-    # the number of matched tuples
+    # checks run at most once per (record, target, parity shift, anchor
+    # parity), whatever the number of matched tuples
     from itertools import product
 
     import superverma.homology as homology
@@ -129,7 +129,8 @@ def test_a_borel_job_certifies_once_per_signature(monkeypatch):
     runs: dict = {}
 
     def counted(result, target_label, *rest):
-        key = (id(result._record), target_label, par(result.n, result.source.datum.hw))
+        datum = result.source.datum
+        key = (id(result._record), target_label, datum.parity_shift % 2, par(result.n, datum.hw))
         runs[key] = runs.get(key, 0) + 1
         return cold(result, target_label, *rest)
 
