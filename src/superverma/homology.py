@@ -82,8 +82,8 @@ class WeightClasses:
     kernel and image bases of the whole unit matrices and chosen cosets.
 
     Everything is anchor-free and parity-free: coordinate vectors over the
-    layout's basis at ``offset`` and the echelon.  Views of one layout with
-    equal anchor signatures share one object per offset of the slice.
+    layout's basis at ``offset`` and the echelon.  Views of one homology
+    record share one object per offset of the slice.
     """
 
     def __init__(self, realization: Realization, offset: Weight, out_m, in_m):
@@ -118,14 +118,13 @@ class WeightClasses:
 
 @dataclass(eq=False)
 class _Homology:
-    """The rank-one homology of one ``(alpha, *anchor signature)`` on one
-    layout, in offsets from the anchor: the class count at every offset of
-    the valid region, its least nonzero ``(offset, count)``, the cosets by
-    slice offset, and the doubled-Verma certificates by ``(target label,
-    parity shift, anchor parity)``, each a list of ``(anchor, forms read,
-    certificate)``.  On one layout the valid depth is a function of
-    ``alpha``, so it is no part of the key; the counts hold no parity, so
-    views of either parity shift read one record."""
+    """The rank-one homology of ``alpha`` on one layout, in offsets from the
+    anchor: the class count at every offset of the valid region, its least
+    nonzero ``(offset, count)``, the cosets by slice offset, and the
+    doubled-Verma certificates by ``(target label, parity shift, anchor
+    parity)``, each a list of ``(anchor, forms read, certificate)``.  The
+    counts hold no parity, so views of either parity shift read one record.
+    """
 
     cells: tuple
     first_nonzero: tuple | None
@@ -139,9 +138,10 @@ class DSResult:
 
     Its class counts over the valid region, its cosets on the slice and its
     doubled-Verma certificates, all in offsets from the anchor, are one
-    record on the source's layout, shared by every view with the same anchor
-    signature; a view translates them by its own anchor and places each
-    count at its own parity there.
+    record on the source's layout, shared by every view of the same root
+    and level at which the forms the record's run read take the same
+    values; a view translates them by its own anchor and places each count
+    at its own parity there.
     """
 
     source: Realization
@@ -185,9 +185,9 @@ class DSResult:
     def classes_at(self, weight: Weight) -> WeightClasses | None:
         """The kernels, images and cosets at ``weight``, or None off the
         module support, with the rank census checked against the coset
-        census.  On the slice ``(weight, alpha) = 0`` they are a function of
-        the anchor signature and built once per record offset.  Off it the
-        signature does not fix the maps, so they are built from the source's
+        census.  On the slice ``(weight, alpha) = 0`` they come from the maps
+        the record's run read and are built once per record offset.  Off it
+        the record does not fix the maps, so they are built from the source's
         own matrices on every call, and the census check confirms the zero
         by homotopy."""
         if not self.in_valid_region(weight):
@@ -245,11 +245,13 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     weight are complete.  The table lists a cell for every offset of the
     valid region: on the slice ``(mu, alpha) = 0`` it comes from the ranks
     of the maps of ``e_alpha`` at the anchor, and everywhere else it is
-    ``(0, 0)``, zero by homotopy.  In offsets from the anchor the class
-    counts are a function of the source's anchor signature: they are
-    computed once per signature, kept on the layout in one record with the
-    cosets and certificates, and each view translates them by its own anchor
-    and places them at its own parities.
+    ``(0, 0)``, zero by homotopy.  In offsets from the anchor the counts are
+    a function of the maps around the slice.  A cold run ranks each of them
+    once and keeps its record on the layout under ``(alpha, level)``, with
+    the anchor and the ``Affine`` forms of the entries it evaluated; every
+    anchor of that level where those forms agree recalls it (:func:`_recall`)
+    and places the counts at its own parities.  An empty slice leaves every
+    count zero, so its anchors share one record under ``(alpha,)``.
     """
     n = m.datum.n
     if not is_odd_root(n, alpha):
@@ -261,28 +263,43 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     valid_depth = m.depth - margin
     hw = m.datum.hw
     layout = m.layout
-    key = (alpha, *m.signature(alpha, valid_depth))
-    record = layout.homology.get(key)
-    if record is None:
-        offsets, _forms = layout.slice_of(alpha, valid_depth, m.level(alpha))
-        # off the slice every count is zero by homotopy
-        cells = {off: 0 for off in layout.spaces if layout.cost(off) <= valid_depth}
-        # the map into ``off`` is the map out of ``off - alpha``, which lies
-        # on the same level as (alpha, alpha) = 0; each map is ranked once
-        sources = {s for off in offsets for s in (off, sub_weights(off, rw))}
-        ranks = {s: rank(m.unit_matrix(alpha, add_weights(hw, s))) for s in sources}
-        for off in offsets:
-            # the kernel of the outgoing map modulo the image of the incoming
-            count = len(layout.spaces[off]) - ranks[off] - ranks[sub_weights(off, rw)]
-            if count < 0:
-                raise AssertionError(
-                    f"negative homology dimension at {add_weights(hw, off)}: {count}"
-                )
-            cells[off] = count
-        # translation by the anchor keeps the order of weights
-        first = min(((off, count) for off, count in cells.items() if count), default=None)
-        record = layout.homology[key] = _Homology(tuple(cells.items()), first)
+    level = m.level(alpha)
+    offsets = layout.slice_of(alpha, valid_depth, level)
+    made = layout.homology.setdefault((alpha, level) if offsets else (alpha,), [])
+    hit = _recall(made, hw)
+    if hit is not None:
+        return DSResult(m, alpha, valid_depth, hit[2])
+    # off the slice every count is zero by homotopy
+    cells = {off: 0 for off in layout.spaces if layout.cost(off) <= valid_depth}
+    # the map into ``off`` is the map out of ``off - alpha``, which lies on
+    # the same level as (alpha, alpha) = 0; each map is ranked once
+    reads: set = set()
+    ranks = {}
+    for s in {s for off in offsets for s in (off, sub_weights(off, rw))}:
+        matrix = layout.matrix_at(alpha, s, hw, reads)
+        # a map leaving the truncation region raises TruncationOverflow
+        ranks[s] = rank(matrix if matrix is not None else m.unit_matrix(alpha, add_weights(hw, s)))
+    for off in offsets:
+        # the kernel of the outgoing map modulo the image of the incoming
+        count = len(layout.spaces[off]) - ranks[off] - ranks[sub_weights(off, rw)]
+        if count < 0:
+            raise AssertionError(f"negative homology dimension at {add_weights(hw, off)}: {count}")
+        cells[off] = count
+    # translation by the anchor keeps the order of weights
+    first = min(((off, count) for off, count in cells.items() if count), default=None)
+    record = _Homology(tuple(cells.items()), first)
+    made.append((hw, tuple(sorted(reads)), record))
     return DSResult(m, alpha, valid_depth, record)
+
+
+def _recall(made: list, anchor: Weight) -> tuple | None:
+    """The first ``(anchor made at, forms read, value)`` of ``made`` whose
+    forms take at ``anchor`` the values they took where it was made."""
+    for entry in made:
+        made_at, forms, _value = entry
+        if form_values(forms, made_at) == form_values(forms, anchor):
+            return entry
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -448,17 +465,17 @@ def certify_verma_iso(
        anchor class, a subspace matching the target Verma census weight by
        weight.
 
-    In offsets from the anchor, these checks read the homology record of
-    the source's anchor signature, the parity shift that places its counts,
-    the parity of the anchor, the target character (which does not depend
-    on the target tuple) and the values at the anchor of the coefficients of
-    the raising and lowering maps they apply.  Given the record, the shift,
-    the parity and the target label, the checks
-    are deterministic, so an anchor at which every linear form they read
-    takes the same value runs the same branches on the same numbers.  Each
-    certificate is therefore kept in the record with the anchor it was made
-    at and the forms its run read, and reused, with every weight in its
-    ``detail`` translated to the caller's anchor, wherever those forms agree.
+    In offsets from the anchor, these checks read the source's homology
+    record, the parity shift that places its counts, the parity of the
+    anchor, the target character (which does not depend on the target
+    tuple) and the values at the anchor of the coefficients of the raising
+    and lowering maps they apply.  Given the record, the shift, the parity
+    and the target label, the checks are deterministic, so an anchor at
+    which every linear form they read takes the same value runs the same
+    branches on the same numbers.  Each certificate is therefore kept in the
+    record with the anchor it was made at and the forms its run read, and
+    recalled by the rule the record itself follows (:func:`_recall`), with
+    every weight in its ``detail`` translated to the caller's anchor.
     """
     m = result.source
     n = m.datum.n
@@ -481,9 +498,10 @@ def certify_verma_iso(
     target_label = tuple(target_label)
     key = (target_label, m.datum.parity_shift % 2, par(n, anchor))
     made = result._record.certificates.setdefault(key, [])
-    for made_at, forms, cert in made:
-        if form_values(forms, made_at) == form_values(forms, anchor):
-            return _translated(cert, sub_weights(anchor, made_at))
+    hit = _recall(made, anchor)
+    if hit is not None:
+        made_at, _forms, cert = hit
+        return _translated(cert, sub_weights(anchor, made_at))
     reads: set = set()
     cert = _certify_verma_iso(result, target_label, target_tuple, target_hw, reads)
     made.append((anchor, tuple(sorted(reads)), cert))

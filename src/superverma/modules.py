@@ -29,8 +29,8 @@ parity (here always that of its weight), and the layout refuses a shape
 where it would not.  A :class:`Realization` is a thin view of a layout at
 one anchor; it evaluates weight spaces, parities, actions and integer unit
 matrices there.  Views of one shared layout, such as the Verma modules of
-one Borel over a grid of tuples, straighten once, and views with equal
-anchor signatures share their rank-one homology.
+one Borel over a grid of tuples, straighten once, and views at anchors where
+the linear forms a homology run read take the same values share its record.
 """
 
 from __future__ import annotations
@@ -366,14 +366,13 @@ class PBWLayout:
     ``depth`` has a complete basis.  ``parities`` maps each offset to the one
     raw parity of its basis vectors; construction raises ``ValueError`` if a
     weight space holds both.  Actions are straightened on demand and
-    memoized with coefficients affine in ``hw``.  The entries of one unit's
-    maps around the offsets of one level ``(offset, root)``, up to a depth,
-    take the form ``const + form(hw)`` for the few linear forms that
-    :meth:`slice_of` lists, so everything derived from those maps is a
-    function of a view's anchor signature (:meth:`Realization.signature`).
-    ``homology`` is a memo that :mod:`superverma.homology` owns and the
-    layout never reads.  A :class:`Realization` evaluates everything at one
-    anchor.
+    memoized with coefficients affine in ``hw``, so every entry of a map is
+    ``const + form(hw)`` for one linear form, and :meth:`matrix_at` can name
+    the forms it evaluates.  Everything derived from some maps is therefore
+    the same at every anchor where the forms of their entries take the same
+    values.  ``homology`` is a memo that :mod:`superverma.homology` owns and
+    the layout never reads.  A :class:`Realization` evaluates everything at
+    one anchor.
     """
 
     def __init__(self, datum: InductionDatum, depth: int, levi=None):
@@ -571,39 +570,33 @@ class PBWLayout:
                 entries[(rows[bv], c)] = value
         return len(rows), len(cols), entries
 
-    def matrix_at(self, unit: Unit, offset: Weight, hw: Weight):
-        """The same map as an integer matrix at the anchor ``hw``."""
+    def matrix_at(self, unit: Unit, offset: Weight, hw: Weight, reads: set | None = None):
+        """The same map as an integer matrix at the anchor ``hw``; the
+        ``Affine.terms`` of its anchor-dependent entries are added to
+        ``reads`` when it is given."""
         found = self.map_entries(unit, offset)
         if found is None:
             return None
         nrows, ncols, entries = found
+        if reads is not None:
+            reads.update(v.terms for v in entries.values() if type(v) is not int)
         evaluated = {k: _at(v, hw) for k, v in entries.items()}
         return SparseRationalMatrix(nrows, ncols, evaluated)
 
     def slice_of(self, unit: Unit, max_depth: int, level: int) -> tuple:
-        """``(offsets, forms)`` of the slice ``(offset, root) = level`` up to
-        height-depth ``max_depth``: its offsets, in the order of ``spaces``,
-        and the distinct ``Affine.terms`` of the entries of the unit's maps
-        out of each of them and into each from ``offset - root``, sorted.
-        Every entry of those maps is an integer constant plus one of these
-        linear forms evaluated at the anchor."""
-        key = (unit, max_depth, level)
-        found = self._slices.get(key)
-        if found is None:
+        """The offsets of the slice ``(offset, root) = level`` up to
+        height-depth ``max_depth``, in the order of ``spaces``.  The offsets
+        of every level are grouped in one pass per ``(unit, max_depth)``."""
+        key = (unit, max_depth)
+        levels = self._slices.get(key)
+        if levels is None:
             rw = root_weight(self.n, unit)
-            offsets = tuple(
-                off
-                for off in self.spaces
-                if bilinear_form(self.n, off, rw) == level and self.cost(off) <= max_depth
-            )
-            terms = set()
-            for off in offsets:
-                for source in (off, sub_weights(off, rw)):
-                    entries = self.map_entries(unit, source)
-                    if entries is not None:
-                        terms.update(v.terms for v in entries[2].values() if type(v) is not int)
-            found = self._slices[key] = (offsets, tuple(sorted(terms)))
-        return found
+            grouped: dict = {}
+            for off in self.spaces:
+                if self.cost(off) <= max_depth:
+                    grouped.setdefault(bilinear_form(self.n, off, rw), []).append(off)
+            levels = self._slices[key] = {lv: tuple(offs) for lv, offs in grouped.items()}
+        return levels.get(level, ())
 
 
 class Realization:
@@ -614,10 +607,10 @@ class Realization:
     at this anchor and parity shift; matrices come out with ``int`` entries.
     Every memo lives on the layout, so views sharing one layout (pass
     ``layout``, built for the same datum shape, depth and levi module)
-    straighten each action once, and views of equal :meth:`signature` share
-    their rank-one homology.  The view itself caches only its translated
-    ``weight_spaces``.  Every weight with ``datum.depth_of(weight) <= depth``
-    has a complete basis.
+    straighten each action once and share every rank-one homology record
+    whose forms read agree at their anchors.  The view itself caches only
+    its translated ``weight_spaces``.  Every weight with
+    ``datum.depth_of(weight) <= depth`` has a complete basis.
     """
 
     def __init__(
@@ -725,25 +718,6 @@ class Realization:
         """The offset level ``-(hw, root)`` of the slice where the
         weight ``mu = hw + offset`` has ``(mu, root) = 0``."""
         return -bilinear_form(self.datum.n, self._hw, root_weight(self.datum.n, unit))
-
-    def signature(self, unit: Unit, max_depth: int) -> tuple:
-        """``(level, value at hw of each of the layout's forms on that
-        level)``, or ``()`` when the slice (:meth:`level`) holds no offset
-        of height-depth at most ``max_depth``.
-
-        The evaluated entries of the unit's maps around the offsets of the
-        slice up to ``max_depth`` are ``const + form value``, so the ranks,
-        kernels, images and cosets of those maps, at each slice offset, are
-        functions of this signature.  Off the slice the homology of an odd
-        root vector is zero by homotopy, so views of one layout with equal
-        signatures have the same rank-one homology counts in offsets, each
-        view placing them at its own parities.  An empty slice leaves every
-        count zero, whatever the level."""
-        level = self.level(unit)
-        offsets, forms = self.layout.slice_of(unit, max_depth, level)
-        if not offsets:
-            return ()
-        return (level, form_values(forms, self._hw))
 
     # -- derived structure --------------------------------------------
 

@@ -237,6 +237,8 @@ def _parity_split(n: int, table: dict[Weight, int]) -> dict[Weight, tuple[int, i
 
 def verma_character(n: int, label: Label, t: TupleWeight, depth: int) -> Character:
     """Truncated character of the Verma module named by (tuple, Borel)."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     label = normalize_label(label, n)
     top = from_tuple(n, t, label)
     heights = height_functional(n, label)
@@ -256,6 +258,8 @@ def bg_character(n: int, t: TupleWeight, depth: int) -> Character:
     result equals the character of the enlarged-Borel module whenever the
     tuple is in the family (see :func:`in_lambda_BG`).
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     top = from_tuple(n, t, b_outer(n))
     heights = height_functional(n, b_outer(n))
     even = sorted(

@@ -90,15 +90,15 @@ MUTANTS = (
     ),
     Mutant(
         "signature-without-level",
-        MODULES,
-        "        return (level, form_values(forms, self._hw))\n",
-        "        return (form_values(forms, self._hw),)\n",
+        HOMOLOGY,
+        "(alpha, level) if offsets else (alpha,)",
+        "(alpha,) if offsets else (alpha,)",
     ),
     Mutant(
         "empty-slice-key-for-a-nonempty-slice",
-        MODULES,
-        "        if not offsets:\n            return ()\n",
-        "        if offsets:\n            return ()\n",
+        HOMOLOGY,
+        "(alpha, level) if offsets else (alpha,)",
+        "(alpha, level) if not offsets else (alpha,)",
     ),
     Mutant(
         "slice-on-the-wrong-sign",
@@ -112,5 +112,29 @@ MUTANTS = (
         "            if not bilinear_form(m.datum.n, weight, root_weight(m.datum.n, self.alpha)):\n"
         "                self._record.classes[offset] = classes\n",
         "            self._record.classes[offset] = classes\n",
+    ),
+    Mutant(
+        "recall-at-the-stored-anchor",
+        HOMOLOGY,
+        "        if form_values(forms, made_at) == form_values(forms, anchor):\n",
+        "        if form_values(forms, made_at) == form_values(forms, made_at):\n",
+    ),
+    Mutant(
+        "homology-record-without-reads",
+        HOMOLOGY,
+        "    made.append((hw, tuple(sorted(reads)), record))\n",
+        "    made.append((hw, (), record))\n",
+    ),
+    Mutant(
+        "certificate-hit-untranslated",
+        HOMOLOGY,
+        "        return _translated(cert, sub_weights(anchor, made_at))\n",
+        "        return cert\n",
+    ),
+    Mutant(
+        "ds-margin-off-by-one",
+        HOMOLOGY,
+        "    valid_depth = m.depth - margin\n",
+        "    valid_depth = m.depth - margin + 1\n",
     ),
 )

@@ -141,6 +141,14 @@ def test_char_rejects_wrong_tuple_length(capsys):
     assert "length" in err
 
 
+@pytest.mark.parametrize("kind", ["verma", "bg"])
+def test_char_rejects_negative_depth(capsys, kind):
+    code, err = run_usage_error(capsys, "char", kind, "2", "()", "0,0,0,0", "--depth", "-1")
+    assert code == 2
+    assert "depth must be nonnegative" in err
+    assert "Traceback" not in err
+
+
 def test_ds_rejects_even_alpha(capsys):
     code, err = run_usage_error(
         capsys, "ds", "2", "()", "1,0,1,0", "--alpha", "1,2", "--depth", "3"

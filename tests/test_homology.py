@@ -40,6 +40,7 @@ from superverma.modules import (
     bg_datum,
     bg_module,
     bg_realization,
+    form_values,
     gl11_simple_datum,
     parabolic_IJ_realization,
     union_borel_datum,
@@ -424,15 +425,29 @@ def test_refuted_census_carries_counterexample():
     assert cert.verdict == REFUTED
     assert not cert.ok
     assert cert.detail == {"weight": [1, 0, -1, 1], "dims": [0, 0], "expected": [1, 0]}
-    # the same case on a layout warmed by another anchor of equal signature
+    # the same case on a layout warmed by another anchor of the same level,
+    # where the forms the record's run read take the same values
     warm = verma_realization(2, (), (0, -2, -1, -2), 6)
     certify_verma_iso(ds13(warm), (), to_tuple(1, pr_alpha(2, warm.datum.hw, E13), ()))
-    records = dict(warm.layout.homology)
+    records = {key: list(made) for key, made in warm.layout.homology.items()}
     shared = ds13(verma_realization(2, (), (2, 0, 1, 0), 6, warm.layout))
-    assert shared._record is ds13(warm)._record
-    assert m.signature(E13, r.valid_depth) == warm.signature(E13, r.valid_depth)
+    _key, (made_at, reads, record) = _kept(shared)
+    assert record is ds13(warm)._record and made_at == warm.datum.hw
+    assert form_values(reads, m.datum.hw) == form_values(reads, made_at)
     assert warm.layout.homology == records
     assert certify_verma_iso(shared, (), target) == cert
+
+
+def _kept(result):
+    """The key and the ``(anchor made at, forms read, record)`` entry under
+    which the result's record is kept on its layout."""
+    ((key, entry),) = [
+        (key, entry)
+        for key, made in result.source.layout.homology.items()
+        for entry in made
+        if entry[2] is result._record
+    ]
+    return key, entry
 
 
 def _certify_matched(m, alpha, label):
@@ -450,8 +465,9 @@ def test_an_inconclusive_certificate_is_shared_by_anchors():
     reason = {"reason": "anchor slot -1 outside the valid region"}
     assert _certify_matched(first, alpha, label).detail == reason
     warm = _certify_matched(second, alpha, label)
-    (record,) = first.layout.homology.values()
-    assert [len(made) for made in record.certificates.values()] == [1]
+    (made,) = first.layout.homology.values()
+    ((_anchor, _reads, record),) = made
+    assert [len(certs) for certs in record.certificates.values()] == [1]
     assert warm == _certify_matched(verma_realization(2, label, (1, -1, -1, 0), 1), alpha, label)
     assert warm.verdict == INCONCLUSIVE and warm.detail == reason
 
@@ -494,7 +510,9 @@ def test_shift_twins_share_one_record_at_opposite_parities():
     second = verma_realization(2, (), (-2, -2, -2, -1), 6, first.layout)
     assert first.datum.parity_shift % 2 != second.datum.parity_shift % 2
     a, b = ds13(first), ds13(second)
-    assert first.signature(E13, a.valid_depth) == second.signature(E13, b.valid_depth) != ()
+    key, (_made_at, reads, _record) = _kept(a)
+    assert key == (E13, first.level(E13)) == (E13, second.level(E13))
+    assert form_values(reads, first.datum.hw) == form_values(reads, second.datum.hw)
     assert a._record is b._record
     for result in (a, b):
         assert result.dim_table == ds13(Realization(result.source.datum, 6)).dim_table
@@ -516,11 +534,37 @@ def test_empty_slices_share_one_record_across_levels():
     second = verma_realization(2, (), (-2, -2, 0, -2), 6, first.layout)
     assert first.level(E13) != second.level(E13)
     a, b = ds13(first), ds13(second)
-    assert first.signature(E13, a.valid_depth) == second.signature(E13, b.valid_depth) == ()
+    key, (_made_at, reads, _record) = _kept(a)
+    assert key == (E13,) and reads == ()
     assert a._record is b._record
     for result in (a, b):
         assert result.dim_table == ds13(Realization(result.source.datum, 6)).dim_table
         assert not result.support() and certify_zero(result).verdict == CERTIFIED
+
+
+def test_a_record_of_a_non_simple_root_is_shared_only_where_its_reads_agree():
+    # e_13 is not simple for the standard Borel, and the entries of its maps
+    # around one slice depend on the anchor through several forms; anchors
+    # of level 0 get one record per value of the forms the record's run read
+    label, alpha, depth = (), E13, 6
+    assert alpha not in odd_simple_roots(2, label)
+    first = verma_realization(2, label, (-1, -2, -2, -2), depth)
+    agreeing, differing = (
+        verma_realization(2, label, t, depth, first.layout)
+        for t in ((0, -1, -1, -2), (-1, -1, -2, -2))
+    )
+    views = (first, agreeing, differing)
+    results = [ds_homology(v, alpha) for v in views]
+    assert {v.level(alpha) for v in views} == {0}
+    key, (made_at, reads, record) = _kept(results[0])
+    assert key == (alpha, 0) and made_at == first.datum.hw and len(reads) > 1
+    values = [form_values(reads, v.datum.hw) for v in views]
+    assert values[0] == values[1] != values[2]
+    assert results[0]._record is results[1]._record is record
+    assert results[2]._record is not record and _kept(results[2])[0] == key
+    for view, result in zip(views, results):
+        assert result.dim_table == ds_homology(Realization(view.datum, depth), alpha).dim_table
+    assert results[0].support() and not results[2].support()
 
 
 def test_certify_rejects_wrong_target_weight():
@@ -561,7 +605,7 @@ def test_certification_records_the_forms_of_anchor_dependent_maps():
 
 
 def test_a_certificate_is_shared_only_where_its_reads_agree(monkeypatch):
-    # make every cold run also read the form hw_1: anchors of one signature
+    # make every cold run also read the form hw_1: anchors of one record
     # and parity share a certificate exactly when hw_1 agrees there
     import superverma.homology as homology
 
@@ -615,8 +659,8 @@ def test_induced_action_shapes_and_guards():
 
 
 def test_views_of_one_record_act_through_their_own_maps_off_the_slice():
-    # two anchors of one layout share the signature of e_13 and so a record,
-    # yet the maps of e_13 off their slice differ; the induced action reads
+    # two anchors of one layout share the record of e_13, yet the maps of
+    # e_13 off their slice differ; the induced action reads
     # kernels and images there, so each view must take them from its own
     # maps, as a lone layout does
     depth = 6

@@ -674,12 +674,6 @@ def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, 
         any(bilinear_form(n, v.datum.hw, root_weight(n, a)) == 0 for a in alphas) for v in views
     ]
     assert any(matched) and not all(matched)
-    # some views share an anchor signature, so they read each other's tables
-    assert any(
-        len({v.signature(a, depth - abs(v.datum.xi(root_weight(n, a)))) for v in views})
-        < len(views)
-        for a in alphas
-    )
     # interleave the views so each one reads memo entries another one filled
     certified = set()
     first_view = {}
@@ -704,8 +698,8 @@ def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, 
             assert view.census() == alone.census()
             if rounds == 0:
                 _check_representation(view, basis_count)
-    # one doubled-Verma certificate per signature, shift and anchor parity:
-    # on Verma data no run reads an anchor-dependent coefficient
+    # one doubled-Verma certificate per record, shift and anchor parity: on
+    # Verma data no run reads an anchor-dependent coefficient
     made = []
     for alpha in alphas:
         target = ds_borel_label(n, label, alpha)
@@ -713,6 +707,7 @@ def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, 
         made += _certificates_made(views[0].layout, alpha, target, valid)
     assert len(made) == len(certified)
     assert all(reads == () for _anchor, reads, _cert in made)
+    # some views share a record, so they read each other's tables
     assert shared
 
 
@@ -724,8 +719,9 @@ def _certificates_made(layout, alpha, target, valid) -> list:
     listed = set(certificate_forms(layout, alpha, target, valid))
     made = [
         entry
-        for (root, *_signature), record in layout.homology.items()
+        for (root, *_level), records in layout.homology.items()
         if root == alpha
+        for _made_at, _reads, record in records
         for (target_label, _shift, _parity), entries in record.certificates.items()
         if target_label == target
         for entry in entries
@@ -749,8 +745,8 @@ def _assert_same_classes(warm, cold):
 
 def _assert_one_classes_object(view, other):
     """Two views of one record get one cosets object at each offset of the
-    slice; off it the signature does not fix the maps, so each view builds
-    its own."""
+    slice; off it the record does not fix the maps, so each view builds its
+    own."""
     from superverma.weights import bilinear_form
 
     rw = root_weight(view.n, view.alpha)
@@ -778,76 +774,87 @@ def _certificate(label, result):
     [(2, b, 6, True) for b in all_borels(2)] + [(2, (), 6, False), (3, (2, 1), 4, True)],
 )
 def test_anchor_signature_determines_the_blocks(n, label, depth, simple_only):
-    # the forms of a simple root are L and -L for one L; other odd roots
-    # have several independent forms, so every form must enter the signature
+    # a homology record is kept with the forms its run read and recalled
+    # where they take the same values; the forms of a simple root are L and
+    # -L for one L, other odd roots have several independent forms, so every
+    # form of every map around the slice must be read
+    from functools import cache
+
     from superverma.borels import odd_simple_roots
-    from superverma.homology import ds_borel_label
+    from superverma.homology import ds_borel_label, ds_homology
+    from superverma.modules import form_values
     from superverma.superalgebra import all_roots, is_odd_root
     from superverma.weights import bilinear_form
 
     layout = verma_realization(n, label, (0,) * (2 * n), depth).layout
+    grid = list(product(range(-2, 3) if n == 2 else range(-1, 2), repeat=2 * n))
     odd = [r for r in all_roots(n) if is_odd_root(n, r)]
     for alpha in sorted(odd_simple_roots(n, label) if simple_only else odd):
         rw = root_weight(n, alpha)
         valid = depth - abs(verma_datum(n, label, (0,) * (2 * n)).xi(rw))
         in_region = [off for off in layout.spaces if layout.cost(off) <= valid]
 
+        @cache
         def on_level(level):
             return [off for off in in_region if bilinear_form(n, off, rw) == level]
 
-        # every anchor-dependent entry of a map out of or into a slice offset
-        # is a constant plus one of the forms listed for that level
-        levels = {bilinear_form(n, off, rw) for off in in_region}
-        for level in levels:
-            offsets, forms = layout.slice_of(alpha, valid, level)
-            assert list(offsets) == on_level(level)
-            for off in offsets:
-                for source in (off, sub_weights(off, rw)):
-                    _nrows, _ncols, entries = layout.map_entries(alpha, source)
-                    for entry in entries.values():
-                        if type(entry) is not int:
-                            assert entry.terms in forms, (alpha, source, entry.terms)
-        if n != 2:
-            continue
-
-        def seen_from(view, level):
-            # every map out of or into the slice (the signature fixes no parity)
-            hw = view.datum.hw
-            sources = sorted({s for off in on_level(level) for s in (off, sub_weights(off, rw))})
-            return [view.unit_matrix(alpha, add_weights(hw, source)) for source in sources]
+        @cache
+        def around(level):
+            # the sources of every map out of or into the slice
+            return sorted({s for off in on_level(level) for s in (off, sub_weights(off, rw))})
 
         first: dict = {}
         views = []
-        for t in product(range(-2, 3), repeat=4):
+        for t in grid:
             view = verma_realization(n, label, t, depth, layout)
             views.append(view)
-            level = -bilinear_form(n, view.datum.hw, rw)
-            signature = view.signature(alpha, valid)
-            # views on different levels share a signature only where the
-            # slice is empty, and then every count is zero
+            level = view.level(alpha)
+            assert list(layout.slice_of(alpha, valid, level)) == on_level(level)
+            result = ds_homology(view, alpha)
+            ((key, (made_at, reads)),) = [
+                (key, entry[:2])
+                for key, made in layout.homology.items()
+                for entry in made
+                if entry[2] is result._record
+            ]
+            # views on different levels share a record only where the slice
+            # is empty, and then every count is zero
             if on_level(level):
-                assert signature[0] == level, (alpha, t)
+                assert key == (alpha, level), (alpha, t)
             else:
-                assert signature == (), (alpha, t)
-            if signature not in first:
-                first[signature] = seen_from(view, level)
+                assert key == (alpha,) and reads == () and not result.support(), (alpha, t)
+            assert form_values(reads, made_at) == form_values(reads, view.datum.hw), (alpha, t)
+            hw = view.datum.hw
+            # the maps around the slice at this anchor (they fix no parity)
+            seen = [view.unit_matrix(alpha, add_weights(hw, s)) for s in around(level)]
+            if result._record not in first:
+                first[result._record] = seen
+                # every anchor-dependent entry of those maps is a constant
+                # plus one of the forms the record's run read
+                for source in around(level):
+                    _nrows, _ncols, entries = layout.map_entries(alpha, source)
+                    for entry in entries.values():
+                        if type(entry) is not int:
+                            assert entry.terms in reads, (alpha, source, entry.terms)
             else:
-                assert seen_from(view, level) == first[signature], (alpha, t)
-        assert len(first) < 625
-        assert len({signature[0] for signature in first if signature}) > 1
-        if alpha in odd_simple_roots(n, label):
+                assert seen == first[result._record], (alpha, t)
+        keys = [key for key, made in layout.homology.items() if key[0] == alpha for _ in made]
+        assert len(first) == len(keys) < len(grid)
+        assert len({key[1:] for key in keys if key[1:]}) > 1
+        if n == 2 and alpha in odd_simple_roots(n, label):
             # on Verma data every map that certification reads is constant,
-            # so certificates split no further than signature and parity
+            # so certificates split no further than record and parity
             target = ds_borel_label(n, label, alpha)
             assert certificate_forms(layout, alpha, target, valid) == ()
-            assert _certified_maps_follow_the_key(views, alpha, target, valid) < 625
+            assert _certified_maps_follow_the_key(views, alpha, target, valid) < len(grid)
 
 
 def _certified_maps_follow_the_key(views, alpha, target, valid) -> int:
-    """Views of one layout with equal certificate keys (signature, parity
-    shift, anchor parity, values of the oracle's certificate forms) have
-    equal matrices for every map that certification may apply.  Returns the
-    number of distinct keys."""
+    """Views of one layout with equal certificate keys (homology record,
+    parity shift, anchor parity, values of the oracle's certificate forms)
+    have equal matrices for every map that certification may apply.
+    Returns the number of distinct keys."""
+    from superverma.homology import ds_homology
     from superverma.modules import form_values
 
     layout = views[0].layout
@@ -859,7 +866,8 @@ def _certified_maps_follow_the_key(views, alpha, target, valid) -> int:
     for view in views:
         hw = view.datum.hw
         shift = view.datum.parity_shift % 2
-        key = (view.signature(alpha, valid), shift, par(n, hw), form_values(forms, hw))
+        record = ds_homology(view, alpha)._record
+        key = (record, shift, par(n, hw), form_values(forms, hw))
         matrices = [view.unit_matrix(u, add_weights(hw, off)) for u, off in maps]
         assert first.setdefault(key, matrices) == matrices, (alpha, hw)
     return len(first)

@@ -115,10 +115,11 @@ def test_conjecture_shift_classes_share_one_judgement():
 
 
 def test_a_borel_job_certifies_once_per_signature(monkeypatch):
-    # the doubled-Verma certificate is memoized in the homology record of
-    # one root and anchor signature on the job's layout: on Verma data the
-    # checks run at most once per (record, target, parity shift, anchor
-    # parity), whatever the number of matched tuples
+    # the doubled-Verma certificate is memoized in the homology record that
+    # a root's anchors share on the job's layout where the forms its run
+    # read agree: on Verma data the checks run at most once per (record,
+    # target, parity shift, anchor parity), whatever the number of matched
+    # tuples
     from itertools import product
 
     import superverma.homology as homology
