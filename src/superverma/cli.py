@@ -153,6 +153,8 @@ def _cmd_ds(parser, args) -> int:
     n = args.n
     if len(args.tuple) != 2 * n:
         parser.error(f"tuple length {len(args.tuple)} != {2 * n}")
+    if args.bg and label != ():
+        parser.error("ds --bg supports only the label '()'")
     depth = DEFAULT_DEPTH.get(n, 4) if args.depth is None else args.depth
     try:
         if args.bg:
@@ -174,6 +176,11 @@ def _cmd_ds(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
+    # the options each scenario takes; any other is a usage error
+    takes = dict(conjecture="n depth borel alpha", mabg="n depth", gl22="depth", structure="n")
+    for opt in ("n", "depth", "borel", "alpha"):
+        if getattr(args, opt) is not None and opt not in takes[args.scenario].split():
+            parser.error(f"verify {args.scenario} does not take --{opt}")
     reports = []
     if args.scenario == "conjecture":
         for n in args.n or (2,):

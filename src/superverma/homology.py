@@ -21,7 +21,7 @@ linear superalgebra one size down.  This module computes:
 * ``ds_homology``        -- per-weight coset representatives and dimensions;
 * ``induced_action``     -- matrices of centralizer units on the homology;
 * ``certify_verma_iso``  -- certificate that the homology is a double Verma
-                            (census + singular classes + freeness probe);
+                            (census, then ranks modulo im e_alpha);
 * ``certify_zero``       -- certificate that the homology vanishes;
 * ``contraction_check``  -- the explicit contracting-homotopy identities on
                             the symmetric algebra of the abelian radical;
@@ -52,7 +52,7 @@ from .borels import (
     sequence_of,
     simple_roots,
 )
-from .linalg import Echelon, SparseRationalMatrix, image_basis, kernel_basis, quotient_basis, rank
+from .linalg import SparseRationalMatrix, image_basis, kernel_basis, quotient_basis, rank
 from .modules import Realization, bg_module, bg_module_datum, form_values
 from .superalgebra import Root, Unit, bracket, is_odd_root, root_weight
 from .weights import (
@@ -448,9 +448,7 @@ def _slot(alpha: Root, anchor: Weight, weight: Weight) -> int | None:
     return None
 
 
-def certify_verma_iso(
-    result: DSResult, target_label: Label, target_tuple
-) -> Certificate:
+def certify_verma_iso(result: DSResult, target_label: Label, target_tuple) -> Certificate:
     """Certificate that the homology is a double Verma one size down.
 
     Checks, on the whole valid region:
@@ -458,12 +456,12 @@ def certify_verma_iso(
     1. census -- each weight holds exactly the target Verma dimension at the
        weight's own parity, on the two translation slots of the anchor, and
        nothing anywhere else;
-    2. singular classes -- each anchor slot holds one class, killed by every
-       raising unit of the inherited Borel (the census has put the two at
-       opposite parities, as the slots differ by the odd root);
-    3. freeness -- lowering units of the inherited Borel generate, from each
-       anchor class, a subspace matching the target Verma census weight by
-       weight.
+    2. singular classes -- each anchor slot holds one class ``v``, and every
+       raising unit ``u`` of the inherited Borel has ``rank [B | uv] = rank B``
+       for the boundaries ``B = im e_alpha``;
+    3. freeness -- at every weight, the images of ``v`` under the PBW
+       monomials in the lowering units add the target Verma dimension to
+       ``rank B``.
 
     In offsets from the anchor, these checks read the source's homology
     record, the parity shift that places its counts, the parity of the
@@ -503,7 +501,7 @@ def certify_verma_iso(
         made_at, _forms, cert = hit
         return _translated(cert, sub_weights(anchor, made_at))
     reads: set = set()
-    cert = _certify_verma_iso(result, target_label, target_tuple, target_hw, reads)
+    cert = _certify_verma_iso(result, target_label, target_tuple, reads)
     made.append((anchor, tuple(sorted(reads)), cert))
     return cert
 
@@ -530,7 +528,7 @@ def _translated(cert: Certificate, delta: Weight) -> Certificate:
 
 
 def _certify_verma_iso(
-    result: DSResult, target_label: Label, target_tuple, target_hw: Weight, reads: set
+    result: DSResult, target_label: Label, target_tuple, reads: set
 ) -> Certificate:
     """The checks of :func:`certify_verma_iso` on a nonempty valid region;
     the forms of the coefficients they evaluate are added to ``reads``."""
@@ -546,18 +544,11 @@ def _certify_verma_iso(
     budget = result.valid_depth + margin
     heights_t = height_functional(target_n, target_label)
 
-    def target_depth(nu: Weight) -> int:
-        diff = sub_weights(target_hw, nu)
-        return sum(h * v for h, v in zip(heights_t, diff, strict=True))
-
     ratio = 1
     for unit in lowering_units:
         amb_cost = m.datum.root_cost(unit)
         small = _shrink_unit(n, alpha, unit)
-        t_cost = -sum(
-            h * v
-            for h, v in zip(heights_t, root_weight(target_n, small), strict=True)
-        )
+        t_cost = -sum(h * v for h, v in zip(heights_t, root_weight(target_n, small), strict=True))
         ratio = max(ratio, (t_cost + amb_cost - 1) // amb_cost)
     target_char = verma_character(
         target_n, target_label, tuple(target_tuple), budget * ratio
@@ -598,10 +589,25 @@ def _certify_verma_iso(
             )
         checked += 1
 
+    # Steps 2 and 3 are ranks modulo the boundaries ``B = im e_alpha``.  The
+    # maps of ``e_alpha`` they rank are the record's own: on the slice, in the
+    # valid region, where the record is recalled only when their forms agree.
+    # So only the raising and lowering units add to ``reads``.
+    def added(mu: Weight, vectors) -> int:
+        """The dimension of the span of the cycles ``vectors`` modulo ``B``."""
+        incoming = m.unit_matrix(alpha, sub_weights(mu, rw))
+        index = m.layout.positions[sub_weights(mu, anchor)]
+        entries = dict(incoming.entries)
+        for col, vec in enumerate(vectors, start=incoming.ncols):
+            _assert_in_kernel(m, alpha, vec)
+            entries.update(((index[bv], col), c) for bv, c in vec.items())
+        stacked = SparseRationalMatrix(incoming.nrows, incoming.ncols + len(vectors), entries)
+        return rank(stacked) - rank(incoming)
+
     # 2. singular classes on the two anchor slots.  Every raising unit is
     # the opposite of a lowering unit, which costs depth, so its target lies
     # above ``mu`` and inside the valid region.
-    singular: dict[int, Weight] = {}
+    singular: dict[int, tuple[Weight, dict]] = {}
     for s in (0, -1):
         mu = add_weights(anchor, tuple(c * s for c in rw))
         if not result.in_valid_region(mu):
@@ -616,15 +622,12 @@ def _certify_verma_iso(
                 checked,
                 {"weight": list(mu), "dims": list(result.dims(mu)), "expected_total": 1},
             )
-        singular[s] = mu
         rep = result.rep_dict(mu, 0)
+        singular[s] = (mu, rep)
         for beta in target_pos:
             unit = lift_unit(n, alpha, beta)
             moved = _act_reading(m, unit, rep, reads)
-            if not moved:
-                continue
-            wc = result.classes_at(add_weights(mu, root_weight(n, unit)))
-            if any(wc.reduce(_as_coordinates(m, moved, wc))):
+            if moved and added(add_weights(mu, root_weight(n, unit)), [moved]):
                 return Certificate(
                     REFUTED,
                     checked,
@@ -635,40 +638,28 @@ def _certify_verma_iso(
                     },
                 )
 
-    # 3. freeness probe from each anchor class.
-    for s, mu0 in singular.items():
-        wc0 = result.classes_at(mu0)
-        start = wc0.reduce(_as_coordinates(m, result.rep_dict(mu0, 0), wc0))
-        spans = {mu0: Echelon(len(wc0.reps))}
-        spans[mu0].add(start)
-        queue = [(mu0, start)]
-        while queue:
-            w, coords = queue.pop()
-            wc = result.classes_at(w)
-            full = [_ZERO] * len(wc.basis)
-            for c, repv in zip(coords, wc.reps, strict=True):
-                if c:
-                    full = [a + c * b for a, b in zip(full, repv, strict=True)]
-            expansion = {bv: c for bv, c in zip(wc.basis, full, strict=True) if c}
-            for unit in lowering_units:
+    # 3. freeness from each anchor class ``v``: PBW monomials in the lowering
+    # units span ``U(n^-) v`` and lifted units preserve ``B``, so their images
+    # at a weight add to ``B`` the dimension ``v`` generates there.  Each
+    # monomial is its first unit applied to one that starts no later.
+    for s, (mu0, rep) in singular.items():
+        images = {mu0: [rep]}
+        monomials = [(len(lowering_units), mu0, rep)]
+        while monomials:
+            first, w, vec = monomials.pop()
+            for k, unit in enumerate(lowering_units[: first + 1]):
                 w2 = add_weights(w, root_weight(n, unit))
                 if not result.in_valid_region(w2):
                     continue
-                moved = _act_reading(m, unit, expansion, reads)
-                if not moved:
-                    continue
-                wc2 = result.classes_at(w2)
-                coords2 = wc2.reduce(_as_coordinates(m, moved, wc2))
-                if not any(coords2):
-                    continue
-                if spans.setdefault(w2, Echelon(len(wc2.reps))).add(coords2):
-                    queue.append((w2, coords2))
+                moved = _act_reading(m, unit, vec, reads)
+                if moved:
+                    images.setdefault(w2, []).append(moved)
+                    monomials.append((k, w2, moved))
         for mu in sorted(candidates):
             if _slot(alpha, anchor, mu) != s:
                 continue
-            nu = pr_alpha(n, mu, alpha)
-            expected = target_char.total(nu)
-            got = len(spans[mu]) if mu in spans else 0
+            expected = target_char.total(pr_alpha(n, mu, alpha))
+            got = added(mu, images[mu]) if mu in images else 0
             if got != expected:
                 return Certificate(
                     REFUTED,
@@ -684,7 +675,7 @@ def _certify_verma_iso(
     return Certificate(
         CERTIFIED,
         checked,
-        {"singular_weights": [list(singular[0]), list(singular[-1])]},
+        {"singular_weights": [list(singular[s][0]) for s in (0, -1)]},
     )
 
 

@@ -137,4 +137,22 @@ MUTANTS = (
         "    valid_depth = m.depth - margin\n",
         "    valid_depth = m.depth - margin + 1\n",
     ),
+    Mutant(
+        "boundary-rank-not-subtracted",
+        HOMOLOGY,
+        "        return rank(stacked) - rank(incoming)\n",
+        "        return rank(stacked)\n",
+    ),
+    Mutant(
+        "pbw-images-without-the-anchor-class",
+        HOMOLOGY,
+        "        images = {mu0: [rep]}\n",
+        "        images: dict = {}\n",
+    ),
+    Mutant(
+        "pbw-without-repeated-units",
+        HOMOLOGY,
+        "lowering_units[: first + 1]",
+        "lowering_units[:first]",
+    ),
 )

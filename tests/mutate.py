@@ -6,7 +6,9 @@ Usage:
 Each mutant is applied to a fresh temporary copy of the whole checkout (the
 benchmark's tests import its sibling ``src/``), and tier-1 runs there with
 that copy's ``src`` first on ``PYTHONPATH``, stopping at the first failure.
-A mutant is killed when the suite fails.  Prints one line per mutant and
+The run leaves out ``tests/test_mutants.py``: on the mutated copy the patched
+text is gone, so its patch check would fail for every mutant.  A mutant is
+killed when the suite fails.  Prints one line per mutant and
 exits 1 if any survives.
 """
 
@@ -23,7 +25,16 @@ from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parent.parent
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
-TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+TIER1 = [
+    "-m",
+    "pytest",
+    "-q",
+    "-x",
+    "-p",
+    "no:cacheprovider",
+    "--continue-on-collection-errors",
+    "--ignore=tests/test_mutants.py",
+]
 
 
 def killed(mutant) -> tuple[bool, str]:

@@ -19,11 +19,26 @@ from superverma.borels import (
     positive_roots,
     simple_roots,
 )
-from superverma.homology import lift_unit
-from superverma.linalg import SparseRationalMatrix, image_basis, kernel_basis, rank
+from superverma.homology import (
+    CERTIFIED,
+    INCONCLUSIVE,
+    REFUTED,
+    Certificate,
+    DSResult,
+    _ZERO,
+    _act_reading,
+    _as_coordinates,
+    _lift_weight,
+    _shrink_unit,
+    _slot,
+    _target_lowering_units,
+    lift_unit,
+    surviving_indices,
+)
+from superverma.linalg import Echelon, SparseRationalMatrix, image_basis, kernel_basis, rank
 from superverma.modules import PBWLayout, Realization
 from superverma.superalgebra import Root, Unit, Weight, bracket, is_odd_root, root_weight
-from superverma.weights import add_weights, sub_weights
+from superverma.weights import add_weights, par, pr_alpha, sub_weights, verma_character
 
 
 def verma_weight_multiplicity(
@@ -192,6 +207,169 @@ def certificate_forms(
         _nrows, _ncols, entries = layout.map_entries(unit, off)
         terms.update(v.terms for v in entries.values() if type(v) is not int)
     return tuple(sorted(terms))
+
+
+# ---------------------------------------------------------------------------
+# The doubled-Verma certificate on cosets: the census, then the singular step
+# and the freeness probe reduced to class coordinates, with one ``Echelon``
+# span per weight.
+
+
+def coset_certify_verma_iso(
+    result: DSResult, target_label: Label, target_tuple, reads: set
+) -> Certificate:
+    """The checks of ``homology._certify_verma_iso`` on class coordinates
+    over the chosen cosets: a moved class is reduced by ``classes_at`` and a
+    weight's generated span is grown one class at a time.  The library asks
+    the same questions as ranks modulo the boundaries."""
+    m = result.source
+    n = m.datum.n
+    alpha = result.alpha
+    anchor = m.datum.hw
+    rw = root_weight(n, alpha)
+    target_n = n - 1
+    target_pos = simple_roots(target_n, target_label)
+    lowering_units = _target_lowering_units(n, alpha, target_n, target_label)
+    margin = abs(m.datum.xi(rw))
+    budget = result.valid_depth + margin
+    heights_t = height_functional(target_n, target_label)
+
+    ratio = 1
+    for unit in lowering_units:
+        amb_cost = m.datum.root_cost(unit)
+        small = _shrink_unit(n, alpha, unit)
+        t_cost = -sum(
+            h * v
+            for h, v in zip(heights_t, root_weight(target_n, small), strict=True)
+        )
+        ratio = max(ratio, (t_cost + amb_cost - 1) // amb_cost)
+    target_char = verma_character(
+        target_n, target_label, tuple(target_tuple), budget * ratio
+    )
+
+    # 1. census over every valid weight (module support plus expected lifts).
+    candidates = set(result.dim_table)
+    emb = surviving_indices(n, alpha)
+    for nu in target_char.table:
+        for s in (0, -1):
+            mu = _lift_weight(n, alpha, anchor, nu, s, emb)
+            if result.in_valid_region(mu):
+                candidates.add(mu)
+    checked = 0
+    for mu in sorted(candidates):
+        s = _slot(alpha, anchor, mu)
+        expected_total = 0
+        if s is not None:
+            nu = pr_alpha(n, mu, alpha)
+            if not target_char.contains(nu):
+                return Certificate(
+                    INCONCLUSIVE,
+                    checked,
+                    {"reason": "target character shallower than the valid region"},
+                )
+            expected_total = target_char.total(nu)
+        e, o = result.dims(mu)
+        expected = (expected_total, 0) if par(n, mu) == 0 else (0, expected_total)
+        if (e, o) != expected:
+            return Certificate(
+                REFUTED,
+                checked,
+                {
+                    "weight": list(mu),
+                    "dims": [e, o],
+                    "expected": list(expected),
+                },
+            )
+        checked += 1
+
+    # 2. singular classes on the two anchor slots.  Every raising unit is
+    # the opposite of a lowering unit, which costs depth, so its target lies
+    # above ``mu`` and inside the valid region.
+    singular: dict[int, Weight] = {}
+    for s in (0, -1):
+        mu = add_weights(anchor, tuple(c * s for c in rw))
+        if not result.in_valid_region(mu):
+            return Certificate(
+                INCONCLUSIVE,
+                checked,
+                {"reason": f"anchor slot {s} outside the valid region"},
+            )
+        if result.total(mu) != 1:
+            return Certificate(
+                REFUTED,
+                checked,
+                {"weight": list(mu), "dims": list(result.dims(mu)), "expected_total": 1},
+            )
+        singular[s] = mu
+        rep = result.rep_dict(mu, 0)
+        for beta in target_pos:
+            unit = lift_unit(n, alpha, beta)
+            moved = _act_reading(m, unit, rep, reads)
+            if not moved:
+                continue
+            wc = result.classes_at(add_weights(mu, root_weight(n, unit)))
+            if any(wc.reduce(_as_coordinates(m, moved, wc))):
+                return Certificate(
+                    REFUTED,
+                    checked,
+                    {
+                        "weight": list(mu),
+                        "raising": list(unit),
+                        "reason": "anchor class is not singular",
+                    },
+                )
+
+    # 3. freeness probe from each anchor class.
+    for s, mu0 in singular.items():
+        wc0 = result.classes_at(mu0)
+        start = wc0.reduce(_as_coordinates(m, result.rep_dict(mu0, 0), wc0))
+        spans = {mu0: Echelon(len(wc0.reps))}
+        spans[mu0].add(start)
+        queue = [(mu0, start)]
+        while queue:
+            w, coords = queue.pop()
+            wc = result.classes_at(w)
+            full = [_ZERO] * len(wc.basis)
+            for c, repv in zip(coords, wc.reps, strict=True):
+                if c:
+                    full = [a + c * b for a, b in zip(full, repv, strict=True)]
+            expansion = {bv: c for bv, c in zip(wc.basis, full, strict=True) if c}
+            for unit in lowering_units:
+                w2 = add_weights(w, root_weight(n, unit))
+                if not result.in_valid_region(w2):
+                    continue
+                moved = _act_reading(m, unit, expansion, reads)
+                if not moved:
+                    continue
+                wc2 = result.classes_at(w2)
+                coords2 = wc2.reduce(_as_coordinates(m, moved, wc2))
+                if not any(coords2):
+                    continue
+                if spans.setdefault(w2, Echelon(len(wc2.reps))).add(coords2):
+                    queue.append((w2, coords2))
+        for mu in sorted(candidates):
+            if _slot(alpha, anchor, mu) != s:
+                continue
+            nu = pr_alpha(n, mu, alpha)
+            expected = target_char.total(nu)
+            got = len(spans[mu]) if mu in spans else 0
+            if got != expected:
+                return Certificate(
+                    REFUTED,
+                    checked,
+                    {
+                        "weight": list(mu),
+                        "slot": s,
+                        "generated": got,
+                        "expected": expected,
+                        "reason": "lowering units do not generate a free module",
+                    },
+                )
+    return Certificate(
+        CERTIFIED,
+        checked,
+        {"singular_weights": [list(singular[0]), list(singular[-1])]},
+    )
 
 
 # ---------------------------------------------------------------------------

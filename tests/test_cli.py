@@ -254,3 +254,26 @@ def test_verify_rank_without_default_grid_is_usage_error(capsys, scenario, rank)
     assert code == 2
     assert f"no default grid at rank {rank}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("verify", "mabg", "--borel", "(1)"), "--borel"),
+        (("verify", "gl22", "--n", "3"), "--n"),
+        (("verify", "structure", "--alpha", "1,3"), "--alpha"),
+        (("verify", "structure", "--depth", "9"), "--depth"),
+    ],
+)
+def test_verify_refuses_an_option_its_scenario_does_not_take(capsys, argv, option):
+    code, err = run_usage_error(capsys, *argv)
+    assert code == 2
+    assert f"verify {argv[1]} does not take {option}" in err
+    assert "Traceback" not in err
+
+
+def test_ds_bg_rejects_nontrivial_label(capsys):
+    code, err = run_usage_error(capsys, "ds", "2", "(1)", "0,0,0,0", "--alpha", "2,3", "--bg")
+    assert code == 2
+    assert "ds --bg supports only the label '()'" in err
+    assert "Traceback" not in err

@@ -59,6 +59,7 @@ from superverma.weights import (
 )
 
 from oracles import (
+    coset_certify_verma_iso,
     full_ds_table,
     map_root_at,
     map_root_c,
@@ -612,10 +613,10 @@ def test_a_certificate_is_shared_only_where_its_reads_agree(monkeypatch):
     cold = homology._certify_verma_iso
     runs = []
 
-    def reading_hw1(result, target_label, target_tuple, target_hw, reads):
+    def reading_hw1(result, target_label, target_tuple, reads):
         runs.append(result.source.datum.hw)
         reads.add(((0, 1),))
-        return cold(result, target_label, target_tuple, target_hw, reads)
+        return cold(result, target_label, target_tuple, reads)
 
     monkeypatch.setattr(homology, "_certify_verma_iso", reading_hw1)
     label, alpha, depth = (), (2, 3), 4
@@ -631,6 +632,30 @@ def test_a_certificate_is_shared_only_where_its_reads_agree(monkeypatch):
     for view, cert in zip(views, certs):
         assert cert.verdict == CERTIFIED
         assert cert == _certify_matched(Realization(view.datum, depth), alpha, label)
+
+
+def test_rank_certificates_match_the_coset_oracle(monkeypatch):
+    # every cold doubled-Verma certificate of one pass of the rank-2 default
+    # grid and of the rank-3 sample gets the verdict, count and detail of
+    # the certificate that reduces classes over cosets
+    import superverma.homology as homology
+    from superverma.verify import verify_conjecture
+
+    cold = homology._certify_verma_iso
+    compared: dict = {2: [], 3: []}
+
+    def against_the_oracle(result, target_label, target_tuple, reads):
+        cert = cold(result, target_label, target_tuple, reads)
+        other = coset_certify_verma_iso(result, target_label, target_tuple, set())
+        assert cert == other
+        compared[result.n].append(cert.verdict)
+        return cert
+
+    monkeypatch.setenv("SUPERVERMA_JOBS", "1")
+    monkeypatch.setattr(homology, "_certify_verma_iso", against_the_oracle)
+    for n in compared:
+        assert set(verify_conjecture(n).counts()) == {CERTIFIED}
+    assert all(set(verdicts) == {CERTIFIED} for verdicts in compared.values())
 
 
 def test_shallow_region_is_inconclusive():

@@ -23,3 +23,11 @@ def test_mutant_names_are_unique():
 def test_mutant_patch_applies_once(mutant):
     assert mutant.old != mutant.new
     assert (ROOT / mutant.file).read_text().count(mutant.old) == 1
+
+
+def test_the_mutated_suite_leaves_out_the_patch_check():
+    # on a mutated copy the patched text is gone, so the patch check would
+    # fail there and count every mutant as killed
+    from mutate import TIER1
+
+    assert "--ignore=tests/test_mutants.py" in TIER1

@@ -331,6 +331,22 @@ def test_character_support_in_region(n, data):
         assert char.xi(sub_weights(char.top, w)) >= 0
 
 
+@settings(max_examples=40)
+@given(st.integers(min_value=1, max_value=3), st.data())
+def test_verma_totals_from_the_top_do_not_depend_on_the_tuple(n, data):
+    # the doubled-Verma certificate is kept without its target tuple: in
+    # offsets from the top, the target character has the same totals for
+    # any two tuples of one label and depth
+    label = data.draw(st.sampled_from(all_borels(n)))
+    depth = data.draw(st.integers(min_value=0, max_value=4))
+
+    def totals(t):
+        char = verma_character(n, label, t, depth)
+        return {sub_weights(w, char.top): e + o for w, (e, o) in char.table.items()}
+
+    assert totals(data.draw(tuples_strategy(n))) == totals(data.draw(tuples_strategy(n)))
+
+
 def test_bg_vs_verma_character_gl11():
     # rank 1 sanity: the product formula with a typical diagonal factor is
     # exactly the rank-1 Verma character
