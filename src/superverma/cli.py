@@ -257,6 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("borels", "rho", "char", "ds") and args.n < 1:
+        parser.error(f"rank must be at least 1, got {args.n}")
     handler = {
         "borels": _cmd_borels,
         "rho": _cmd_rho,

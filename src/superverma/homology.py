@@ -11,8 +11,9 @@ With ``alpha = (i, n+j)`` and ``y = e_(n+j, i)``, the supercommutator
 form ``(mu, alpha)``.  Where that value is not zero, every kernel vector
 ``z`` is ``x(yz) / (mu, alpha)``, so the homology there is zero by homotopy
 (Duflo--Serganova).  Ranks are therefore taken only on the slice
-``(mu, alpha) = 0``; every other cell of the valid region is ``(0, 0)``
-without a matrix built.
+``(mu, alpha) = 0``, each map once, kept with its rank in the record that
+the cosets and certificates read; every other cell of the valid region is
+``(0, 0)`` without a matrix built.
 
 The homology carries an action of the centralizer subalgebra spanned by
 the units avoiding both index lines of ``alpha`` -- a copy of the general
@@ -59,7 +60,6 @@ from .weights import (
     Character,
     Weight,
     add_weights,
-    bilinear_form,
     canonical_odd_pair,
     from_tuple,
     par,
@@ -120,7 +120,8 @@ class WeightClasses:
 class _Homology:
     """The rank-one homology of ``alpha`` on one layout, in offsets from the
     anchor: the class count at every offset of the valid region, its least
-    nonzero ``(offset, count)``, the cosets by slice offset, and the
+    nonzero ``(offset, count)``, each map of ``e_alpha`` its run ranked as
+    ``(matrix, rank)`` by source offset, the cosets by slice offset, and the
     doubled-Verma certificates by ``(target label, parity shift, anchor
     parity)``, each a list of ``(anchor, forms read, certificate)``.  The
     counts hold no parity, so views of either parity shift read one record.
@@ -128,6 +129,7 @@ class _Homology:
 
     cells: tuple
     first_nonzero: tuple | None
+    maps: dict[Weight, tuple[SparseRationalMatrix, int]]
     classes: dict[Weight, WeightClasses] = field(default_factory=dict)
     certificates: dict[tuple, list] = field(default_factory=dict)
 
@@ -185,8 +187,8 @@ class DSResult:
     def classes_at(self, weight: Weight) -> WeightClasses | None:
         """The kernels, images and cosets at ``weight``, or None off the
         module support, with the rank census checked against the coset
-        census.  On the slice ``(weight, alpha) = 0`` they come from the maps
-        the record's run read and are built once per record offset.  Off it
+        census.  On the slice ``(weight, alpha) = 0`` they come from the two
+        maps the record holds and are built once per record offset.  Off it
         the record does not fix the maps, so they are built from the source's
         own matrices on every call, and the census check confirms the zero
         by homotopy."""
@@ -198,16 +200,19 @@ class DSResult:
         if classes is None:
             if not m.layout.spaces.get(offset):
                 return None
+            maps = self._record.maps
             src = sub_weights(weight, root_weight(m.datum.n, self.alpha))
-            classes = WeightClasses(
-                m, offset, m.unit_matrix(self.alpha, weight), m.unit_matrix(self.alpha, src)
-            )
+            if offset in maps:
+                pair = maps[offset][0], maps[sub_weights(src, m.datum.hw)][0]
+            else:
+                pair = m.unit_matrix(self.alpha, weight), m.unit_matrix(self.alpha, src)
+            classes = WeightClasses(m, offset, *pair)
             if len(classes.reps) != self.total(weight):
                 raise AssertionError(
                     f"rank census {self.total(weight)} and coset census {len(classes.reps)} "
                     f"disagree at offset {offset}"
                 )
-            if not bilinear_form(m.datum.n, weight, root_weight(m.datum.n, self.alpha)):
+            if offset in maps:
                 self._record.classes[offset] = classes
         return classes
 
@@ -246,12 +251,13 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     valid region: on the slice ``(mu, alpha) = 0`` it comes from the ranks
     of the maps of ``e_alpha`` at the anchor, and everywhere else it is
     ``(0, 0)``, zero by homotopy.  In offsets from the anchor the counts are
-    a function of the maps around the slice.  A cold run ranks each of them
-    once and keeps its record on the layout under ``(alpha, level)``, with
-    the anchor and the ``Affine`` forms of the entries it evaluated; every
-    anchor of that level where those forms agree recalls it (:func:`_recall`)
-    and places the counts at its own parities.  An empty slice leaves every
-    count zero, so its anchors share one record under ``(alpha,)``.
+    a function of the maps around the slice.  A cold run builds and ranks
+    each of them once into its record, kept on the layout under ``(alpha,
+    level)`` with the anchor and the ``Affine`` forms of the entries it
+    evaluated; every anchor of that level where those forms agree recalls
+    it (:func:`_recall`) and places the counts at its own parities.  An
+    empty slice leaves every count zero, so its anchors share one record
+    under ``(alpha,)``.
     """
     n = m.datum.n
     if not is_odd_root(n, alpha):
@@ -272,22 +278,21 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     # off the slice every count is zero by homotopy
     cells = {off: 0 for off in layout.spaces if layout.cost(off) <= valid_depth}
     # the map into ``off`` is the map out of ``off - alpha``, which lies on
-    # the same level as (alpha, alpha) = 0; each map is ranked once
+    # the same level as (alpha, alpha) = 0; each map is built and ranked once
     reads: set = set()
-    ranks = {}
+    maps = {}
     for s in {s for off in offsets for s in (off, sub_weights(off, rw))}:
         matrix = layout.matrix_at(alpha, s, hw, reads)
-        # a map leaving the truncation region raises TruncationOverflow
-        ranks[s] = rank(matrix if matrix is not None else m.unit_matrix(alpha, add_weights(hw, s)))
+        maps[s] = (matrix, rank(matrix))
     for off in offsets:
         # the kernel of the outgoing map modulo the image of the incoming
-        count = len(layout.spaces[off]) - ranks[off] - ranks[sub_weights(off, rw)]
+        count = len(layout.spaces[off]) - maps[off][1] - maps[sub_weights(off, rw)][1]
         if count < 0:
             raise AssertionError(f"negative homology dimension at {add_weights(hw, off)}: {count}")
         cells[off] = count
     # translation by the anchor keeps the order of weights
     first = min(((off, count) for off, count in cells.items() if count), default=None)
-    record = _Homology(tuple(cells.items()), first)
+    record = _Homology(tuple(cells.items()), first, maps)
     made.append((hw, tuple(sorted(reads)), record))
     return DSResult(m, alpha, valid_depth, record)
 
@@ -589,20 +594,21 @@ def _certify_verma_iso(
             )
         checked += 1
 
-    # Steps 2 and 3 are ranks modulo the boundaries ``B = im e_alpha``.  The
-    # maps of ``e_alpha`` they rank are the record's own: on the slice, in the
-    # valid region, where the record is recalled only when their forms agree.
-    # So only the raising and lowering units add to ``reads``.
+    # Steps 2 and 3 are ranks modulo the boundaries ``B = im e_alpha``.  On
+    # the slice ``B`` and its rank are the record's, recalled only where
+    # their forms agree, so only the raising and lowering units add to
+    # ``reads``; a weight the record does not hold raises ``KeyError``.
     def added(mu: Weight, vectors) -> int:
         """The dimension of the span of the cycles ``vectors`` modulo ``B``."""
-        incoming = m.unit_matrix(alpha, sub_weights(mu, rw))
-        index = m.layout.positions[sub_weights(mu, anchor)]
+        off = sub_weights(mu, anchor)
+        incoming, boundary_rank = result._record.maps[sub_weights(off, rw)]
+        index = m.layout.positions[off]
         entries = dict(incoming.entries)
         for col, vec in enumerate(vectors, start=incoming.ncols):
             _assert_in_kernel(m, alpha, vec)
             entries.update(((index[bv], col), c) for bv, c in vec.items())
         stacked = SparseRationalMatrix(incoming.nrows, incoming.ncols + len(vectors), entries)
-        return rank(stacked) - rank(incoming)
+        return rank(stacked) - boundary_rank
 
     # 2. singular classes on the two anchor slots.  Every raising unit is
     # the opposite of a lowering unit, which costs depth, so its target lies

@@ -16,7 +16,7 @@ simple module realized at depth 2.
 Everything is graded by weight and truncated by a per-datum height
 functional: every weight of height-depth at most ``depth`` gets a complete
 weight space, and generator actions are computed by PBW straightening.
-Actions whose target weight falls outside the region raise
+Actions and matrices that leave the region raise
 :class:`TruncationOverflow` — results are never silently dropped.
 
 The work is split in two.  A :class:`PBWLayout` depends on the shape of the
@@ -573,10 +573,13 @@ class PBWLayout:
     def matrix_at(self, unit: Unit, offset: Weight, hw: Weight, reads: set | None = None):
         """The same map as an integer matrix at the anchor ``hw``; the
         ``Affine.terms`` of its anchor-dependent entries are added to
-        ``reads`` when it is given."""
+        ``reads`` when it is given.  A map from or to a space beyond the
+        truncation raises :class:`TruncationOverflow` there, source first."""
         found = self.map_entries(unit, offset)
         if found is None:
-            return None
+            if self.cost(offset) <= self.depth:
+                offset = add_weights(offset, root_weight(self.n, unit))
+            raise TruncationOverflow(add_weights(hw, offset), self.cost(offset), self.depth)
         nrows, ncols, entries = found
         if reads is not None:
             reads.update(v.terms for v in entries.values() if type(v) is not int)
@@ -697,22 +700,10 @@ class Realization:
                     out.pop(bv, None)
         return out
 
-    def _overflow(self, unit: Unit, source: Weight):
-        target = source
-        if not is_cartan(unit):
-            target = add_weights(source, root_weight(self.datum.n, unit))
-        for weight in (source, target):
-            needed = self.datum.depth_of(weight)
-            if needed > self.depth:
-                raise TruncationOverflow(weight, needed, self.depth)
-
     def unit_matrix(self, unit: Unit, source: Weight) -> SparseRationalMatrix:
         """Integer matrix of the unit from the weight space at ``source`` to
         the one at ``source + root``.  Shapes follow the canonical bases."""
-        matrix = self.layout.matrix_at(unit, self._offset(source), self._hw)
-        if matrix is None:
-            self._overflow(unit, source)
-        return matrix
+        return self.layout.matrix_at(unit, self._offset(source), self._hw)
 
     def level(self, unit: Unit) -> int:
         """The offset level ``-(hw, root)`` of the slice where the

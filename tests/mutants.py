@@ -61,8 +61,8 @@ MUTANTS = (
     Mutant(
         "incoming-rank-at-the-offset",
         HOMOLOGY,
-        "ranks[off] - ranks[sub_weights(off, rw)]",
-        "ranks[off] - ranks[off]",
+        "maps[off][1] - maps[sub_weights(off, rw)][1]",
+        "maps[off][1] - maps[off][1]",
     ),
     Mutant(
         "slot-sign-flipped",
@@ -109,7 +109,7 @@ MUTANTS = (
     Mutant(
         "off-slice-cosets-shared",
         HOMOLOGY,
-        "            if not bilinear_form(m.datum.n, weight, root_weight(m.datum.n, self.alpha)):\n"
+        "            if offset in maps:\n"
         "                self._record.classes[offset] = classes\n",
         "            self._record.classes[offset] = classes\n",
     ),
@@ -140,8 +140,26 @@ MUTANTS = (
     Mutant(
         "boundary-rank-not-subtracted",
         HOMOLOGY,
-        "        return rank(stacked) - rank(incoming)\n",
+        "        return rank(stacked) - boundary_rank\n",
         "        return rank(stacked)\n",
+    ),
+    Mutant(
+        "boundary-read-at-the-offset",
+        HOMOLOGY,
+        "result._record.maps[sub_weights(off, rw)]",
+        "result._record.maps[off]",
+    ),
+    Mutant(
+        "skip-the-raising-check",
+        HOMOLOGY,
+        "            if moved and added(add_weights(mu, root_weight(n, unit)), [moved]):\n",
+        "            if False:\n",
+    ),
+    Mutant(
+        "skip-the-freeness-check",
+        HOMOLOGY,
+        "            if got != expected:\n",
+        "            if False:\n",
     ),
     Mutant(
         "pbw-images-without-the-anchor-class",

@@ -247,6 +247,24 @@ def test_verify_conjecture_refuses_rank_zero(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, rank",
+    [
+        ("borels 0", 0),
+        ("borels -1", -1),
+        ("rho -1 ()", -1),
+        ("rho 0 ()", 0),
+        ("char verma 0 () 1,0", 0),
+        ("ds -2 () 1,0 --alpha 1,2", -2),
+    ],
+)
+def test_a_rank_below_one_is_usage_error(capsys, argv, rank):
+    code, err = run_usage_error(capsys, *argv.split())
+    assert code == 2
+    assert f"rank must be at least 1, got {rank}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "scenario, rank", [("conjecture", 4), ("mabg", 1), ("mabg", 4)]
 )
 def test_verify_rank_without_default_grid_is_usage_error(capsys, scenario, rank):

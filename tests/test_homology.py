@@ -32,7 +32,7 @@ from superverma.homology import (
     projected_ds_census,
     surviving_indices,
 )
-from superverma.linalg import SparseRationalMatrix
+from superverma.linalg import SparseRationalMatrix, rank
 from superverma.modules import (
     PBWLayout,
     Realization,
@@ -146,7 +146,8 @@ def test_root_vector_squares_to_zero_on_module():
 
 
 def test_valid_depth_is_depth_minus_margin():
-    # the margin is the height of the root for the module's Borel
+    # the margin is the height of the root for the module's Borel (the
+    # mutant ``ds-margin-off-by-one`` counts one level of depth too many)
     m = verma_realization(2, (1,), (0, 1, 0, 1), 6)
     assert ds13(m).valid_depth == 5
     m = verma_realization(2, (), (0, 1, 0, 1), 6)
@@ -543,6 +544,33 @@ def test_empty_slices_share_one_record_across_levels():
         assert not result.support() and certify_zero(result).verdict == CERTIFIED
 
 
+def test_the_record_keeps_each_map_of_e_alpha_with_its_rank():
+    # the record keeps every map of e_13 its run ranked, by source offset:
+    # each is the matrix of every view that shares the record, with its
+    # rank, and a count on the slice is the dimension less the ranks of the
+    # maps out of and into its offset (the mutant
+    # ``incoming-rank-at-the-offset`` subtracts the outgoing rank twice)
+    first = verma_realization(2, (), (-1, -2, -2, -2), 6)
+    second = verma_realization(2, (), (-1, -2, -2, -1), 6, first.layout)
+    record = ds13(first)._record
+    assert ds13(second)._record is record
+    for view in (first, second):
+        for s, (matrix, r) in record.maps.items():
+            assert matrix == view.unit_matrix(E13, add_weights(view.datum.hw, s))
+            assert r == rank(matrix)
+    rw = root_weight(2, E13)
+    spaces = first.layout.spaces
+    incoming_ranked = 0
+    for off, count in record.cells:
+        if off not in record.maps:
+            assert count == 0
+            continue
+        out_rank, in_rank = record.maps[off][1], record.maps[sub_weights(off, rw)][1]
+        assert count == len(spaces[off]) - out_rank - in_rank
+        incoming_ranked += in_rank != out_rank
+    assert incoming_ranked and any(count for _off, count in record.cells)
+
+
 def test_a_record_of_a_non_simple_root_is_shared_only_where_its_reads_agree():
     # e_13 is not simple for the standard Borel, and the entries of its maps
     # around one slice depend on the anchor through several forms; anchors
@@ -566,6 +594,43 @@ def test_a_record_of_a_non_simple_root_is_shared_only_where_its_reads_agree():
     for view, result in zip(views, results):
         assert result.dim_table == ds_homology(Realization(view.datum, depth), alpha).dim_table
     assert results[0].support() and not results[2].support()
+
+
+def test_a_class_that_a_raising_unit_moves_off_the_boundaries_is_refuted(monkeypatch):
+    # negative control of the singular step: with every simple root of the
+    # target Borel reversed, the "raising" units lower the anchor class to a
+    # cycle outside im e_alpha, so the anchor class is not singular for them
+    import superverma.homology as homology
+
+    roots = homology.simple_roots
+    monkeypatch.setattr(
+        homology, "simple_roots", lambda *args: [(r[1], r[0]) for r in roots(*args)]
+    )
+    cert = _certify_matched(verma_realization(2, (), (1, 0, 0, 1), 6), (2, 3), ())
+    assert cert.verdict == REFUTED and cert.checked_weights == 46
+    assert cert.detail == {
+        "weight": [1, 1, -1, -1],
+        "raising": [4, 1],
+        "reason": "anchor class is not singular",
+    }
+
+
+def test_lowering_units_short_of_a_free_module_are_refuted(monkeypatch):
+    # negative control of the freeness step: without the last lowering unit
+    # the PBW monomials generate less than the Verma dimension at a weight
+    import superverma.homology as homology
+
+    units = homology._target_lowering_units
+    monkeypatch.setattr(homology, "_target_lowering_units", lambda *args: units(*args)[:-1])
+    cert = _certify_matched(verma_realization(2, (), (1, 0, 0, 1), 6), (2, 3), ())
+    assert cert.verdict == REFUTED and cert.checked_weights == 46
+    assert cert.detail == {
+        "weight": [0, 1, -1, 0],
+        "slot": 0,
+        "generated": 0,
+        "expected": 1,
+        "reason": "lowering units do not generate a free module",
+    }
 
 
 def test_certify_rejects_wrong_target_weight():
@@ -656,6 +721,55 @@ def test_rank_certificates_match_the_coset_oracle(monkeypatch):
     for n in compared:
         assert set(verify_conjecture(n).counts()) == {CERTIFIED}
     assert all(set(verdicts) == {CERTIFIED} for verdicts in compared.values())
+
+
+def test_after_the_record_no_map_of_e_alpha_is_built_or_ranked_again(monkeypatch):
+    # a cold doubled-Verma certificate and the cosets on the slice read the
+    # maps of e_alpha and their ranks from the record of ``ds_homology``:
+    # they build no matrix and rank none of the record's maps again.  Every
+    # cold certificate of the rank-2 default grid and of one rank-3 sample
+    # tuple is watched
+    import superverma.homology as homology
+    from superverma.verify import verify_conjecture
+
+    watching = []
+    built, ranked, verdicts = [], [], []
+
+    def watched(method, seen):
+        def wrapper(*args, **kwargs):
+            if watching:
+                seen.append(args)
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    cold = homology._certify_verma_iso
+
+    def certify_watched(result, target_label, target_tuple, reads):
+        rw = root_weight(result.n, result.alpha)
+        watching.append(True)
+        try:
+            cert = cold(result, target_label, target_tuple, reads)
+            for w in result.dim_table:
+                if not bilinear_form(result.n, w, rw):
+                    result.classes_at(w)
+        finally:
+            watching.pop()
+        assert built == []
+        kept = {matrix for matrix, _rank in result._record.maps.values()}
+        assert not [args for args in ranked if args[0] in kept]
+        ranked.clear()
+        verdicts.append(cert.verdict)
+        return cert
+
+    monkeypatch.setenv("SUPERVERMA_JOBS", "1")
+    monkeypatch.setattr(PBWLayout, "matrix_at", watched(PBWLayout.matrix_at, built))
+    monkeypatch.setattr(Realization, "unit_matrix", watched(Realization.unit_matrix, built))
+    monkeypatch.setattr(homology, "rank", watched(homology.rank, ranked))
+    monkeypatch.setattr(homology, "_certify_verma_iso", certify_watched)
+    assert set(verify_conjecture(2).counts()) == {CERTIFIED}
+    assert set(verify_conjecture(3, grid=[(1, 0, 1, 1, 0, 1)]).counts()) == {CERTIFIED}
+    assert len(verdicts) > 24 and set(verdicts) == {CERTIFIED}
 
 
 def test_shallow_region_is_inconclusive():

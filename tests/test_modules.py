@@ -409,8 +409,18 @@ def test_truncation_overflow_is_raised_not_dropped():
         r.act_unit((2, 1), v)
     assert info.value.needed == 1
     assert info.value.depth == 0
-    with pytest.raises(TruncationOverflow):
-        r.unit_matrix((2, 1), r.datum.hw)
+    # a map leaving the region names the first space outside it, the
+    # source before the target, and the depth that space needs
+    hw = r.datum.hw
+    below = add_weights(hw, root_weight(1, (2, 1)))
+    for unit, source, weight, needed in (
+        ((2, 1), hw, below, 1),
+        ((1, 2), below, below, 1),
+        ((2, 1), below, below, 1),
+    ):
+        with pytest.raises(TruncationOverflow) as info:
+            r.unit_matrix(unit, source)
+        assert (info.value.weight, info.value.needed, info.value.depth) == (weight, needed, 0)
     # raising out of the cone is fine: the target space is genuinely zero
     m = r.unit_matrix((1, 2), r.datum.hw)
     assert m.nrows == 0 and m.ncols == 1
