@@ -119,15 +119,16 @@ class WeightClasses:
 @dataclass(eq=False)
 class _Homology:
     """The rank-one homology of ``alpha`` on one layout, in offsets from the
-    anchor: the class count at every offset of the valid region, its least
-    nonzero ``(offset, count)``, each map of ``e_alpha`` its run ranked as
-    ``(matrix, rank)`` by source offset, the cosets by slice offset, and the
-    doubled-Verma certificates by ``(target label, parity shift, anchor
-    parity)``, each a list of ``(anchor, forms read, certificate)``.  The
-    counts hold no parity, so views of either parity shift read one record.
+    anchor: the class count at every offset of the valid region, in order,
+    its least nonzero ``(offset, count)``, each map of ``e_alpha`` its run
+    ranked as ``(matrix, rank)`` by source offset, the cosets by slice
+    offset, and the doubled-Verma certificates by ``(target label, parity
+    shift, anchor parity)``, each a list of ``(anchor, forms read,
+    certificate)``.  The counts hold no parity, so views of either parity
+    shift read one record.
     """
 
-    cells: tuple
+    cells: dict[Weight, int]
     first_nonzero: tuple | None
     maps: dict[Weight, tuple[SparseRationalMatrix, int]]
     classes: dict[Weight, WeightClasses] = field(default_factory=dict)
@@ -157,7 +158,8 @@ class DSResult:
         at its parities."""
         hw = self.source.datum.hw
         return {
-            tuple(map(add, hw, off)): self._place(off, count) for off, count in self._record.cells
+            tuple(map(add, hw, off)): self._place(off, count)
+            for off, count in self._record.cells.items()
         }
 
     def _place(self, offset: Weight, count: int) -> tuple[int, int]:
@@ -198,30 +200,28 @@ class DSResult:
         offset = sub_weights(weight, m.datum.hw)
         classes = self._record.classes.get(offset)
         if classes is None:
-            if not m.layout.spaces.get(offset):
+            layout = m.layout
+            if not layout.spaces.get(offset):
                 return None
             maps = self._record.maps
-            src = sub_weights(weight, root_weight(m.datum.n, self.alpha))
+            src = _lowered(layout, self.alpha)[offset]
             if offset in maps:
-                pair = maps[offset][0], maps[sub_weights(src, m.datum.hw)][0]
+                pair = maps[offset][0], maps[src][0]
             else:
-                pair = m.unit_matrix(self.alpha, weight), m.unit_matrix(self.alpha, src)
+                pair = (
+                    m.unit_matrix(self.alpha, weight),
+                    m.unit_matrix(self.alpha, tuple(map(add, m.datum.hw, src))),
+                )
             classes = WeightClasses(m, offset, *pair)
-            if len(classes.reps) != self.total(weight):
+            count = self._record.cells[offset]
+            if len(classes.reps) != count:
                 raise AssertionError(
-                    f"rank census {self.total(weight)} and coset census {len(classes.reps)} "
+                    f"rank census {count} and coset census {len(classes.reps)} "
                     f"disagree at offset {offset}"
                 )
             if offset in maps:
                 self._record.classes[offset] = classes
         return classes
-
-    def rep_dict(self, weight: Weight, index: int) -> dict:
-        """The ``index``-th coset representative at ``weight`` as a
-        basis-vector expansion."""
-        wc = self.classes_at(weight)
-        vec = wc.reps[index]
-        return {bv: c for bv, c in zip(wc.basis, vec, strict=True) if c}
 
     def to_json(self) -> str:
         datum = self.source.datum
@@ -264,8 +264,7 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
         raise ValueError(f"{alpha} is not an odd root")
     if bracket(n, alpha, alpha):
         raise AssertionError(f"root vector of {alpha} does not square to zero")
-    rw = root_weight(n, alpha)
-    margin = abs(m.datum.xi(rw))
+    margin = abs(m.datum.xi(root_weight(n, alpha)))
     valid_depth = m.depth - margin
     hw = m.datum.hw
     layout = m.layout
@@ -276,25 +275,31 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     if hit is not None:
         return DSResult(m, alpha, valid_depth, hit[2])
     # off the slice every count is zero by homotopy
-    cells = {off: 0 for off in layout.spaces if layout.cost(off) <= valid_depth}
+    cells = dict.fromkeys(layout.valid_offsets(valid_depth), 0)
     # the map into ``off`` is the map out of ``off - alpha``, which lies on
     # the same level as (alpha, alpha) = 0; each map is built and ranked once
+    down = _lowered(layout, alpha)
     reads: set = set()
     maps = {}
-    for s in {s for off in offsets for s in (off, sub_weights(off, rw))}:
+    for s in {s for off in offsets for s in (off, down[off])}:
         matrix = layout.matrix_at(alpha, s, hw, reads)
         maps[s] = (matrix, rank(matrix))
     for off in offsets:
         # the kernel of the outgoing map modulo the image of the incoming
-        count = len(layout.spaces[off]) - maps[off][1] - maps[sub_weights(off, rw)][1]
+        count = len(layout.spaces[off]) - maps[off][1] - maps[down[off]][1]
         if count < 0:
             raise AssertionError(f"negative homology dimension at {add_weights(hw, off)}: {count}")
         cells[off] = count
-    # translation by the anchor keeps the order of weights
-    first = min(((off, count) for off, count in cells.items() if count), default=None)
-    record = _Homology(tuple(cells.items()), first, maps)
+    first = next(((off, count) for off, count in cells.items() if count), None)
+    record = _Homology(cells, first, maps)
     made.append((hw, tuple(sorted(reads)), record))
     return DSResult(m, alpha, valid_depth, record)
+
+
+def _lowered(layout, alpha: Root) -> dict[Weight, Weight]:
+    """``off -> off - alpha`` on the offsets of the layout: the shift of the
+    opposite unit."""
+    return layout.shift((alpha[1], alpha[0]))
 
 
 def _recall(made: list, anchor: Weight) -> tuple | None:
@@ -444,15 +449,6 @@ def certify_zero(result: DSResult) -> Certificate:
     return Certificate(REFUTED, checked, {"weight": weight, "dims": dims})
 
 
-def _slot(alpha: Root, anchor: Weight, weight: Weight) -> int | None:
-    """How far the two alpha coordinates moved; None if not a clean slot."""
-    r1, r2 = alpha
-    s = weight[r1 - 1] - anchor[r1 - 1]
-    if s in (0, -1) and weight[r2 - 1] - anchor[r2 - 1] == -s:
-        return s
-    return None
-
-
 def certify_verma_iso(result: DSResult, target_label: Label, target_tuple) -> Certificate:
     """Certificate that the homology is a double Verma one size down.
 
@@ -511,15 +507,6 @@ def certify_verma_iso(result: DSResult, target_label: Label, target_tuple) -> Ce
     return cert
 
 
-def _act_reading(m: Realization, unit: Unit, vec: dict, reads: set) -> dict:
-    """``m.act_unit(unit, vec)``, adding to ``reads`` the ``Affine.terms``
-    of every anchor-dependent coefficient it evaluates."""
-    for bvec in vec:
-        coefs = m.layout.act(unit, bvec).values()
-        reads.update(c.terms for c in coefs if type(c) is not int)
-    return m.act_unit(unit, vec)
-
-
 def _translated(cert: Certificate, delta: Weight) -> Certificate:
     """The certificate with every weight of its detail moved by ``delta``."""
     detail = dict(cert.detail)
@@ -535,74 +522,87 @@ def _translated(cert: Certificate, delta: Weight) -> Certificate:
 def _certify_verma_iso(
     result: DSResult, target_label: Label, target_tuple, reads: set
 ) -> Certificate:
-    """The checks of :func:`certify_verma_iso` on a nonempty valid region;
-    the forms of the coefficients they evaluate are added to ``reads``."""
+    """The checks of :func:`certify_verma_iso` on a nonempty valid region,
+    in offsets from the anchor; the forms of the coefficients they evaluate
+    are added to ``reads``.  Weights are formed only for a ``detail`` and
+    for the cosets of the two anchor slots."""
     m = result.source
     n = m.datum.n
     alpha = result.alpha
     anchor = m.datum.hw
-    rw = root_weight(n, alpha)
+    layout = m.layout
+    record = result._record
+    cells = record.cells
+    valid = result.valid_depth
     target_n = n - 1
-    target_pos = simple_roots(target_n, target_label)
     lowering_units = _target_lowering_units(n, alpha, target_n, target_label)
-    margin = abs(m.datum.xi(rw))
-    budget = result.valid_depth + margin
+    depth_t = _target_depth(m, alpha, target_label, lowering_units)
+    totals = _target_totals(layout, target_label, depth_t, target_tuple)
     heights_t = height_functional(target_n, target_label)
+    # the slot of an offset is how far it moved along alpha; the target sees
+    # the other coordinates
+    r1, r2 = alpha[0] - 1, alpha[1] - 1
+    kept = [t - 1 for t in surviving_indices(n, alpha)]
+    heights = layout.heights
+    along = heights[r1] - heights[r2]
 
-    ratio = 1
-    for unit in lowering_units:
-        amb_cost = m.datum.root_cost(unit)
-        small = _shrink_unit(n, alpha, unit)
-        t_cost = -sum(h * v for h, v in zip(heights_t, root_weight(target_n, small), strict=True))
-        ratio = max(ratio, (t_cost + amb_cost - 1) // amb_cost)
-    target_char = verma_character(
-        target_n, target_label, tuple(target_tuple), budget * ratio
-    )
-
-    # 1. census over every valid weight (module support plus expected lifts).
-    candidates = set(result.dim_table)
-    emb = surviving_indices(n, alpha)
-    for nu in target_char.table:
+    # 1. census over every offset of the valid region: the module's, and the
+    # lifts of the target's to the two slots, which need a basis there.
+    lifts = set()
+    for nu in totals:
+        cost = -sum(heights[t] * v for t, v in zip(kept, nu))
         for s in (0, -1):
-            mu = _lift_weight(n, alpha, anchor, nu, s, emb)
-            if result.in_valid_region(mu):
-                candidates.add(mu)
+            if cost - s * along <= valid:
+                off = [0] * (2 * n)
+                off[r1], off[r2] = s, -s
+                for t, v in zip(kept, nu):
+                    off[t] = v
+                lifts.add(tuple(off))
+    anchor_parity = par(n, anchor)
+    slots: dict[int, list] = {0: [], -1: []}
     checked = 0
-    for mu in sorted(candidates):
-        s = _slot(alpha, anchor, mu)
+    for off in sorted(lifts.union(cells)):
+        s = off[r1]
         expected_total = 0
-        if s is not None:
-            nu = pr_alpha(n, mu, alpha)
-            if not target_char.contains(nu):
+        if s in (0, -1) and off[r2] == -s:
+            nu = tuple(off[t] for t in kept)
+            expected_total = totals.get(nu)
+            if expected_total is None:
+                if -sum(h * v for h, v in zip(heights_t, nu)) > depth_t:
+                    return Certificate(
+                        INCONCLUSIVE,
+                        checked,
+                        {"reason": "target character shallower than the valid region"},
+                    )
+                expected_total = 0
+            slots[s].append((off, expected_total))
+        count = cells.get(off, 0)
+        if count or expected_total:
+            dims = result._place(off, count) if count else (0, 0)
+            odd = (anchor_parity + sum(off[n:])) % 2
+            expected = (0, expected_total) if odd else (expected_total, 0)
+            if dims != expected:
                 return Certificate(
-                    INCONCLUSIVE,
+                    REFUTED,
                     checked,
-                    {"reason": "target character shallower than the valid region"},
+                    {
+                        "weight": list(map(add, anchor, off)),
+                        "dims": list(dims),
+                        "expected": list(expected),
+                    },
                 )
-            expected_total = target_char.total(nu)
-        e, o = result.dims(mu)
-        expected = (expected_total, 0) if par(n, mu) == 0 else (0, expected_total)
-        if (e, o) != expected:
-            return Certificate(
-                REFUTED,
-                checked,
-                {
-                    "weight": list(mu),
-                    "dims": [e, o],
-                    "expected": list(expected),
-                },
-            )
         checked += 1
 
     # Steps 2 and 3 are ranks modulo the boundaries ``B = im e_alpha``.  On
     # the slice ``B`` and its rank are the record's, recalled only where
     # their forms agree, so only the raising and lowering units add to
-    # ``reads``; a weight the record does not hold raises ``KeyError``.
-    def added(mu: Weight, vectors) -> int:
+    # ``reads``; an offset the record does not hold raises ``KeyError``.
+    down = _lowered(layout, alpha)
+
+    def added(off: Weight, vectors) -> int:
         """The dimension of the span of the cycles ``vectors`` modulo ``B``."""
-        off = sub_weights(mu, anchor)
-        incoming, boundary_rank = result._record.maps[sub_weights(off, rw)]
-        index = m.layout.positions[off]
+        incoming, boundary_rank = record.maps[down[off]]
+        index = layout.positions[off]
         entries = dict(incoming.entries)
         for col, vec in enumerate(vectors, start=incoming.ncols):
             _assert_in_kernel(m, alpha, vec)
@@ -610,35 +610,33 @@ def _certify_verma_iso(
         stacked = SparseRationalMatrix(incoming.nrows, incoming.ncols + len(vectors), entries)
         return rank(stacked) - boundary_rank
 
-    # 2. singular classes on the two anchor slots.  Every raising unit is
-    # the opposite of a lowering unit, which costs depth, so its target lies
-    # above ``mu`` and inside the valid region.
+    # 2. singular classes on the two anchor slots.  The census passed, so a
+    # slot inside the valid region holds exactly one class: the target's top
+    # has multiplicity one.  Every raising unit is the opposite of a lowering
+    # unit, which costs depth, so its target lies above the slot and inside
+    # the valid region.
     singular: dict[int, tuple[Weight, dict]] = {}
     for s in (0, -1):
-        mu = add_weights(anchor, tuple(c * s for c in rw))
-        if not result.in_valid_region(mu):
+        off = tuple(s * c for c in root_weight(n, alpha))
+        if layout.cost(off) > valid:
             return Certificate(
                 INCONCLUSIVE,
                 checked,
                 {"reason": f"anchor slot {s} outside the valid region"},
             )
-        if result.total(mu) != 1:
-            return Certificate(
-                REFUTED,
-                checked,
-                {"weight": list(mu), "dims": list(result.dims(mu)), "expected_total": 1},
-            )
-        rep = result.rep_dict(mu, 0)
-        singular[s] = (mu, rep)
-        for beta in target_pos:
+        # through the public entry, so a span around it sees every coset
+        wc = result.classes_at(tuple(map(add, anchor, off)))
+        rep = {bv: c for bv, c in zip(wc.basis, wc.reps[0], strict=True) if c}
+        singular[s] = (off, rep)
+        for beta in simple_roots(target_n, target_label):
             unit = lift_unit(n, alpha, beta)
-            moved = _act_reading(m, unit, rep, reads)
-            if moved and added(add_weights(mu, root_weight(n, unit)), [moved]):
+            moved = m.act_unit(unit, rep, reads)
+            if moved and added(layout.shift(unit)[off], [moved]):
                 return Certificate(
                     REFUTED,
                     checked,
                     {
-                        "weight": list(mu),
+                        "weight": list(map(add, anchor, off)),
                         "raising": list(unit),
                         "reason": "anchor class is not singular",
                     },
@@ -646,32 +644,32 @@ def _certify_verma_iso(
 
     # 3. freeness from each anchor class ``v``: PBW monomials in the lowering
     # units span ``U(n^-) v`` and lifted units preserve ``B``, so their images
-    # at a weight add to ``B`` the dimension ``v`` generates there.  Each
+    # at an offset add to ``B`` the dimension ``v`` generates there.  Each
     # monomial is its first unit applied to one that starts no later.
-    for s, (mu0, rep) in singular.items():
-        images = {mu0: [rep]}
-        monomials = [(len(lowering_units), mu0, rep)]
+    lowering = [(unit, layout.shift(unit)) for unit in lowering_units]
+    costs = layout.costs
+    for s, (off0, rep) in singular.items():
+        images = {off0: [rep]}
+        monomials = [(len(lowering), off0, rep)]
         while monomials:
             first, w, vec = monomials.pop()
-            for k, unit in enumerate(lowering_units[: first + 1]):
-                w2 = add_weights(w, root_weight(n, unit))
-                if not result.in_valid_region(w2):
+            for k, (unit, shift) in enumerate(lowering[: first + 1]):
+                w2 = shift[w]
+                # an offset with no basis holds no image
+                if costs.get(w2, valid + 1) > valid:
                     continue
-                moved = _act_reading(m, unit, vec, reads)
+                moved = m.act_unit(unit, vec, reads)
                 if moved:
                     images.setdefault(w2, []).append(moved)
                     monomials.append((k, w2, moved))
-        for mu in sorted(candidates):
-            if _slot(alpha, anchor, mu) != s:
-                continue
-            expected = target_char.total(pr_alpha(n, mu, alpha))
-            got = added(mu, images[mu]) if mu in images else 0
+        for off, expected in slots[s]:
+            got = added(off, images[off]) if off in images else 0
             if got != expected:
                 return Certificate(
                     REFUTED,
                     checked,
                     {
-                        "weight": list(mu),
+                        "weight": list(map(add, anchor, off)),
                         "slot": s,
                         "generated": got,
                         "expected": expected,
@@ -681,18 +679,36 @@ def _certify_verma_iso(
     return Certificate(
         CERTIFIED,
         checked,
-        {"singular_weights": [list(singular[s][0]) for s in (0, -1)]},
+        {"singular_weights": [list(map(add, anchor, singular[s][0])) for s in (0, -1)]},
     )
 
 
-def _lift_weight(n, alpha, anchor, nu, slot, emb) -> Weight:
-    r1, r2 = alpha
-    out = [0] * (2 * n)
-    out[r1 - 1] = anchor[r1 - 1] + slot
-    out[r2 - 1] = anchor[r2 - 1] - slot
-    for v, t in zip(nu, emb, strict=True):
-        out[t - 1] = v
-    return tuple(out)
+def _target_depth(m: Realization, alpha: Root, target_label: Label, lowering_units) -> int:
+    """The depth of the target character that covers the valid region: a
+    lowering unit costs the target at most ``ratio`` times what it costs the
+    module."""
+    n = m.datum.n
+    heights_t = height_functional(n - 1, target_label)
+    ratio = 1
+    for unit in lowering_units:
+        amb_cost = m.datum.root_cost(unit)
+        small = _shrink_unit(n, alpha, unit)
+        t_cost = -sum(h * v for h, v in zip(heights_t, root_weight(n - 1, small), strict=True))
+        ratio = max(ratio, (t_cost + amb_cost - 1) // amb_cost)
+    return m.depth * ratio
+
+
+def _target_totals(layout, target_label: Label, depth: int, target_tuple) -> dict[Weight, int]:
+    """The totals of the target Verma character to ``depth``, in offsets from
+    its top.  They do not depend on the target tuple, so they are kept on the
+    layout per label and depth."""
+    key = (target_label, depth)
+    totals = layout.targets.get(key)
+    if totals is None:
+        char = verma_character(layout.n - 1, target_label, tuple(target_tuple), depth)
+        totals = {sub_weights(w, char.top): e + o for w, (e, o) in char.table.items()}
+        layout.targets[key] = totals
+    return totals
 
 
 def _shrink_unit(n: int, alpha: Root, unit: Unit) -> Unit:

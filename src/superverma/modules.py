@@ -21,14 +21,17 @@ Actions and matrices that leave the region raise
 
 The work is split in two.  A :class:`PBWLayout` depends on the shape of the
 induction (rank, inducing and levi roots, PBW order, heights, depth, levi
-module) but not on the anchor weight ``hw``.  It enumerates the basis by
-weight offset from the anchor and holds the one straightening memo, whose
-coefficients are integers affine in ``hw``: a plain ``int`` when constant
-(almost always), otherwise an :class:`Affine`.  Every weight space has one
-parity (here always that of its weight), and the layout refuses a shape
-where it would not.  A :class:`Realization` is a thin view of a layout at
-one anchor; it evaluates weight spaces, parities, actions and integer unit
-matrices there.  Views of one shared layout, such as the Verma modules of
+module) but not on the anchor weight ``hw``.  It numbers the basis once, by
+weight offset from the anchor, keeps the cost and parity of each offset and,
+per unit, the offset it moves each offset to, and holds the one
+straightening memo, whose coefficients are integers affine in ``hw``: a
+plain ``int`` when constant (almost always), otherwise an :class:`Affine`.
+Every weight space has one parity (here always that of its weight), and the
+layout refuses a shape where it would not.  Its matrices and slices read
+those tables, so weights are formed only where they leave the layout.  A
+:class:`Realization` is a thin view of a layout at one anchor; it evaluates
+weight spaces, parities, actions and integer unit matrices there.  Views of
+one shared layout, such as the Verma modules of
 one Borel over a grid of tuples, straighten once, and views at anchors where
 the linear forms a homology run read take the same values share its record.
 """
@@ -38,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import product
-from operator import mul
+from operator import add, mul
 
 from .borels import (
     Label,
@@ -360,19 +363,26 @@ class PBWLayout:
     PBW order, heights), the depth and the levi module, never on the anchor
     weight ``hw``.  Basis vectors are pairs ``(exponents, levi_state)``:
     exponents align with the PBW order (odd-root exponents are 0 or 1), the
-    levi state indexes the levi module's basis.  Construction enumerates
-    every basis vector of height-depth at most ``depth``, grouped by its
-    weight offset from the anchor, so every offset of height-depth at most
-    ``depth`` has a complete basis.  ``parities`` maps each offset to the one
-    raw parity of its basis vectors; construction raises ``ValueError`` if a
-    weight space holds both.  Actions are straightened on demand and
+    levi state indexes the levi module's basis.  Construction numbers every
+    basis vector of height-depth at most ``depth`` in one walk that carries
+    the vector's weight offset from the anchor, its cost and its raw parity,
+    so every offset of height-depth at most ``depth`` has a complete basis.
+    ``numbered`` maps each basis vector to its offset, ``spaces`` lists the
+    offsets in increasing order, ``costs`` maps each to its height-depth and
+    ``parities`` to the one raw parity of its basis vectors; construction
+    raises ``ValueError`` if a weight space holds both.
+    :meth:`shift` tables, per unit, the offset each offset moves to, made
+    the first time the unit is applied and filled as it is read;
+    :meth:`valid_offsets` and :meth:`slice_of` list offsets by depth and
+    level once.  Matrices and the region check of an action read these
+    tables, so no offset of a numbered vector is recomputed.  Actions are straightened on demand and
     memoized with coefficients affine in ``hw``, so every entry of a map is
     ``const + form(hw)`` for one linear form, and :meth:`matrix_at` can name
     the forms it evaluates.  Everything derived from some maps is therefore
     the same at every anchor where the forms of their entries take the same
-    values.  ``homology`` is a memo that :mod:`superverma.homology` owns and
-    the layout never reads.  A :class:`Realization` evaluates everything at
-    one anchor.
+    values.  ``homology`` and ``targets`` are memos that
+    :mod:`superverma.homology` owns and the layout never reads.  A
+    :class:`Realization` evaluates everything at one anchor.
     """
 
     def __init__(self, datum: InductionDatum, depth: int, levi=None):
@@ -391,7 +401,11 @@ class PBWLayout:
         self._position = {u: i for i, u in enumerate(self.units)}
         self._roots = [root_weight(n, r) for r in self.units]
         self._odd = [is_odd_root(n, r) for r in self.units]
-        self._costs = [datum.root_cost(r) for r in self.units]
+        self._root_costs = [datum.root_cost(r) for r in self.units]
+        self.spaces: dict[Weight, list] = {}
+        self.parities: dict[Weight, int] = {}
+        self.costs: dict[Weight, int] = {}
+        self.numbered: dict = {}
         self._state_offsets = []
         for weight, _parity in self.levi.states:
             off = sub_weights(weight, self.levi.hw)
@@ -400,70 +414,92 @@ class PBWLayout:
                     "levi state above the anchor weight: heights misaligned"
                 )
             self._state_offsets.append(off)
-        self._offset_memo: dict = {}
         self._act_memo: dict = {}
+        self._shifts: dict = {}
+        self._valid: dict = {}
         self._slices: dict = {}
         self.homology: dict = {}
-        self.spaces: dict[Weight, list] = {}
+        self.targets: dict = {}
         self._enumerate()
         self.positions = {
             off: {bv: i for i, bv in enumerate(basis)}
             for off, basis in self.spaces.items()
         }
-        self.parities: dict[Weight, int] = {}
-        for off, basis in self.spaces.items():
-            raw = {self.raw_parity(bv) for bv in basis}
-            if len(raw) != 1:
-                raise ValueError(f"the weight space at offset {off} holds both parities")
-            self.parities[off] = raw.pop()
 
     def _enumerate(self):
+        """Number every basis vector of height-depth at most ``depth``: the
+        walk carries the offset, cost and raw parity of the exponents so far,
+        and files each vector under its offset.  Offsets are then put in
+        increasing order, each basis sorted."""
         k = len(self._roots)
         exps = [0] * k
+        spaces, parities, costs, numbered = self.spaces, self.parities, self.costs, self.numbered
 
-        def walk(i: int, budget: int, levi_state: int):
+        def walk(i: int, off: Weight, spent: int, parity: int, levi_state: int):
             if i == k:
                 bvec = (tuple(exps), levi_state)
-                self.spaces.setdefault(self.offset(bvec), []).append(bvec)
+                numbered[bvec] = off
+                basis = spaces.get(off)
+                if basis is None:
+                    spaces[off] = [bvec]
+                    parities[off] = parity
+                    costs[off] = spent
+                    return
+                if parities[off] != parity:
+                    raise ValueError(f"the weight space at offset {off} holds both parities")
+                basis.append(bvec)
                 return
-            cost = self._costs[i]
-            top = 1 if self._odd[i] else budget // cost
-            for e in range(min(top, budget // cost) + 1):
+            cost, rw, odd = self._root_costs[i], self._roots[i], self._odd[i]
+            top = (self.depth - spent) // cost
+            for e in range((min(top, 1) if odd else top) + 1):
                 exps[i] = e
-                walk(i + 1, budget - e * cost, levi_state)
+                walk(i + 1, off, spent + e * cost, parity ^ (e & odd), levi_state)
+                off = tuple(map(add, off, rw))
             exps[i] = 0
 
         for state, off in enumerate(self._state_offsets):
-            walk(0, self.depth - self.cost(off), state)
-        for basis in self.spaces.values():
-            basis.sort()
+            walk(0, off, self.cost(off), self.levi.states[state][1], state)
+        self.spaces = {off: sorted(spaces[off]) for off in sorted(spaces)}
 
     # -- basic queries ------------------------------------------------
 
     def cost(self, offset: Weight) -> int:
-        """Height-depth of a weight ``offset`` below the anchor."""
+        """Height-depth of a weight ``offset`` below the anchor: read from
+        the table of the layout's offsets, computed for any other."""
+        known = self.costs.get(offset)
+        if known is not None:
+            return known
         return -sum(h * v for h, v in zip(self.heights, offset, strict=True))
 
     def offset(self, bvec) -> Weight:
-        """Weight of a basis vector minus the anchor."""
-        cached = self._offset_memo.get(bvec)
-        if cached is not None:
-            return cached
+        """Weight of a basis vector minus the anchor: numbered by the walk,
+        computed only for a vector beyond the truncation."""
+        known = self.numbered.get(bvec)
+        if known is not None:
+            return known
         exps, state = bvec
-        w = list(self._state_offsets[state])
-        for e, rw in zip(exps, self._roots):
-            if e:
-                for t in range(len(w)):
-                    w[t] += e * rw[t]
-        out = tuple(w)
-        self._offset_memo[bvec] = out
-        return out
+        return reduce(
+            add_weights,
+            (tuple(e * v for v in rw) for e, rw in zip(exps, self._roots) if e),
+            self._state_offsets[state],
+        )
 
-    def raw_parity(self, bvec) -> int:
-        """Parity of a basis vector before the anchor's parity shift."""
-        exps, state = bvec
-        odd = sum(e for e, o in zip(exps, self._odd) if o)
-        return (self.levi.states[state][1] + odd) % 2
+    def shift(self, unit: Unit) -> dict[Weight, Weight]:
+        """The table ``off -> off + root`` of the unit, made the first time
+        the unit is applied and filled as offsets are looked up in it."""
+        table = self._shifts.get(unit)
+        if table is None:
+            table = self._shifts[unit] = _Shift(root_weight(self.n, unit))
+        return table
+
+    def valid_offsets(self, max_depth: int) -> tuple:
+        """The offsets of height-depth at most ``max_depth``, in order."""
+        found = self._valid.get(max_depth)
+        if found is None:
+            costs = self.costs
+            found = tuple(off for off in self.spaces if costs[off] <= max_depth)
+            self._valid[max_depth] = found
+        return found
 
     # -- straightening ------------------------------------------------
 
@@ -557,9 +593,7 @@ class PBWLayout:
         at ``offset`` to the one at ``offset + root``, with ``int`` and
         ``Affine`` entries; ``None`` when either space leaves the truncation
         region.  Rows and columns follow the canonical bases."""
-        target = offset
-        if not is_cartan(unit):
-            target = add_weights(offset, root_weight(self.n, unit))
+        target = self.shift(unit)[offset]
         if max(self.cost(offset), self.cost(target)) > self.depth:
             return None
         rows = self.positions.get(target, {})
@@ -588,18 +622,35 @@ class PBWLayout:
 
     def slice_of(self, unit: Unit, max_depth: int, level: int) -> tuple:
         """The offsets of the slice ``(offset, root) = level`` up to
-        height-depth ``max_depth``, in the order of ``spaces``.  The offsets
-        of every level are grouped in one pass per ``(unit, max_depth)``."""
+        height-depth ``max_depth``, in order.  The offsets of every level are
+        grouped in one pass per ``(unit, max_depth)``: with ``root = eps_p -
+        eps_q``, the form is ``sign(p) offset[p] - sign(q) offset[q]``, the
+        sign ``-1`` on the delta lines."""
         key = (unit, max_depth)
         levels = self._slices.get(key)
         if levels is None:
-            rw = root_weight(self.n, unit)
+            n = self.n
+            p, q = unit[0] - 1, unit[1] - 1
+            sp, sq = (1 if p < n else -1), (1 if q < n else -1)
             grouped: dict = {}
-            for off in self.spaces:
-                if self.cost(off) <= max_depth:
-                    grouped.setdefault(bilinear_form(self.n, off, rw), []).append(off)
+            for off in self.valid_offsets(max_depth):
+                grouped.setdefault(sp * off[p] - sq * off[q], []).append(off)
             levels = self._slices[key] = {lv: tuple(offs) for lv, offs in grouped.items()}
         return levels.get(level, ())
+
+
+class _Shift(dict):
+    """``off -> off + root`` for one root, each entry made when first read."""
+
+    __slots__ = ("root",)
+
+    def __init__(self, root: Weight):
+        super().__init__()
+        self.root = root
+
+    def __missing__(self, off: Weight) -> Weight:
+        target = self[off] = tuple(map(add, off, self.root))
+        return target
 
 
 class Realization:
@@ -676,23 +727,28 @@ class Realization:
                 out[bv] = value
         return out
 
-    def _check_region(self, bvec):
-        needed = self.layout.cost(self.layout.offset(bvec))
-        if needed > self.depth:
-            raise TruncationOverflow(self.vector_weight(bvec), needed, self.depth)
-
-    def act_unit(self, unit: Unit, vec: dict) -> dict:
-        """Action of a matrix unit on a module vector (dict of basis terms)."""
+    def act_unit(self, unit: Unit, vec: dict, reads: set | None = None) -> dict:
+        """Action of a matrix unit on a module vector (dict of basis terms);
+        the ``Affine.terms`` of the anchor-dependent coefficients it evaluates
+        are added to ``reads`` when it is given.  A term beyond the truncation,
+        where the layout numbers no vector, raises :class:`TruncationOverflow`."""
+        layout = self.layout
+        numbered = layout.numbered
         hw = self._hw
         out: dict = {}
         for bvec, coef in vec.items():
             if not coef:
                 continue
-            for bv, c in self.layout.act(unit, bvec).items():
+            terms = layout.act(unit, bvec)
+            if reads is not None:
+                reads.update(c.terms for c in terms.values() if type(c) is not int)
+            for bv, c in terms.items():
                 value = _at(c, hw)
                 if not value:
                     continue
-                self._check_region(bv)
+                if bv not in numbered:
+                    needed = layout.cost(layout.offset(bv))
+                    raise TruncationOverflow(self.vector_weight(bv), needed, self.depth)
                 val = out.get(bv, 0) + coef * value
                 if val:
                     out[bv] = val

@@ -36,9 +36,8 @@ MUTANTS = (
     Mutant(
         "layout-accepts-both-parities",
         MODULES,
-        '            if len(raw) != 1:\n'
-        '                raise ValueError(f"the weight space at offset {off} holds both parities")\n',
-        "",
+        '                    raise ValueError(f"the weight space at offset {off} holds both parities")\n',
+        "                    pass\n",
     ),
     Mutant(
         "view-parity-without-shift",
@@ -61,14 +60,14 @@ MUTANTS = (
     Mutant(
         "incoming-rank-at-the-offset",
         HOMOLOGY,
-        "maps[off][1] - maps[sub_weights(off, rw)][1]",
+        "maps[off][1] - maps[down[off]][1]",
         "maps[off][1] - maps[off][1]",
     ),
     Mutant(
         "slot-sign-flipped",
         HOMOLOGY,
-        "    s = weight[r1 - 1] - anchor[r1 - 1]\n",
-        "    s = anchor[r1 - 1] - weight[r1 - 1]\n",
+        "        s = off[r1]\n",
+        "        s = -off[r1]\n",
     ),
     Mutant(
         "affine-without-hw-terms",
@@ -146,13 +145,13 @@ MUTANTS = (
     Mutant(
         "boundary-read-at-the-offset",
         HOMOLOGY,
-        "result._record.maps[sub_weights(off, rw)]",
-        "result._record.maps[off]",
+        "record.maps[down[off]]",
+        "record.maps[off]",
     ),
     Mutant(
         "skip-the-raising-check",
         HOMOLOGY,
-        "            if moved and added(add_weights(mu, root_weight(n, unit)), [moved]):\n",
+        "            if moved and added(layout.shift(unit)[off], [moved]):\n",
         "            if False:\n",
     ),
     Mutant(
@@ -164,13 +163,55 @@ MUTANTS = (
     Mutant(
         "pbw-images-without-the-anchor-class",
         HOMOLOGY,
-        "        images = {mu0: [rep]}\n",
+        "        images = {off0: [rep]}\n",
         "        images: dict = {}\n",
     ),
     Mutant(
         "pbw-without-repeated-units",
         HOMOLOGY,
-        "lowering_units[: first + 1]",
-        "lowering_units[:first]",
+        "lowering[: first + 1]",
+        "lowering[:first]",
+    ),
+    Mutant(
+        "target-totals-without-the-label",
+        HOMOLOGY,
+        "    key = (target_label, depth)\n",
+        "    key = (depth,)\n",
+    ),
+    Mutant(
+        "target-totals-without-the-depth",
+        HOMOLOGY,
+        "    key = (target_label, depth)\n",
+        "    key = (target_label,)\n",
+    ),
+    Mutant(
+        "valid-offsets-cached-without-the-depth",
+        MODULES,
+        "        found = self._valid.get(max_depth)\n",
+        "        found = self._valid.get(max_depth) or next(iter(self._valid.values()), None)\n",
+    ),
+    Mutant(
+        "lowered-by-the-shift-of-alpha",
+        HOMOLOGY,
+        "    return layout.shift((alpha[1], alpha[0]))\n",
+        "    return layout.shift(alpha)\n",
+    ),
+    Mutant(
+        "cost-table-off-by-one",
+        MODULES,
+        "                    costs[off] = spent\n",
+        "                    costs[off] = spent + 1\n",
+    ),
+    Mutant(
+        "slice-level-without-the-delta-sign",
+        MODULES,
+        "            sp, sq = (1 if p < n else -1), (1 if q < n else -1)\n",
+        "            sp, sq = 1, 1\n",
+    ),
+    Mutant(
+        "term-beyond-the-truncation-kept",
+        MODULES,
+        "                if bv not in numbered:\n",
+        "                if False:\n",
     ),
 )

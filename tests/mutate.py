@@ -7,9 +7,12 @@ Each mutant is applied to a fresh temporary copy of the whole checkout (the
 benchmark's tests import its sibling ``src/``), and tier-1 runs there with
 that copy's ``src`` first on ``PYTHONPATH``, stopping at the first failure.
 The run leaves out ``tests/test_mutants.py``: on the mutated copy the patched
-text is gone, so its patch check would fail for every mutant.  A mutant is
-killed when the suite fails.  Prints one line per mutant and
-exits 1 if any survives.
+text is gone, so its patch check would fail for every mutant.  The
+end-to-end files, the benchmark contract and then the acceptance criteria,
+run last, so a mutant is reported by the first unit test that fails on it
+rather than by a whole-workload check or an exception in a shared fixture
+of the criteria.  A mutant is killed when the suite fails.  Prints one line per
+mutant and exits 1 if any survives.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parent.parent
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
+PATCH_CHECK = "tests/test_mutants.py"
+END_TO_END = ("tests/test_benchmark_contract.py", "tests/test_acceptance.py")
 TIER1 = [
     "-m",
     "pytest",
@@ -33,7 +38,13 @@ TIER1 = [
     "-p",
     "no:cacheprovider",
     "--continue-on-collection-errors",
-    "--ignore=tests/test_mutants.py",
+    f"--ignore={PATCH_CHECK}",
+    *sorted(
+        f"tests/{path.name}"
+        for path in (ROOT / "tests").glob("test_*.py")
+        if f"tests/{path.name}" not in (PATCH_CHECK, *END_TO_END)
+    ),
+    *END_TO_END,
 ]
 
 

@@ -26,11 +26,8 @@ from superverma.homology import (
     Certificate,
     DSResult,
     _ZERO,
-    _act_reading,
     _as_coordinates,
-    _lift_weight,
     _shrink_unit,
-    _slot,
     _target_lowering_units,
     lift_unit,
     surviving_indices,
@@ -84,10 +81,46 @@ def verma_weight_multiplicity(
     return count(0, diff)
 
 
+def raw_parity(layout: PBWLayout, bvec) -> int:
+    """Parity of a basis vector before the anchor's parity shift: its levi
+    state's, plus one for each odd PBW factor."""
+    exps, state = bvec
+    odd = sum(e for e, unit in zip(exps, layout.units) if is_odd_root(layout.n, unit))
+    return (layout.levi.states[state][1] + odd) % 2
+
+
 def vector_parity(r: Realization, bvec) -> int:
     """The parity of one basis vector of ``r``, from its own PBW exponents
     and levi state, independently of the parity of its weight space."""
-    return r.layout.raw_parity(bvec) ^ (r.datum.parity_shift % 2)
+    return raw_parity(r.layout, bvec) ^ (r.datum.parity_shift % 2)
+
+
+# ---------------------------------------------------------------------------
+# The numbered tables of a layout, recomputed on weight tuples one basis
+# vector at a time.
+
+
+def tuple_offset(layout: PBWLayout, bvec) -> Weight:
+    """Weight of a basis vector minus the anchor: its levi state's offset
+    plus each PBW exponent times its root."""
+    exps, state = bvec
+    w = list(sub_weights(layout.levi.states[state][0], layout.levi.hw))
+    for e, unit in zip(exps, layout.units, strict=True):
+        if e:
+            rw = root_weight(layout.n, unit)
+            for t in range(len(w)):
+                w[t] += e * rw[t]
+    return tuple(w)
+
+
+def tuple_cost(layout: PBWLayout, offset: Weight) -> int:
+    """Height-depth of a weight offset below the anchor."""
+    return -sum(h * v for h, v in zip(layout.heights, offset, strict=True))
+
+
+def tuple_shift(layout: PBWLayout, unit: Unit, offset: Weight) -> Weight:
+    """The offset a unit moves ``offset`` to."""
+    return add_weights(offset, root_weight(layout.n, unit))
 
 
 def singular_vectors(r: Realization, b: Label, mu: Weight) -> list:
@@ -215,6 +248,32 @@ def certificate_forms(
 # span per weight.
 
 
+def rep_dict(result: DSResult, weight: Weight, index: int) -> dict:
+    """The ``index``-th coset representative at ``weight`` as a basis-vector
+    expansion."""
+    wc = result.classes_at(weight)
+    return {bv: c for bv, c in zip(wc.basis, wc.reps[index], strict=True) if c}
+
+
+def _slot(alpha: Root, anchor: Weight, weight: Weight) -> int | None:
+    """How far the two alpha coordinates moved; None if not a clean slot."""
+    r1, r2 = alpha
+    s = weight[r1 - 1] - anchor[r1 - 1]
+    if s in (0, -1) and weight[r2 - 1] - anchor[r2 - 1] == -s:
+        return s
+    return None
+
+
+def _lift_weight(n, alpha, anchor, nu, slot, emb) -> Weight:
+    r1, r2 = alpha
+    out = [0] * (2 * n)
+    out[r1 - 1] = anchor[r1 - 1] + slot
+    out[r2 - 1] = anchor[r2 - 1] - slot
+    for v, t in zip(nu, emb, strict=True):
+        out[t - 1] = v
+    return tuple(out)
+
+
 def coset_certify_verma_iso(
     result: DSResult, target_label: Label, target_tuple, reads: set
 ) -> Certificate:
@@ -301,10 +360,10 @@ def coset_certify_verma_iso(
                 {"weight": list(mu), "dims": list(result.dims(mu)), "expected_total": 1},
             )
         singular[s] = mu
-        rep = result.rep_dict(mu, 0)
+        rep = rep_dict(result, mu, 0)
         for beta in target_pos:
             unit = lift_unit(n, alpha, beta)
-            moved = _act_reading(m, unit, rep, reads)
+            moved = m.act_unit(unit, rep, reads)
             if not moved:
                 continue
             wc = result.classes_at(add_weights(mu, root_weight(n, unit)))
@@ -322,7 +381,7 @@ def coset_certify_verma_iso(
     # 3. freeness probe from each anchor class.
     for s, mu0 in singular.items():
         wc0 = result.classes_at(mu0)
-        start = wc0.reduce(_as_coordinates(m, result.rep_dict(mu0, 0), wc0))
+        start = wc0.reduce(_as_coordinates(m, rep_dict(result, mu0, 0), wc0))
         spans = {mu0: Echelon(len(wc0.reps))}
         spans[mu0].add(start)
         queue = [(mu0, start)]
@@ -338,7 +397,7 @@ def coset_certify_verma_iso(
                 w2 = add_weights(w, root_weight(n, unit))
                 if not result.in_valid_region(w2):
                     continue
-                moved = _act_reading(m, unit, expansion, reads)
+                moved = m.act_unit(unit, expansion, reads)
                 if not moved:
                     continue
                 wc2 = result.classes_at(w2)

@@ -56,6 +56,7 @@ from superverma.weights import (
     pr_alpha,
     sub_weights,
     to_tuple,
+    verma_character,
 )
 
 from oracles import (
@@ -66,6 +67,7 @@ from oracles import (
     map_weight,
     mapped_label,
     parity_split_classes,
+    rep_dict,
 )
 
 E13 = (1, 3)
@@ -173,7 +175,7 @@ def test_class_representatives_cross_check():
     for mu in r.support():
         wc = r.classes_at(mu)
         assert len(wc.reps) == r.total(mu)
-        rep = r.rep_dict(mu, 0)
+        rep = rep_dict(r, mu, 0)
         assert rep and all(isinstance(c, Fraction) for c in rep.values())
     assert r.classes_at((99, 0, 0, 0)) is None
 
@@ -520,7 +522,7 @@ def test_shift_twins_share_one_record_at_opposite_parities():
         assert result.dim_table == ds13(Realization(result.source.datum, 6)).dim_table
     rw = root_weight(2, E13)
     on_slice = 0
-    for off, count in a._record.cells:
+    for off, count in a._record.cells.items():
         mu, nu = add_weights(first.datum.hw, off), add_weights(second.datum.hw, off)
         assert a.dims(mu) == b.dims(nu)[::-1] and a.total(mu) == count
         if not bilinear_form(2, mu, rw) and first.layout.spaces.get(off):
@@ -561,14 +563,14 @@ def test_the_record_keeps_each_map_of_e_alpha_with_its_rank():
     rw = root_weight(2, E13)
     spaces = first.layout.spaces
     incoming_ranked = 0
-    for off, count in record.cells:
+    for off, count in record.cells.items():
         if off not in record.maps:
             assert count == 0
             continue
         out_rank, in_rank = record.maps[off][1], record.maps[sub_weights(off, rw)][1]
         assert count == len(spaces[off]) - out_rank - in_rank
         incoming_ranked += in_rank != out_rank
-    assert incoming_ranked and any(count for _off, count in record.cells)
+    assert incoming_ranked and any(record.cells.values())
 
 
 def test_a_record_of_a_non_simple_root_is_shared_only_where_its_reads_agree():
@@ -633,6 +635,56 @@ def test_lowering_units_short_of_a_free_module_are_refuted(monkeypatch):
     }
 
 
+def test_a_target_character_shallower_than_the_valid_region_is_inconclusive(monkeypatch):
+    # negative control of the census: the target character is expanded to
+    # one step short of the deepest slot offset of the valid region, so the
+    # census cannot say what that offset should hold
+    import superverma.homology as homology
+    from superverma.borels import height_functional
+
+    m = verma_realization(2, (), (1, 0, 0, 1), 6)
+    alpha = (2, 3)
+    assert ds_borel_label(2, (), alpha) == ()
+    heights = height_functional(1, ())
+    cells = list(ds_homology(m, alpha)._record.cells)
+    slot_costs = {
+        off: -sum(h * v for h, v in zip(heights, pr_alpha(2, off, alpha)))
+        for off in cells
+        if off[1] in (0, -1) and off[2] == -off[1]
+    }
+    deepest = max(slot_costs.values())
+    lowering = homology._target_lowering_units(2, alpha, 1, ())
+    assert deepest <= homology._target_depth(m, alpha, (), lowering)
+    monkeypatch.setattr(homology, "_target_depth", lambda *args: deepest - 1)
+    cert = _certify_matched(m, alpha, ())
+    short = next(k for k, off in enumerate(cells) if slot_costs.get(off, 0) == deepest)
+    assert cert.verdict == INCONCLUSIVE and cert.checked_weights == short
+    assert cert.detail == {"reason": "target character shallower than the valid region"}
+
+
+def test_the_target_totals_are_kept_per_label_and_depth(monkeypatch):
+    # the census reads the target Verma totals in offsets from its top; they
+    # do not depend on the target tuple, so one expansion per layout, label
+    # and depth serves every certificate of the layout
+    import superverma.homology as homology
+
+    expanded = []
+
+    def counted(*args):
+        expanded.append(args)
+        return verma_character(*args)
+
+    monkeypatch.setattr(homology, "verma_character", counted)
+    layout = verma_realization(3, (2, 1), (0,) * 6, 4).layout
+    for label in all_borels(2):
+        for depth in (3, 5):
+            for t in ((0, 0, 0, 0), (2, -1, 1, 3)):
+                char = verma_character(2, label, t, depth)
+                totals = homology._target_totals(layout, label, depth, t)
+                assert totals == {sub_weights(w, char.top): e + o for w, (e, o) in char.table.items()}
+    assert len(expanded) == len(layout.targets) == 2 * len(all_borels(2))
+
+
 def test_certify_rejects_wrong_target_weight():
     m = verma_realization(2, (), (2, 0, 1, 0), 6)
     with pytest.raises(ValueError):
@@ -652,21 +704,20 @@ def test_certify_rejects_a_target_borel_the_module_does_not_lower():
 
 def test_certification_records_the_forms_of_anchor_dependent_maps():
     # on the anchor vector v, e_13 e_31 v = [e_13, e_31] v = (hw_1 + hw_3) v
-    from superverma.homology import _act_reading
     from superverma.modules import form_values
 
     m = verma_realization(2, (), (1, 0, 2, 0), 4)
     top = {m.monomial({}): 1}
     lowered = m.act_unit((3, 1), top)
     reads: set = set()
-    raised = _act_reading(m, E13, lowered, reads)
+    raised = m.act_unit(E13, lowered, reads)
     assert raised == m.act_unit(E13, lowered)
     assert reads == {((0, 1), (2, 1))}
     (value,) = form_values(reads, m.datum.hw)
     assert raised == {m.monomial({}): value} and value
     # a constant map records nothing
     reads.clear()
-    assert _act_reading(m, (3, 1), top, reads) == lowered
+    assert m.act_unit((3, 1), top, reads) == lowered
     assert not reads
 
 

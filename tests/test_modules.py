@@ -45,7 +45,11 @@ from superverma.weights import (
 from oracles import (
     certificate_forms,
     certified_maps,
+    raw_parity,
     singular_vectors,
+    tuple_cost,
+    tuple_offset,
+    tuple_shift,
     vector_parity,
     verma_weight_multiplicity,
 )
@@ -105,6 +109,51 @@ def test_monomial_lookup_and_errors():
         r.monomial({(4, 1): 2})
     with pytest.raises(ValueError, match="negative"):
         r.monomial({(2, 1): -1})
+
+
+NUMBERED_LAYOUTS = {
+    **{
+        f"verma-{b}": (lambda b=b: verma_realization(2, b, (0, 0, 0, 0), 6))
+        for b in all_borels(2)
+    },
+    "bg-(1,2,1,2)": lambda: bg_realization(2, (1, 2, 1, 2), 6),
+    "bg-module": lambda: bg_module(2, [("verma_eps", 1, 1), ("verma_delta", 0, 2)], 6),
+    "union": lambda: Realization(union_borel_datum(2, [(), (1,)], (2, 1, -1, -3)), 6),
+    "verma-(21)-rank3": lambda: verma_realization(3, (2, 1), (1, 0, 1, 1, 0, 1), 9),
+}
+
+
+@pytest.mark.parametrize("make", NUMBERED_LAYOUTS.values(), ids=NUMBERED_LAYOUTS.keys())
+def test_numbered_tables_match_the_tuple_oracle(make):
+    # the walk numbers each vector with its offset, cost and parity, and the
+    # shift, valid-offset and slice tables are read from those numbers; the
+    # oracle recomputes every one of them on weight tuples
+    from superverma.weights import bilinear_form
+
+    layout = make().layout
+    n = layout.n
+    assert list(layout.spaces) == sorted(layout.spaces)
+    for off, basis in layout.spaces.items():
+        assert layout.cost(off) == layout.costs[off] == tuple_cost(layout, off) <= layout.depth
+        for bv in basis:
+            assert layout.offset(bv) == tuple_offset(layout, bv) == off
+            assert raw_parity(layout, bv) == layout.parities[off]
+    assert set(layout.costs) == set(layout.parities) == set(layout.spaces)
+    units = root_units(n) + [(i, i) for i in range(1, 2 * n + 1)]
+    for unit in units:
+        shift = layout.shift(unit)
+        assert all(shift[off] == tuple_shift(layout, unit, off) for off in layout.spaces)
+    for max_depth in range(-1, layout.depth + 1):
+        valid = [off for off in layout.spaces if tuple_cost(layout, off) <= max_depth]
+        assert list(layout.valid_offsets(max_depth)) == valid
+        for unit in root_units(n):
+            rw = root_weight(n, unit)
+            levels: dict = {}
+            for off in valid:
+                levels.setdefault(bilinear_form(n, off, rw), []).append(off)
+            for level in range(-2 * layout.depth - 2, 2 * layout.depth + 3):
+                assert list(layout.slice_of(unit, max_depth, level)) == levels.get(level, [])
+            assert set(levels) <= set(range(-2 * layout.depth - 2, 2 * layout.depth + 3))
 
 
 def _broken_datum(defect: str) -> InductionDatum:

@@ -31,3 +31,16 @@ def test_the_mutated_suite_leaves_out_the_patch_check():
     from mutate import TIER1
 
     assert "--ignore=tests/test_mutants.py" in TIER1
+
+
+def test_the_mutated_suite_runs_the_end_to_end_files_last():
+    # a mutant that breaks a workload or a shared fixture of the criteria
+    # would otherwise be reported there, before any unit test that names it
+    # (a file named on the command line is collected even when ignored)
+    from mutate import END_TO_END, TIER1
+
+    files = [arg for arg in TIER1 if arg.startswith("tests/")]
+    assert files[-2:] == ["tests/test_benchmark_contract.py", "tests/test_acceptance.py"]
+    assert list(END_TO_END) == files[-2:] and len(set(files)) == len(files)
+    assert "tests/test_mutants.py" not in files
+    assert len(files) == len(list((ROOT / "tests").glob("test_*.py"))) - 1
