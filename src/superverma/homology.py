@@ -41,7 +41,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import product
+from itertools import chain, product
 from operator import add
 
 from .borels import (
@@ -121,16 +121,17 @@ class _Homology:
     """The rank-one homology of ``alpha`` on one layout, in offsets from the
     anchor: the class count at every offset of the valid region, in order,
     its least nonzero ``(offset, count)``, each map of ``e_alpha`` its run
-    ranked as ``(matrix, rank)`` by source offset, the cosets by slice
-    offset, and the doubled-Verma certificates by ``(target label, parity
-    shift, anchor parity)``, each a list of ``(anchor, forms read,
-    certificate)``.  The counts hold no parity, so views of either parity
-    shift read one record.
+    ranked as ``(matrix, rank)`` by source offset, the forms that run read,
+    the cosets by slice offset, and the doubled-Verma certificates by
+    ``(target label, parity shift, anchor parity)``, each a list of
+    ``(anchor, forms read, certificate)``.  The counts hold no parity, so
+    views of either parity shift read one record.
     """
 
     cells: dict[Weight, int]
     first_nonzero: tuple | None
     maps: dict[Weight, tuple[SparseRationalMatrix, int]]
+    reads: tuple
     classes: dict[Weight, WeightClasses] = field(default_factory=dict)
     certificates: dict[tuple, list] = field(default_factory=dict)
 
@@ -291,8 +292,8 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
             raise AssertionError(f"negative homology dimension at {add_weights(hw, off)}: {count}")
         cells[off] = count
     first = next(((off, count) for off, count in cells.items() if count), None)
-    record = _Homology(cells, first, maps)
-    made.append((hw, tuple(sorted(reads)), record))
+    record = _Homology(cells, first, maps, tuple(sorted(reads)))
+    made.append((hw, record.reads, record))
     return DSResult(m, alpha, valid_depth, record)
 
 
@@ -309,6 +310,25 @@ def _recall(made: list, anchor: Weight) -> tuple | None:
         made_at, forms, _value = entry
         if form_values(forms, made_at) == form_values(forms, anchor):
             return entry
+    return None
+
+
+def unfixed_read(result: DSResult, form) -> tuple | None:
+    """The first form read by the record of ``result``, or by a certificate
+    kept in it, that is not a rational multiple of the linear ``form`` (both
+    as ``Affine.terms``); None when there is none.  Then every form they read
+    takes one value at all anchors where ``form`` takes one value, so each
+    of those anchors recalls the same counts, maps and certificates
+    (:func:`_recall`) as the anchor of ``result``."""
+    record = result._record
+    indices = [i for i, _c in form]
+    _i, lead = form[0]
+    kept = (forms for made in record.certificates.values() for _at, forms, _cert in made)
+    for read in chain(record.reads, *kept):
+        if [i for i, _c in read] != indices or any(
+            c * lead != d * read[0][1] for (_i, c), (_j, d) in zip(read, form)
+        ):
+            return read
     return None
 
 

@@ -69,7 +69,6 @@ from .superalgebra import (
 from .weights import (
     Character,
     add_weights,
-    bilinear_form,
     from_tuple,
     par,
     sub_weights,
@@ -350,6 +349,13 @@ def _at(coef, hw: Weight) -> int:
 def form_values(forms, hw: Weight) -> tuple[int, ...]:
     """The value at ``hw`` of each linear form, given as ``Affine.terms``."""
     return tuple(sum(c * hw[i] for i, c in terms) for terms in forms)
+
+
+def level_form(n: int, unit: Unit) -> tuple[tuple[int, int], ...]:
+    """The level ``-(hw, root)`` of a unit's root as a linear form in the
+    anchor ``hw``, given as ``Affine.terms``: the invariant form is ``+1`` on
+    each eps coordinate and ``-1`` on each delta."""
+    return tuple((i, -c if i < n else c) for i, c in enumerate(root_weight(n, unit)) if c)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +770,8 @@ class Realization:
     def level(self, unit: Unit) -> int:
         """The offset level ``-(hw, root)`` of the slice where the
         weight ``mu = hw + offset`` has ``(mu, root) = 0``."""
-        return -bilinear_form(self.datum.n, self._hw, root_weight(self.datum.n, unit))
+        (value,) = form_values((level_form(self.datum.n, unit),), self._hw)
+        return value
 
     # -- derived structure --------------------------------------------
 

@@ -52,6 +52,7 @@ from .homology import (
     CERTIFIED,
     INCONCLUSIVE,
     REFUTED,
+    DSResult,
     certify_verma_iso,
     certify_zero,
     contraction_check,
@@ -62,11 +63,14 @@ from .homology import (
     ses_supercharacter_check,
     induced_bracket_check,
     projected_ds_census,
+    unfixed_read,
 )
 from .modules import (
     Realization,
     bg_module,
     bg_realization,
+    form_values,
+    level_form,
     parabolic_IJ_realization,
     union_borel_datum,
     verma_realization,
@@ -80,7 +84,7 @@ from .superalgebra import (
 )
 from .weights import (
     add_weights,
-    bilinear_form,
+    from_tuple,
     in_lambda_BG,
     in_lambda_maBG,
     par,
@@ -198,26 +202,22 @@ def default_conjecture_grid(n: int):
     raise ValueError(f"no default grid at rank {n}")
 
 
-def _judge_conjecture(n, label, m, alpha) -> tuple[str, dict | None]:
-    """Certify a zero census off the matched hyperplane, the doubled Verma of
-    the inherited Borel on it; rank 1 inherits gl(0|0) and its target is the
-    pair of anchor classes."""
+def _judge_conjecture(n, label, m, alpha, level) -> tuple[str, dict | None, DSResult]:
+    """Certify a zero census off the matched hyperplane (``level != 0``), the
+    doubled Verma of the inherited Borel on it; rank 1 inherits gl(0|0) and
+    its target is the pair of anchor classes.  Returns the verdict, its
+    detail and the homology the certificate read."""
     r = ds_homology(m, alpha)
-    hw = m.datum.hw
-    if bilinear_form(n, hw, root_weight(n, alpha)) != 0:
+    if level:
         cert = certify_zero(r)
         detail = {"expected": "zero"} if cert.ok else dict(cert.detail)
-        return cert.verdict, detail
+        return cert.verdict, detail, r
     target_label = ds_borel_label(n, label, alpha)
-    target = to_tuple(n - 1, pr_alpha(n, hw, alpha), target_label)
+    target = to_tuple(n - 1, pr_alpha(n, m.datum.hw, alpha), target_label)
     cert = certify_verma_iso(r, target_label, target)
     kind = "pair" if n == 1 else "double-verma"
     detail = {"expected": kind} if cert.ok else dict(cert.detail)
-    return cert.verdict, detail
-
-
-def _canonical_shift(t):
-    return tuple(x - t[0] for x in t)
+    return cert.verdict, detail, r
 
 
 def _conjecture_cases_for_borel(args) -> list[CaseResult]:
@@ -226,24 +226,34 @@ def _conjecture_cases_for_borel(args) -> list[CaseResult]:
     cases: list[CaseResult] = []
     # every tuple of the job has the same PBW layout; it is straightened
     # once, by the first realization, and dropped when the job returns.
-    # Certification is invariant under a uniform shift of the anchor tuple,
-    # so each shift class is judged once on its canonical representative
+    # For each root, the tuples fall into level classes (level, anchor
+    # parity), keyed from the tuple alone.  One realization, of the class's
+    # least tuple, is judged; the other tuples take its verdict and detail
+    # only where every form its record and that record's certificates read
+    # is a multiple of the level form, so that each of them recalls the same
+    # numbers.  A class that fails this gate, and a REFUTED verdict, whose
+    # detail names weights, are judged again tuple by tuple.
+    anchors = [(t, from_tuple(n, t, label)) for t in grid]
     layout = None
-    groups: dict[tuple, list[tuple]] = {}
-    for t in grid:
-        groups.setdefault(_canonical_shift(t), []).append(t)
     prefix = f"b={format_label(label)}"
-    for canon in sorted(groups):
-        m = verma_realization(n, label, canon, depth, layout)
-        layout = m.layout
-        for a in alphas:
-            head = f"{prefix} alpha={a[0]},{a[1]} t=("
-            verdict, detail = _judge_conjecture(n, label, m, a)
-            for t in sorted(groups[canon]):
+    for a in alphas:
+        head = f"{prefix} alpha={a[0]},{a[1]} t=("
+        form = level_form(n, a)
+        classes: dict[tuple, list[tuple]] = {}
+        for t, hw in anchors:
+            (level,) = form_values((form,), hw)
+            classes.setdefault((level, par(n, hw)), []).append(t)
+        for (level, _parity), members in classes.items():
+            least = min(members)
+            m = verma_realization(n, label, least, depth, layout)
+            layout = m.layout
+            verdict, detail, r = _judge_conjecture(n, label, m, a, level)
+            shared = verdict != REFUTED and unfixed_read(r, form) is None
+            for t in sorted(members):
                 v, d = verdict, detail
-                if verdict == REFUTED and t != canon:
-                    shifted = verma_realization(n, label, t, depth, layout)
-                    v, d = _judge_conjecture(n, label, shifted, a)
+                if t != least and not shared:
+                    m = verma_realization(n, label, t, depth, layout)
+                    v, d, _r = _judge_conjecture(n, label, m, a, level)
                 cases.append(CaseResult(f"{head}{_fmt_tuple(t)})", v, d))
     return cases
 
@@ -257,6 +267,15 @@ def verify_conjecture(
     the given one), and each anchor tuple: when the anchor pairs to zero
     with the root, certify the homology as the doubled inherited Verma;
     otherwise certify that it vanishes on the valid region.
+
+    The tuples of a Borel and root are judged by level class: the level
+    ``-(hw, alpha)`` of the anchor and its parity ``par(n, hw)``, computed
+    from the tuple.  Each class judges its least tuple on the Borel's shared
+    layout.  Its other tuples take that verdict and detail when every form
+    read by the homology record, and by the certificates kept in it, is a
+    multiple of the level form (:func:`~superverma.homology.unfixed_read`):
+    then every anchor of the class reads the same numbers.  Otherwise, and
+    for a ``REFUTED`` verdict, each tuple is judged on its own realization.
     """
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")

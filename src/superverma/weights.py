@@ -32,15 +32,6 @@ from .superalgebra import Root, Weight, is_odd_root, root_weight
 TupleWeight = tuple[int, ...]
 
 
-def bilinear_form(n: int, x, y):
-    """The invariant form: +1 on each eps coordinate, -1 on each delta."""
-    if len(x) != 2 * n or len(y) != 2 * n:
-        raise ValueError("rank mismatch")
-    return sum(x[t] * y[t] for t in range(n)) - sum(
-        x[t] * y[t] for t in range(n, 2 * n)
-    )
-
-
 def add_weights(x: Weight, y: Weight) -> Weight:
     return tuple(a + b for a, b in zip(x, y, strict=True))
 

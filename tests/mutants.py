@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 MODULES = "src/superverma/modules.py"
 HOMOLOGY = "src/superverma/homology.py"
+VERIFY = "src/superverma/verify.py"
 
 
 class Mutant(NamedTuple):
@@ -102,8 +103,8 @@ MUTANTS = (
     Mutant(
         "slice-on-the-wrong-sign",
         MODULES,
-        "        return -bilinear_form(self.datum.n, self._hw, root_weight(self.datum.n, unit))\n",
-        "        return bilinear_form(self.datum.n, self._hw, root_weight(self.datum.n, unit))\n",
+        "(i, -c if i < n else c)",
+        "(i, c if i < n else -c)",
     ),
     Mutant(
         "off-slice-cosets-shared",
@@ -121,7 +122,7 @@ MUTANTS = (
     Mutant(
         "homology-record-without-reads",
         HOMOLOGY,
-        "    made.append((hw, tuple(sorted(reads)), record))\n",
+        "    made.append((hw, record.reads, record))\n",
         "    made.append((hw, (), record))\n",
     ),
     Mutant(
@@ -213,5 +214,23 @@ MUTANTS = (
         MODULES,
         "                if bv not in numbered:\n",
         "                if False:\n",
+    ),
+    Mutant(
+        "level-class-drops-parity",
+        VERIFY,
+        "            classes.setdefault((level, par(n, hw)), []).append(t)\n",
+        "            classes.setdefault((level, 0), []).append(t)\n",
+    ),
+    Mutant(
+        "level-gate-always-passes",
+        HOMOLOGY,
+        "    for read in chain(record.reads, *kept):\n",
+        "    for read in ():\n",
+    ),
+    Mutant(
+        "certificate-stored-without-reads",
+        HOMOLOGY,
+        "    made.append((anchor, tuple(sorted(reads)), cert))\n",
+        "    made.append((anchor, (), cert))\n",
     ),
 )

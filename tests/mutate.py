@@ -8,10 +8,10 @@ benchmark's tests import its sibling ``src/``), and tier-1 runs there with
 that copy's ``src`` first on ``PYTHONPATH``, stopping at the first failure.
 The run leaves out ``tests/test_mutants.py``: on the mutated copy the patched
 text is gone, so its patch check would fail for every mutant.  The
-end-to-end files, the benchmark contract and then the acceptance criteria,
-run last, so a mutant is reported by the first unit test that fails on it
-rather than by a whole-workload check or an exception in a shared fixture
-of the criteria.  A mutant is killed when the suite fails.  Prints one line per
+end-to-end files, the CLI scenarios, the benchmark contract and then the
+acceptance criteria, run last, so a mutant is reported by the first unit
+test that fails on it rather than by a whole-scenario check or an exception
+in a shared fixture of the criteria.  A mutant is killed when the suite fails.  Prints one line per
 mutant and exits 1 if any survives.
 """
 
@@ -29,7 +29,11 @@ from mutants import MUTANTS
 ROOT = Path(__file__).resolve().parent.parent
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
 PATCH_CHECK = "tests/test_mutants.py"
-END_TO_END = ("tests/test_benchmark_contract.py", "tests/test_acceptance.py")
+END_TO_END = (
+    "tests/test_cli.py",
+    "tests/test_benchmark_contract.py",
+    "tests/test_acceptance.py",
+)
 TIER1 = [
     "-m",
     "pytest",

@@ -38,6 +38,15 @@ from superverma.superalgebra import Root, Unit, Weight, bracket, is_odd_root, ro
 from superverma.weights import add_weights, par, pr_alpha, sub_weights, verma_character
 
 
+def bilinear_form(n: int, x, y):
+    """The invariant form: +1 on each eps coordinate, -1 on each delta."""
+    if len(x) != 2 * n or len(y) != 2 * n:
+        raise ValueError("rank mismatch")
+    return sum(x[t] * y[t] for t in range(n)) - sum(
+        x[t] * y[t] for t in range(n, 2 * n)
+    )
+
+
 def verma_weight_multiplicity(
     n: int, label: Label, top: Weight, weight: Weight
 ) -> int:

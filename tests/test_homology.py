@@ -31,6 +31,7 @@ from superverma.homology import (
     lift_unit,
     projected_ds_census,
     surviving_indices,
+    unfixed_read,
 )
 from superverma.linalg import SparseRationalMatrix, rank
 from superverma.modules import (
@@ -42,6 +43,7 @@ from superverma.modules import (
     bg_realization,
     form_values,
     gl11_simple_datum,
+    level_form,
     parabolic_IJ_realization,
     union_borel_datum,
     verma_datum,
@@ -50,7 +52,6 @@ from superverma.modules import (
 from superverma.superalgebra import is_odd_root, root_weight
 from superverma.weights import (
     add_weights,
-    bilinear_form,
     from_tuple,
     par,
     pr_alpha,
@@ -60,6 +61,7 @@ from superverma.weights import (
 )
 
 from oracles import (
+    bilinear_form,
     coset_certify_verma_iso,
     full_ds_table,
     map_root_at,
@@ -596,6 +598,33 @@ def test_a_record_of_a_non_simple_root_is_shared_only_where_its_reads_agree():
     for view, result in zip(views, results):
         assert result.dim_table == ds_homology(Realization(view.datum, depth), alpha).dim_table
     assert results[0].support() and not results[2].support()
+
+
+def test_the_gate_names_a_read_that_the_level_does_not_fix():
+    # on the simple root (2, 3) of the standard Borel the record reads only
+    # multiples of the level form; a read of another ratio, in the record or
+    # in a certificate kept in it, is named.  On e_13, which is not simple
+    # there, the record itself reads such forms
+    label, alpha = (), (2, 3)
+    m = verma_realization(2, label, (0, -1, -1, 0), 6)
+    result = ds_homology(m, alpha)
+    assert _certify_matched(m, alpha, label).ok
+    form = level_form(2, alpha)
+    record = result._record
+    assert record.reads and record.certificates
+    assert unfixed_read(result, form) is None
+    record.reads += (tuple((i, 3 * c) for i, c in form), tuple((i, -2 * c) for i, c in form))
+    assert unfixed_read(result, form) is None
+    skew = ((1, 1), (2, 2))
+    ((made,),) = record.certificates.values()
+    record.certificates[("skew",)] = [(made[0], (skew,), made[2])]
+    assert unfixed_read(result, form) == skew
+    del record.certificates[("skew",)]
+    record.reads += (((1, 1),),)
+    assert unfixed_read(result, form) == ((1, 1),)
+    first = verma_realization(2, label, (-1, -2, -2, -2), 6)
+    off_simple = ds_homology(first, E13)
+    assert unfixed_read(off_simple, level_form(2, E13)) in off_simple._record.reads
 
 
 def test_a_class_that_a_raising_unit_moves_off_the_boundaries_is_refuted(monkeypatch):

@@ -19,7 +19,9 @@ from superverma.modules import (
     bg_module_datum,
     bg_module_levi,
     bg_realization,
+    form_values,
     gl11_simple_datum,
+    level_form,
     parabolic_IJ_realization,
     union_borel_datum,
     verma_datum,
@@ -43,6 +45,7 @@ from superverma.weights import (
 )
 
 from oracles import (
+    bilinear_form,
     certificate_forms,
     certified_maps,
     raw_parity,
@@ -128,7 +131,6 @@ def test_numbered_tables_match_the_tuple_oracle(make):
     # the walk numbers each vector with its offset, cost and parity, and the
     # shift, valid-offset and slice tables are read from those numbers; the
     # oracle recomputes every one of them on weight tuples
-    from superverma.weights import bilinear_form
 
     layout = make().layout
     n = layout.n
@@ -154,6 +156,18 @@ def test_numbered_tables_match_the_tuple_oracle(make):
             for level in range(-2 * layout.depth - 2, 2 * layout.depth + 3):
                 assert list(layout.slice_of(unit, max_depth, level)) == levels.get(level, [])
             assert set(levels) <= set(range(-2 * layout.depth - 2, 2 * layout.depth + 3))
+
+
+def test_the_level_form_is_minus_the_invariant_form_against_the_root():
+    # the class key of the sweep and the slice of each view read the level
+    # through this form; the oracle computes it with the invariant form
+    for n in (1, 2, 3):
+        for unit in root_units(n):
+            form = level_form(n, unit)
+            assert len(form) == 2 and form[0][0] < form[1][0]
+            rw = root_weight(n, unit)
+            for hw in product((-2, 0, 1), repeat=2 * n):
+                assert form_values((form,), hw) == (-bilinear_form(n, hw, rw),)
 
 
 def _broken_datum(defect: str) -> InductionDatum:
@@ -721,7 +735,6 @@ def _check_representation(r, basis_count):
 def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, basis_count):
     from superverma.borels import odd_simple_roots
     from superverma.homology import ds_borel_label, ds_homology
-    from superverma.weights import bilinear_form
 
     n = len(tuples[0]) // 2
     alphas = odd_simple_roots(n, label)
@@ -806,7 +819,6 @@ def _assert_one_classes_object(view, other):
     """Two views of one record get one cosets object at each offset of the
     slice; off it the record does not fix the maps, so each view builds its
     own."""
-    from superverma.weights import bilinear_form
 
     rw = root_weight(view.n, view.alpha)
     for w in view.dim_table:
@@ -819,7 +831,7 @@ def _assert_one_classes_object(view, other):
 def _certificate(label, result):
     """The certificate the conjecture scenario asks for at this anchor."""
     from superverma.homology import certify_verma_iso, certify_zero, ds_borel_label
-    from superverma.weights import bilinear_form, pr_alpha, to_tuple
+    from superverma.weights import pr_alpha, to_tuple
 
     n, alpha, hw = result.n, result.alpha, result.source.datum.hw
     if bilinear_form(n, hw, root_weight(n, alpha)) != 0:
@@ -841,9 +853,7 @@ def test_anchor_signature_determines_the_blocks(n, label, depth, simple_only):
 
     from superverma.borels import odd_simple_roots
     from superverma.homology import ds_borel_label, ds_homology
-    from superverma.modules import form_values
     from superverma.superalgebra import all_roots, is_odd_root
-    from superverma.weights import bilinear_form
 
     layout = verma_realization(n, label, (0,) * (2 * n), depth).layout
     grid = list(product(range(-2, 3) if n == 2 else range(-1, 2), repeat=2 * n))
@@ -914,7 +924,6 @@ def _certified_maps_follow_the_key(views, alpha, target, valid) -> int:
     have equal matrices for every map that certification may apply.
     Returns the number of distinct keys."""
     from superverma.homology import ds_homology
-    from superverma.modules import form_values
 
     layout = views[0].layout
     n = layout.n

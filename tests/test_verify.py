@@ -20,6 +20,8 @@ from superverma.verify import (
     ScenarioReport,
     _axioms_case,
     _first_mismatch,
+    _fmt_tuple,
+    _judge_conjecture,
     default_conjecture_grid,
     default_mabg_grid,
     verify_conjecture,
@@ -27,7 +29,13 @@ from superverma.verify import (
     verify_maBG,
     verify_structure,
 )
+from superverma.borels import all_borels, format_label, odd_simple_roots
 from superverma.homology import CERTIFIED, REFUTED
+from superverma.modules import verma_realization
+from superverma.superalgebra import root_weight
+from superverma.weights import from_tuple, par
+
+from oracles import bilinear_form
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +114,117 @@ def test_conjecture_rejects_foreign_alpha_and_bad_grid():
         verify_conjecture(2, grid=[(1, 0, 1)])
 
 
-def test_conjecture_shift_classes_share_one_judgement():
-    # a uniform shift of the anchor tuple does not change the verdict
-    grid = [(0, 1, 0, 1), (1, 2, 1, 2), (2, 3, 2, 3)]
-    rep = verify_conjecture(2, label=(1,), alpha=(1, 3), grid=grid, depth=5)
-    assert rep.counts() == {CERTIFIED: 3}
-    assert len({c.detail["expected"] for c in rep.cases}) == 1
+def _level_class(n, hw, alpha) -> tuple[int, int]:
+    """The level ``-(hw, alpha)`` of the anchor ``hw``, by the invariant form
+    of the oracle, and its parity."""
+    return -bilinear_form(n, hw, root_weight(n, alpha)), par(n, hw)
+
+
+def _count_judgements(monkeypatch) -> list:
+    """Patch the sweep's judge to record the level class of each anchor it
+    judges, in order; return that list."""
+    judged = []
+    judge = verify._judge_conjecture
+
+    def counted(n, label, m, alpha, level):
+        judged.append(_level_class(n, m.datum.hw, alpha))
+        return judge(n, label, m, alpha, level)
+
+    monkeypatch.setattr(verify, "_judge_conjecture", counted)
+    return judged
+
+
+def test_conjecture_level_classes_share_one_judgement(monkeypatch):
+    # a root's tuples are judged once per (level, anchor parity), and only
+    # once: tuples of one level at both parities are two classes
+    judged = _count_judgements(monkeypatch)
+    label, alpha = (1,), (1, 3)
+    grid = default_conjecture_grid(2)
+    rep = verify_conjecture(2, label=label, alpha=alpha, grid=grid, depth=6)
+    assert rep.counts() == {CERTIFIED: len(grid)}
+    classes = {_level_class(2, from_tuple(2, t, label), alpha) for t in grid}
+    assert sorted(judged) == sorted(classes) and len(classes) < len(grid)
+    assert {(0, 0), (0, 1)} <= classes
+
+
+def test_every_default_rank_two_case_matches_a_fresh_judgement():
+    # the other side of the level classes: each tuple of the default grid
+    # judged on a layout of its own, where it shares no record with another
+    # tuple, gets the verdict and detail of the sweep
+    swept = {c.key: (c.verdict, c.detail) for c in verify_conjecture(2).cases}
+    fresh = {}
+    for label in all_borels(2):
+        for t in default_conjecture_grid(2):
+            m = verma_realization(2, label, t, 6)
+            for alpha in sorted(odd_simple_roots(2, label)):
+                level, _parity = _level_class(2, m.datum.hw, alpha)
+                verdict, detail, _result = _judge_conjecture(2, label, m, alpha, level)
+                key = f"b={format_label(label)} alpha={alpha[0]},{alpha[1]} t=({_fmt_tuple(t)})"
+                fresh[key] = (verdict, detail)
+    assert fresh == swept
+
+
+@pytest.mark.parametrize("side", ["record", "certificate"])
+def test_a_class_whose_reads_the_level_does_not_fix_is_judged_tuple_by_tuple(
+    monkeypatch, side
+):
+    # negative control of the gate: once the homology record, or a
+    # certificate kept in it, reads hw_1, which is no multiple of the level
+    # form of (1, 3), no tuple may take another's verdict.  Every tuple of
+    # the grid is matched, so each class keeps a certificate
+    import superverma.homology as homology
+
+    label, alpha = (1,), (1, 3)
+    grid = [(a, b, a, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
+    args = dict(n=2, label=label, alpha=alpha, grid=grid, depth=6)
+    judged = _count_judgements(monkeypatch)
+    expected = verify_conjecture(**args).cases
+    assert {_level_class(2, from_tuple(2, t, label), alpha) for t in grid} == {(0, 0), (0, 1)}
+    assert len(judged) == 2
+    hw_1 = ((0, 1),)
+    if side == "record":
+        ds = verify.ds_homology
+
+        def reading_hw1(m, a):
+            result = ds(m, a)
+            if hw_1 not in result._record.reads:
+                result._record.reads += (hw_1,)
+            return result
+
+        monkeypatch.setattr(verify, "ds_homology", reading_hw1)
+    else:
+        cold = homology._certify_verma_iso
+
+        def reading_hw1(result, target_label, target_tuple, reads):
+            reads.add(hw_1)
+            return cold(result, target_label, target_tuple, reads)
+
+        monkeypatch.setattr(homology, "_certify_verma_iso", reading_hw1)
+    judged.clear()
+    assert verify_conjecture(**args).cases == expected
+    assert len(judged) == len(grid)
+
+
+def test_a_refuted_class_is_judged_tuple_by_tuple(monkeypatch):
+    # a REFUTED detail names weights at its own anchor, so no tuple takes
+    # another's: with every certificate refuting at its anchor, each tuple
+    # is judged and reports its own weight
+    from superverma.homology import Certificate
+
+    def refuting(result, target_label, target_tuple):
+        return Certificate(REFUTED, 0, {"weight": list(result.source.datum.hw)})
+
+    monkeypatch.setattr(verify, "certify_verma_iso", refuting)
+    judged = _count_judgements(monkeypatch)
+    label, alpha = (1,), (1, 3)
+    grid = [(a, b, a, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
+    rep = verify_conjecture(2, label=label, alpha=alpha, grid=grid, depth=6)
+    assert len(judged) == len(grid)
+    by_key = {c.key: c for c in rep.cases}
+    for t in grid:
+        case = by_key[f"b=(1) alpha=1,3 t=({_fmt_tuple(t)})"]
+        assert case.verdict == REFUTED
+        assert case.detail == {"weight": list(from_tuple(2, t, label))}
 
 
 def test_a_borel_job_certifies_once_per_signature(monkeypatch):

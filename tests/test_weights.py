@@ -21,7 +21,6 @@ from superverma.superalgebra import is_odd_root, root_weight
 from superverma.weights import (
     atypicality,
     bg_character,
-    bilinear_form,
     canonical_odd_pair,
     common_odd_roots,
     from_tuple,
@@ -34,7 +33,7 @@ from superverma.weights import (
     verma_character,
 )
 
-from oracles import verma_weight_multiplicity
+from oracles import bilinear_form, verma_weight_multiplicity
 
 
 def tuples_strategy(n: int, lo: int = -2, hi: int = 2):
