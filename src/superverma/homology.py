@@ -317,9 +317,9 @@ def unfixed_read(result: DSResult, form) -> tuple | None:
     """The first form read by the record of ``result``, or by a certificate
     kept in it, that is not a rational multiple of the linear ``form`` (both
     as ``Affine.terms``); None when there is none.  Then every form they read
-    takes one value at all anchors where ``form`` takes one value, so each
-    of those anchors recalls the same counts, maps and certificates
-    (:func:`_recall`) as the anchor of ``result``."""
+    takes one value at all anchors where ``form`` takes one value, so
+    :func:`_recall` serves the record and its certificates at each of those
+    anchors, with the numbers the anchor of ``result`` read."""
     record = result._record
     indices = [i for i, _c in form]
     _i, lead = form[0]
