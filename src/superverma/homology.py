@@ -265,10 +265,9 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
         raise ValueError(f"{alpha} is not an odd root")
     if bracket(n, alpha, alpha):
         raise AssertionError(f"root vector of {alpha} does not square to zero")
-    margin = abs(m.datum.xi(root_weight(n, alpha)))
-    valid_depth = m.depth - margin
-    hw = m.datum.hw
     layout = m.layout
+    valid_depth = m.depth - layout.margin(alpha)
+    hw = m.datum.hw
     level = m.level(alpha)
     offsets = layout.slice_of(alpha, valid_depth, level)
     made = layout.homology.setdefault((alpha, level) if offsets else (alpha,), [])
@@ -311,6 +310,18 @@ def _recall(made: list, anchor: Weight) -> tuple | None:
         if form_values(forms, made_at) == form_values(forms, anchor):
             return entry
     return None
+
+
+def parity_cancels(m: Realization) -> bool:
+    """Whether the anchor parity cancels from the census of
+    :func:`certify_verma_iso` on the layout of ``m``: every offset's raw
+    parity is the parity of its delta sum (checked once per layout), and the
+    parity shift of ``m`` is ``par(n, hw)``.  Then each count and the target
+    total it is compared with sit at one parity, whatever the anchor's, so a
+    verdict other than ``REFUTED``, of the census or of :func:`certify_zero`,
+    reads no parity and holds at anchors of either parity."""
+    datum = m.datum
+    return m.layout.parities_follow_deltas and datum.parity_shift % 2 == par(datum.n, datum.hw)
 
 
 def unfixed_read(result: DSResult, form) -> tuple | None:
@@ -706,16 +717,21 @@ def _certify_verma_iso(
 def _target_depth(m: Realization, alpha: Root, target_label: Label, lowering_units) -> int:
     """The depth of the target character that covers the valid region: a
     lowering unit costs the target at most ``ratio`` times what it costs the
-    module."""
-    n = m.datum.n
-    heights_t = height_functional(n - 1, target_label)
-    ratio = 1
-    for unit in lowering_units:
-        amb_cost = m.datum.root_cost(unit)
-        small = _shrink_unit(n, alpha, unit)
-        t_cost = -sum(h * v for h, v in zip(heights_t, root_weight(n - 1, small), strict=True))
-        ratio = max(ratio, (t_cost + amb_cost - 1) // amb_cost)
-    return m.depth * ratio
+    module.  It does not depend on the anchor, so it is kept on the layout
+    per root and label, beside the target totals."""
+    key = (alpha, target_label)
+    depth = m.layout.targets.get(key)
+    if depth is None:
+        n = m.datum.n
+        heights_t = height_functional(n - 1, target_label)
+        ratio = 1
+        for unit in lowering_units:
+            amb_cost = m.datum.root_cost(unit)
+            small = _shrink_unit(n, alpha, unit)
+            t_cost = -sum(h * v for h, v in zip(heights_t, root_weight(n - 1, small), strict=True))
+            ratio = max(ratio, (t_cost + amb_cost - 1) // amb_cost)
+        depth = m.layout.targets[key] = m.depth * ratio
+    return depth
 
 
 def _target_totals(layout, target_label: Label, depth: int, target_tuple) -> dict[Weight, int]:

@@ -380,13 +380,15 @@ class PBWLayout:
     :meth:`shift` tables, per unit, the offset each offset moves to, made
     the first time the unit is applied and filled as it is read;
     :meth:`valid_offsets` and :meth:`slice_of` list offsets by depth and
-    level once.  Matrices and the region check of an action read these
-    tables, so no offset of a numbered vector is recomputed.  Actions are straightened on demand and
+    level once, and :meth:`margin` gives each unit's height once.  Matrices
+    and the region check of an action read these tables, so no offset of a
+    numbered vector is recomputed.  Actions are straightened on demand and
     memoized with coefficients affine in ``hw``, so every entry of a map is
     ``const + form(hw)`` for one linear form, and :meth:`matrix_at` can name
     the forms it evaluates.  Everything derived from some maps is therefore
     the same at every anchor where the forms of their entries take the same
-    values.  ``homology`` and ``targets`` are memos that
+    values.  ``homology`` and ``targets`` (the target Verma totals by label
+    and depth, the target depths by root and label) are memos that
     :mod:`superverma.homology` owns and the layout never reads.  A
     :class:`Realization` evaluates everything at one anchor.
     """
@@ -424,6 +426,7 @@ class PBWLayout:
         self._shifts: dict = {}
         self._valid: dict = {}
         self._slices: dict = {}
+        self._margins: dict = {}
         self.homology: dict = {}
         self.targets: dict = {}
         self._enumerate()
@@ -507,20 +510,41 @@ class PBWLayout:
             self._valid[max_depth] = found
         return found
 
+    def margin(self, unit: Unit) -> int:
+        """``|xi(root)|``: the height-depth that the unit's root moves an
+        offset by, computed once per unit."""
+        found = self._margins.get(unit)
+        if found is None:
+            root = root_weight(self.n, unit)
+            found = abs(sum(h * v for h, v in zip(self.heights, root, strict=True)))
+            self._margins[unit] = found
+        return found
+
+    @cached_property
+    def parities_follow_deltas(self) -> bool:
+        """Whether the raw parity of every offset is the parity of its delta
+        sum, ``sum(offset[n:]) % 2``, as on every Verma layout; checked once
+        per layout."""
+        n = self.n
+        return all(p == sum(off[n:]) % 2 for off, p in self.parities.items())
+
     # -- straightening ------------------------------------------------
 
     def act(self, unit: Unit, bvec) -> dict:
         """Action of a matrix unit on a basis vector (no truncation), with
-        ``int`` or :class:`Affine` coefficients; memoized, do not mutate."""
-        key = (unit, bvec)
-        hit = self._act_memo.get(key)
+        ``int`` or :class:`Affine` coefficients; memoized in one dict per
+        unit, do not mutate."""
+        memo = self._act_memo.get(unit)
+        if memo is None:
+            memo = self._act_memo[unit] = {}
+        hit = memo.get(bvec)
         if hit is not None:
             return hit
         n = self.n
         if is_cartan(unit):
             i = unit[0] - 1
-            result = {bvec: Affine(self.offset(bvec)[i], ((i, 1),))}  # hw[i] + offset
-            self._act_memo[key] = result
+            # hw[i] + offset
+            result = memo[bvec] = {bvec: Affine(self.offset(bvec)[i], ((i, 1),))}
             return result
         exps, state = bvec
         first = next((i for i, e in enumerate(exps) if e), None)
@@ -540,7 +564,7 @@ class PBWLayout:
                 new = list(exps)
                 new[position] += 1
                 result = {(tuple(new), state): 1}
-            self._act_memo[key] = result
+            memo[bvec] = result
             return result
         # commute the unit through the leading PBW power F^a
         p = first
@@ -576,14 +600,29 @@ class PBWLayout:
                         inner.pop(bv, None)
             inner = self._prepend_power(f_unit, s, inner)
             accumulate(inner, -1 if (sign_gf * s) % 2 else 1)
-        self._act_memo[key] = total
+        memo[bvec] = total
         return total
 
     def _prepend_power(self, f_unit: Unit, power: int, vec: dict) -> dict:
+        """``F^power vec`` for the complement unit ``F`` at PBW position
+        ``p``.  On a basis vector that starts at or after ``p``, ``F`` lands in
+        PBW position, so its exponent at ``p`` is raised in place (an odd one
+        past 1 gives zero); any other vector is straightened by :meth:`act`."""
+        p = self._position[f_unit]
+        odd = self._odd[p]
         for _ in range(power):
             nxt: dict = {}
             for bv, c in vec.items():
-                for bv2, c2 in self.act(f_unit, bv).items():
+                exps, state = bv
+                if any(exps[:p]):
+                    terms = self.act(f_unit, bv).items()
+                elif odd and exps[p]:
+                    continue
+                else:
+                    raised = list(exps)
+                    raised[p] += 1
+                    terms = (((tuple(raised), state), 1),)
+                for bv2, c2 in terms:
                     val = nxt.get(bv2, 0) + c * c2
                     if val:
                         nxt[bv2] = val

@@ -33,6 +33,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import comb
+from operator import attrgetter
+from typing import NamedTuple
 
 from .borels import (
     all_borels,
@@ -62,6 +64,7 @@ from .homology import (
     gl11_ds_table,
     ses_supercharacter_check,
     induced_bracket_check,
+    parity_cancels,
     projected_ds_census,
     unfixed_read,
 )
@@ -69,7 +72,6 @@ from .modules import (
     Realization,
     bg_module,
     bg_realization,
-    form_values,
     level_form,
     parabolic_IJ_realization,
     union_borel_datum,
@@ -114,9 +116,9 @@ N3_CONJECTURE_SAMPLE = (
 N3_MABG_SAMPLE = ((0, 0, 0), (1, 2, 0), (2, -1, 1), (-2, 1, 2), (1, 1, 1), (2, 2, -2))
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    """One named check inside a scenario."""
+class CaseResult(NamedTuple):
+    """One named check inside a scenario: its key, its verdict and an
+    optional detail.  A named tuple, since a sweep makes one per case."""
 
     key: str
     verdict: str
@@ -163,14 +165,14 @@ class ScenarioReport:
 
 
 def _finish(scenario: str, params: dict, cases, started: float) -> ScenarioReport:
-    ordered = tuple(sorted(cases, key=lambda c: c.key))
+    ordered = tuple(sorted(cases, key=attrgetter("key")))
     return ScenarioReport(
         scenario, params, ordered, int((time.monotonic() - started) * 1000)
     )
 
 
 def _fmt_tuple(t) -> str:
-    return ",".join(str(x) for x in t)
+    return ",".join(map(str, t))
 
 
 def _place(parity: int) -> tuple[int, int]:
@@ -220,41 +222,76 @@ def _judge_conjecture(n, label, m, alpha, level) -> tuple[str, dict | None, DSRe
     return cert.verdict, detail, r
 
 
+def _tuple_levels(n: int, rho, alpha, tuples) -> list[int]:
+    """The level ``-(hw, alpha)`` of the anchor of each tuple, read from the
+    tuple: with ``hw = plain(t) - rho`` and ``plain`` negating the delta
+    block, it is ``sum(c * sign_i * t_i) - sum(c * rho_i)`` over the two
+    terms ``(i, c)`` of :func:`~superverma.modules.level_form`, ``sign_i``
+    being ``-1`` on the delta block."""
+    (i, ci), (j, cj) = level_form(n, alpha)
+    base = ci * rho[i] + cj * rho[j]
+    if i >= n:
+        ci = -ci
+    if j >= n:
+        cj = -cj
+    return [ci * t[i] + cj * t[j] - base for t in tuples]
+
+
 def _conjecture_cases_for_borel(args) -> list[CaseResult]:
+    """The cases of one Borel job ``(n, label, alpha, grid, depth)``.
+
+    Every tuple of the job has the same PBW layout; it is straightened once,
+    by the first realization, and dropped when the job returns.  For each
+    root the tuples fall into level classes, the level read from the tuple
+    with the job's ``rho`` (:func:`_tuple_levels`); each tuple's key text is
+    formatted once per job.  One realization, of the class's least tuple, is
+    judged; the other tuples take its verdict and detail only where every
+    form its record and that record's certificates read is a multiple of the
+    level form, so that each of them recalls the same numbers.  Where the
+    anchor parity does not cancel from the census
+    (:func:`~superverma.homology.parity_cancels`), each parity of the class
+    is judged apart.  A class that fails the gate of forms, and a
+    ``REFUTED`` verdict, whose detail names weights, are judged again tuple
+    by tuple.
+    """
     n, label, alpha, grid, depth = args
     alphas = [alpha] if alpha is not None else sorted(odd_simple_roots(n, label))
     cases: list[CaseResult] = []
-    # every tuple of the job has the same PBW layout; it is straightened
-    # once, by the first realization, and dropped when the job returns.
-    # For each root, the tuples fall into level classes (level, anchor
-    # parity), keyed from the tuple alone.  One realization, of the class's
-    # least tuple, is judged; the other tuples take its verdict and detail
-    # only where every form its record and that record's certificates read
-    # is a multiple of the level form, so that each of them recalls the same
-    # numbers.  A class that fails this gate, and a REFUTED verdict, whose
-    # detail names weights, are judged again tuple by tuple.
-    anchors = [(t, from_tuple(n, t, label)) for t in grid]
+    rho = rho_vector(n, label)
+    entries = sorted((t, f"{_fmt_tuple(t)})") for t in grid)
+    tuples = [t for t, _tail in entries]
     layout = None
     prefix = f"b={format_label(label)}"
     for a in alphas:
         head = f"{prefix} alpha={a[0]},{a[1]} t=("
         form = level_form(n, a)
-        classes: dict[tuple, list[tuple]] = {}
-        for t, hw in anchors:
-            (level,) = form_values((form,), hw)
-            classes.setdefault((level, par(n, hw)), []).append(t)
-        for (level, _parity), members in classes.items():
-            least = min(members)
-            m = verma_realization(n, label, least, depth, layout)
+        classes: dict[int, list[tuple]] = {}
+        for entry, level in zip(entries, _tuple_levels(n, rho, a, tuples)):
+            classes.setdefault(level, []).append(entry)
+        for level, members in classes.items():
+            m = verma_realization(n, label, members[0][0], depth, layout)
             layout = m.layout
-            verdict, detail, r = _judge_conjecture(n, label, m, a, level)
-            shared = verdict != REFUTED and unfixed_read(r, form) is None
-            for t in sorted(members):
-                v, d = verdict, detail
-                if t != least and not shared:
-                    m = verma_realization(n, label, t, depth, layout)
-                    v, d, _r = _judge_conjecture(n, label, m, a, level)
-                cases.append(CaseResult(f"{head}{_fmt_tuple(t)})", v, d))
+            groups = [members]
+            if not parity_cancels(m):
+                parities = [par(n, from_tuple(n, t, label)) for t, _tail in members]
+                groups = [
+                    [e for e, p in zip(members, parities) if p == side]
+                    for side in dict.fromkeys(parities)
+                ]
+            for k, group in enumerate(groups):
+                least = group[0][0]
+                if k:
+                    m = verma_realization(n, label, least, depth, layout)
+                verdict, detail, r = _judge_conjecture(n, label, m, a, level)
+                if verdict != REFUTED and unfixed_read(r, form) is None:
+                    cases.extend(CaseResult(head + tail, verdict, detail) for _t, tail in group)
+                    continue
+                for t, tail in group:
+                    v, d = verdict, detail
+                    if t != least:
+                        view = verma_realization(n, label, t, depth, layout)
+                        v, d, _r = _judge_conjecture(n, label, view, a, level)
+                    cases.append(CaseResult(head + tail, v, d))
     return cases
 
 
@@ -269,13 +306,17 @@ def verify_conjecture(
     otherwise certify that it vanishes on the valid region.
 
     The tuples of a Borel and root are judged by level class: the level
-    ``-(hw, alpha)`` of the anchor and its parity ``par(n, hw)``, computed
-    from the tuple.  Each class judges its least tuple on the Borel's shared
-    layout.  Its other tuples take that verdict and detail when every form
-    read by the homology record, and by the certificates kept in it, is a
-    multiple of the level form (:func:`~superverma.homology.unfixed_read`):
-    then every anchor of the class reads the same numbers.  Otherwise, and
-    for a ``REFUTED`` verdict, each tuple is judged on its own realization.
+    ``-(hw, alpha)`` of the anchor, read from the tuple.  Each class judges
+    its least tuple on the Borel's shared layout.  Its other tuples take
+    that verdict and detail when every form read by the homology record, and
+    by the certificates kept in it, is a multiple of the level form
+    (:func:`~superverma.homology.unfixed_read`): then every anchor of the
+    class reads the same numbers.  The anchor parity ``par(n, hw)`` splits
+    no class while the census places both sides of each comparison at one
+    parity (:func:`~superverma.homology.parity_cancels`, true on Verma
+    layouts); where it does not, each parity of a level is a class of its
+    own.  A class that fails the gate of forms, and a ``REFUTED`` verdict,
+    are judged tuple by tuple, each on its own realization.
     """
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")

@@ -4,15 +4,18 @@ Usage:
     python tests/mutate.py [NAME ...]
 
 Each mutant is applied to a fresh temporary copy of the whole checkout (the
-benchmark's tests import its sibling ``src/``), and tier-1 runs there with
-that copy's ``src`` first on ``PYTHONPATH``, stopping at the first failure.
-The run leaves out ``tests/test_mutants.py``: on the mutated copy the patched
-text is gone, so its patch check would fail for every mutant.  The
+benchmark's tests import its sibling ``src/``), with that copy's ``src``
+first on ``PYTHONPATH``.  Its named killer runs there alone first: a mutant
+whose killer fails is killed and pinned.  A mutant whose killer passes (or
+names no test) is reported "unpinned", and tier-1 then runs on the copy,
+stopping at the first failure, to tell whether any other test kills it.
+That run leaves out ``tests/test_mutants.py``: on the mutated copy the
+patched text is gone, so its patch check would fail for every mutant.  The
 end-to-end files, the CLI scenarios, the benchmark contract and then the
 acceptance criteria, run last, so a mutant is reported by the first unit
 test that fails on it rather than by a whole-scenario check or an exception
-in a shared fixture of the criteria.  A mutant is killed when the suite fails.  Prints one line per
-mutant and exits 1 if any survives.
+in a shared fixture of the criteria.  Prints one line per mutant and exits 1
+if any mutant survives or is unpinned.
 """
 
 from __future__ import annotations
@@ -34,13 +37,10 @@ END_TO_END = (
     "tests/test_benchmark_contract.py",
     "tests/test_acceptance.py",
 )
+PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
 TIER1 = [
-    "-m",
-    "pytest",
-    "-q",
+    *PYTEST,
     "-x",
-    "-p",
-    "no:cacheprovider",
     "--continue-on-collection-errors",
     f"--ignore={PATCH_CHECK}",
     *sorted(
@@ -50,27 +50,41 @@ TIER1 = [
     ),
     *END_TO_END,
 ]
+# pytest's exit status when tests ran and some failed; a node id that names
+# no test is a usage error (4), which kills nothing
+TESTS_FAILED = 1
 
 
-def killed(mutant) -> tuple[bool, str]:
-    """Whether tier-1 fails on the mutant, and the suite's summary line with
-    the first failing test."""
+def _run(copy: Path, args: list[str]) -> tuple[int, str]:
+    """Run pytest with ``args`` on the mutated copy: its exit status, and
+    its summary line with the first failing test."""
+    path = os.pathsep.join(p for p in (str(copy / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, *args],
+        cwd=copy,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    failing = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
+    summary = lines[-1] if lines else proc.stderr.strip()[-200:]
+    return proc.returncode, "; ".join([summary, *failing[:1]])
+
+
+def judge(mutant) -> tuple[str, str]:
+    """``killed`` when the mutant's killer fails on it; otherwise
+    ``unpinned`` or ``SURVIVED``, as tier-1 fails on it or not.  Returns the
+    outcome and the summary of the last run."""
     with tempfile.TemporaryDirectory(prefix="superverma-mutant-") as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=IGNORED)
         mutant.apply(copy)
-        path = os.pathsep.join(p for p in (str(copy / "src"), os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, *TIER1],
-            cwd=copy,
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-        )
-    lines = proc.stdout.strip().splitlines()
-    failing = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
-    summary = lines[-1] if lines else proc.stderr.strip()[-200:]
-    return proc.returncode != 0, "; ".join([summary, *failing[:1]])
+        status, summary = _run(copy, [*PYTEST, mutant.killer])
+        if status == TESTS_FAILED:
+            return "killed", summary
+        status, summary = _run(copy, TIER1)
+    return ("unpinned" if status != 0 else "SURVIVED"), summary
 
 
 def main(names: list[str]) -> int:
@@ -78,14 +92,14 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    survivors = 0
+    missed = 0
     for mutant in MUTANTS:
         if names and mutant.name not in names:
             continue
-        dead, summary = killed(mutant)
-        survivors += not dead
-        print(f"{'killed' if dead else 'SURVIVED'}  {mutant.name}: {summary}", flush=True)
-    return 1 if survivors else 0
+        outcome, summary = judge(mutant)
+        missed += outcome != "killed"
+        print(f"{outcome}  {mutant.name} [{mutant.killer}]: {summary}", flush=True)
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":

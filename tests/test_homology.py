@@ -29,6 +29,7 @@ from superverma.homology import (
     induced_action,
     induced_bracket_check,
     lift_unit,
+    parity_cancels,
     projected_ds_census,
     surviving_indices,
     unfixed_read,
@@ -156,6 +157,16 @@ def test_valid_depth_is_depth_minus_margin():
     assert ds13(m).valid_depth == 5
     m = verma_realization(2, (), (0, 1, 0, 1), 6)
     assert ds13(m).valid_depth == 4
+
+
+def test_the_margin_is_kept_on_the_layout_per_root():
+    # the margin reads only the layout's heights, so every view of a layout
+    # reads one value per root
+    m = verma_realization(2, (1,), (0, 1, 0, 1), 6)
+    for alpha in ((1, 3), (3, 1), (2, 4), (1, 4), (1, 2)):
+        assert m.layout.margin(alpha) == abs(m.datum.xi(root_weight(2, alpha)))
+    other = verma_realization(2, (1,), (2, -1, 1, 0), 6, m.layout)
+    assert ds13(other).valid_depth == ds13(m).valid_depth == 5
 
 
 def test_requires_odd_root():
@@ -627,6 +638,29 @@ def test_the_gate_names_a_read_that_the_level_does_not_fix():
     assert unfixed_read(off_simple, level_form(2, E13)) in off_simple._record.reads
 
 
+def test_the_parity_gate_reads_the_layout_parities_and_the_shift():
+    # on every Verma layout each raw parity is the parity of the offset's
+    # delta sum, and a Verma view's shift is par(n, hw): the anchor parity
+    # cancels from the census.  A view whose shift is not par(n, hw), or a
+    # layout with one parity flipped, fails the gate
+    from dataclasses import replace
+
+    for n, depth in ((1, 6), (2, 6), (3, 4)):
+        for label in all_borels(n):
+            m = verma_realization(n, label, (0,) * (2 * n), depth)
+            assert m.layout.parities_follow_deltas and parity_cancels(m)
+    m = verma_realization(2, (1,), (0, -1, -1, 0), 6)
+    odd = verma_realization(2, (1,), (0, -1, -1, -1), 6, m.layout)
+    assert par(2, odd.datum.hw) != par(2, m.datum.hw) and parity_cancels(odd)
+    for view in (m, odd):
+        datum = replace(view.datum, parity_shift=view.datum.parity_shift + 1)
+        assert not parity_cancels(Realization(datum, 6, layout=m.layout))
+    flipped = verma_realization(2, (1,), (0, -1, -1, 0), 6)
+    assert flipped.layout is not m.layout
+    flipped.layout.parities[next(reversed(flipped.layout.parities))] ^= 1
+    assert not flipped.layout.parities_follow_deltas and not parity_cancels(flipped)
+
+
 def test_a_class_that_a_raising_unit_moves_off_the_boundaries_is_refuted(monkeypatch):
     # negative control of the singular step: with every simple root of the
     # target Borel reversed, the "raising" units lower the anchor class to a
@@ -712,6 +746,32 @@ def test_the_target_totals_are_kept_per_label_and_depth(monkeypatch):
                 totals = homology._target_totals(layout, label, depth, t)
                 assert totals == {sub_weights(w, char.top): e + o for w, (e, o) in char.table.items()}
     assert len(expanded) == len(layout.targets) == 2 * len(all_borels(2))
+
+
+def test_the_target_depth_is_kept_per_root_and_label(monkeypatch):
+    # the depth of the target character does not depend on the anchor: one
+    # computation per layout, root and target label serves every cold
+    # certificate, here those of both anchor parities
+    import superverma.homology as homology
+
+    computed = []
+    shrink = homology._shrink_unit
+
+    def counted(*args):
+        computed.append(args)
+        return shrink(*args)
+
+    monkeypatch.setattr(homology, "_shrink_unit", counted)
+    label, alpha = (1,), (1, 3)
+    m = verma_realization(2, label, (1, 0, 1, 0), 6)
+    odd = verma_realization(2, label, (1, 1, 1, 1), 6, m.layout)
+    assert par(2, odd.datum.hw) != par(2, m.datum.hw)
+    assert _certify_matched(m, alpha, label).ok
+    first = len(computed)
+    assert first and _certify_matched(odd, alpha, label).ok
+    assert len(computed) == first
+    target_label = ds_borel_label(2, label, alpha)
+    assert m.layout.targets[(alpha, target_label)] == 6
 
 
 def test_certify_rejects_wrong_target_weight():

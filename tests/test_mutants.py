@@ -1,7 +1,7 @@
 """Every mutant of ``tests/mutants.py`` still patches the source it names.
 
 The mutants themselves run outside tier-1 (``python tests/mutate.py``);
-this only keeps the list from rotting as the source changes.
+this only keeps the list from rotting as the source and the tests change.
 """
 
 from __future__ import annotations
@@ -23,6 +23,16 @@ def test_mutant_names_are_unique():
 def test_mutant_patch_applies_once(mutant):
     assert mutant.old != mutant.new
     assert (ROOT / mutant.file).read_text().count(mutant.old) == 1
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_mutant_killer_names_a_test_of_the_suite(mutant):
+    # mutate.py reads a killer that names no test as unpinned; a typo here
+    # would only show there
+    path, _sep, node = mutant.killer.partition("::")
+    name = node.partition("[")[0]
+    assert path.startswith("tests/test_") and path != "tests/test_mutants.py"
+    assert f"\ndef {name}(" in (ROOT / path).read_text()
 
 
 def test_the_mutated_suite_leaves_out_the_patch_check():

@@ -135,16 +135,79 @@ def _count_judgements(monkeypatch) -> list:
 
 
 def test_conjecture_level_classes_share_one_judgement(monkeypatch):
-    # a root's tuples are judged once per (level, anchor parity), and only
-    # once: tuples of one level at both parities are two classes
+    # a root's tuples are judged once per level, and only once: on a Verma
+    # layout the anchor parity cancels from the census, so the tuples of one
+    # level at both parities share one judgement
     judged = _count_judgements(monkeypatch)
     label, alpha = (1,), (1, 3)
     grid = default_conjecture_grid(2)
     rep = verify_conjecture(2, label=label, alpha=alpha, grid=grid, depth=6)
     assert rep.counts() == {CERTIFIED: len(grid)}
     classes = {_level_class(2, from_tuple(2, t, label), alpha) for t in grid}
-    assert sorted(judged) == sorted(classes) and len(classes) < len(grid)
+    levels = {level for level, _parity in classes}
+    assert sorted(level for level, _parity in judged) == sorted(levels)
+    assert len(levels) < len(grid)
     assert {(0, 0), (0, 1)} <= classes
+
+
+def test_a_level_whose_parity_does_not_cancel_is_judged_per_parity(monkeypatch):
+    # negative control of the parity gate: where the anchor parity does not
+    # cancel from the census, the tuples of one level at the two parities
+    # are two classes, each judged once, and every case is as before
+    expected = verify_conjecture(2).cases
+    judged = _count_judgements(monkeypatch)
+    monkeypatch.setattr(verify, "parity_cancels", lambda m: False)
+    assert verify_conjecture(2).cases == expected
+    grid = default_conjecture_grid(2)
+    want = sorted(
+        level_class
+        for label in all_borels(2)
+        for alpha in odd_simple_roots(2, label)
+        for level_class in {_level_class(2, from_tuple(2, t, label), alpha) for t in grid}
+    )
+    assert sorted(judged) == want and len(want) == 216
+
+
+def _seed_seven_rank_three_draws() -> list[tuple]:
+    """The rank-3 tuples that the benchmark's ``sweep-rank3`` workload draws
+    at seed 7."""
+    import importlib.util
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    (call,) = workloads.build("sweep-rank3", 7)
+    return [tuple(t) for t in call.kwargs["grid"]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_level_read_from_the_tuple_is_minus_the_invariant_form(n):
+    # the sweep keys each tuple by the level it reads from the tuple and
+    # rho; the oracle forms the anchor and pairs it with the root.  The
+    # sweep's roots are simple, where (rho, alpha) = 0, so the other odd
+    # roots are what pin the rho term
+    from superverma.borels import rho_vector
+    from superverma.superalgebra import all_roots, is_odd_root
+
+    grid = default_conjecture_grid(n)
+    if n == 3:
+        grid += _seed_seven_rank_three_draws()
+    odd_roots = [r for r in all_roots(n) if is_odd_root(n, r)]
+    for label in all_borels(n):
+        rho = rho_vector(n, label)
+        simple = odd_simple_roots(n, label)
+        assert {bilinear_form(n, rho, root_weight(n, a)) for a in simple} == {0}
+        for alpha in odd_roots:
+            want = [
+                -bilinear_form(n, from_tuple(n, t, label), root_weight(n, alpha))
+                for t in grid
+            ]
+            assert verify._tuple_levels(n, rho, alpha, grid) == want
 
 
 def test_every_default_rank_two_case_matches_a_fresh_judgement():
@@ -180,7 +243,7 @@ def test_a_class_whose_reads_the_level_does_not_fix_is_judged_tuple_by_tuple(
     judged = _count_judgements(monkeypatch)
     expected = verify_conjecture(**args).cases
     assert {_level_class(2, from_tuple(2, t, label), alpha) for t in grid} == {(0, 0), (0, 1)}
-    assert len(judged) == 2
+    assert [level for level, _parity in judged] == [0]
     hw_1 = ((0, 1),)
     if side == "record":
         ds = verify.ds_homology
