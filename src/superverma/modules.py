@@ -604,25 +604,10 @@ class PBWLayout:
         return total
 
     def _prepend_power(self, f_unit: Unit, power: int, vec: dict) -> dict:
-        """``F^power vec`` for the complement unit ``F`` at PBW position
-        ``p``.  On a basis vector that starts at or after ``p``, ``F`` lands in
-        PBW position, so its exponent at ``p`` is raised in place (an odd one
-        past 1 gives zero); any other vector is straightened by :meth:`act`."""
-        p = self._position[f_unit]
-        odd = self._odd[p]
         for _ in range(power):
             nxt: dict = {}
             for bv, c in vec.items():
-                exps, state = bv
-                if any(exps[:p]):
-                    terms = self.act(f_unit, bv).items()
-                elif odd and exps[p]:
-                    continue
-                else:
-                    raised = list(exps)
-                    raised[p] += 1
-                    terms = (((tuple(raised), state), 1),)
-                for bv2, c2 in terms:
+                for bv2, c2 in self.act(f_unit, bv).items():
                     val = nxt.get(bv2, 0) + c * c2
                     if val:
                         nxt[bv2] = val

@@ -86,7 +86,6 @@ from .superalgebra import (
 )
 from .weights import (
     add_weights,
-    from_tuple,
     in_lambda_BG,
     in_lambda_maBG,
     par,
@@ -247,12 +246,11 @@ def _conjecture_cases_for_borel(args) -> list[CaseResult]:
     formatted once per job.  One realization, of the class's least tuple, is
     judged; the other tuples take its verdict and detail only where every
     form its record and that record's certificates read is a multiple of the
-    level form, so that each of them recalls the same numbers.  Where the
-    anchor parity does not cancel from the census
-    (:func:`~superverma.homology.parity_cancels`), each parity of the class
-    is judged apart.  A class that fails the gate of forms, and a
-    ``REFUTED`` verdict, whose detail names weights, are judged again tuple
-    by tuple.
+    level form, so that each of them recalls the same numbers.  A level
+    class spans both anchor parities: the census reads none on a Verma
+    layout, which :func:`~superverma.homology.parity_cancels` checks as an
+    invariant.  A class that fails the gate of forms, and a ``REFUTED``
+    verdict, whose detail names weights, are judged again tuple by tuple.
     """
     n, label, alpha, grid, depth = args
     alphas = [alpha] if alpha is not None else sorted(odd_simple_roots(n, label))
@@ -269,29 +267,23 @@ def _conjecture_cases_for_borel(args) -> list[CaseResult]:
         for entry, level in zip(entries, _tuple_levels(n, rho, a, tuples)):
             classes.setdefault(level, []).append(entry)
         for level, members in classes.items():
-            m = verma_realization(n, label, members[0][0], depth, layout)
+            least = members[0][0]
+            m = verma_realization(n, label, least, depth, layout)
             layout = m.layout
-            groups = [members]
             if not parity_cancels(m):
-                parities = [par(n, from_tuple(n, t, label)) for t, _tail in members]
-                groups = [
-                    [e for e, p in zip(members, parities) if p == side]
-                    for side in dict.fromkeys(parities)
-                ]
-            for k, group in enumerate(groups):
-                least = group[0][0]
-                if k:
-                    m = verma_realization(n, label, least, depth, layout)
-                verdict, detail, r = _judge_conjecture(n, label, m, a, level)
-                if verdict != REFUTED and unfixed_read(r, form) is None:
-                    cases.extend(CaseResult(head + tail, verdict, detail) for _t, tail in group)
-                    continue
-                for t, tail in group:
-                    v, d = verdict, detail
-                    if t != least:
-                        view = verma_realization(n, label, t, depth, layout)
-                        v, d, _r = _judge_conjecture(n, label, view, a, level)
-                    cases.append(CaseResult(head + tail, v, d))
+                raise AssertionError(
+                    f"the anchor parity does not cancel on the layout of {format_label(label)}"
+                )
+            verdict, detail, r = _judge_conjecture(n, label, m, a, level)
+            if verdict != REFUTED and unfixed_read(r, form) is None:
+                cases.extend(CaseResult(head + tail, verdict, detail) for _t, tail in members)
+                continue
+            for t, tail in members:
+                v, d = verdict, detail
+                if t != least:
+                    view = verma_realization(n, label, t, depth, layout)
+                    v, d, _r = _judge_conjecture(n, label, view, a, level)
+                cases.append(CaseResult(head + tail, v, d))
     return cases
 
 
@@ -312,11 +304,12 @@ def verify_conjecture(
     by the certificates kept in it, is a multiple of the level form
     (:func:`~superverma.homology.unfixed_read`): then every anchor of the
     class reads the same numbers.  The anchor parity ``par(n, hw)`` splits
-    no class while the census places both sides of each comparison at one
-    parity (:func:`~superverma.homology.parity_cancels`, true on Verma
-    layouts); where it does not, each parity of a level is a class of its
-    own.  A class that fails the gate of forms, and a ``REFUTED`` verdict,
-    are judged tuple by tuple, each on its own realization.
+    no class: on a Verma layout the census places both sides of each
+    comparison at one parity, an invariant checked per class by
+    :func:`~superverma.homology.parity_cancels`, whose failure raises
+    ``AssertionError``.  A class that fails the gate of forms, and a
+    ``REFUTED`` verdict, are judged tuple by tuple, each on its own
+    realization.
     """
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")

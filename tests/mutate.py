@@ -6,8 +6,9 @@ Usage:
 Each mutant is applied to a fresh temporary copy of the whole checkout (the
 benchmark's tests import its sibling ``src/``), with that copy's ``src``
 first on ``PYTHONPATH``.  Its named killer runs there alone first: a mutant
-whose killer fails is killed and pinned.  A mutant whose killer passes (or
-names no test) is reported "unpinned", and tier-1 then runs on the copy,
+whose killer fails, or breaks an import the killer needs, is killed and
+pinned.  A mutant whose killer passes (or names no test) is reported
+"unpinned", and tier-1 then runs on the copy,
 stopping at the first failure, to tell whether any other test kills it.
 That run leaves out ``tests/test_mutants.py``: on the mutated copy the
 patched text is gone, so its patch check would fail for every mutant.  The
@@ -50,9 +51,10 @@ TIER1 = [
     ),
     *END_TO_END,
 ]
-# pytest's exit status when tests ran and some failed; a node id that names
-# no test is a usage error (4), which kills nothing
-TESTS_FAILED = 1
+# pytest's exit statuses that say the killer never ran: a node id that names
+# no test is a usage error (4), or collects none (5).  Any other failure, a
+# failed test (1) or an import broken by the patch (2), kills the mutant.
+NOT_RUN = (4, 5)
 
 
 def _run(copy: Path, args: list[str]) -> tuple[int, str]:
@@ -73,7 +75,8 @@ def _run(copy: Path, args: list[str]) -> tuple[int, str]:
 
 
 def judge(mutant) -> tuple[str, str]:
-    """``killed`` when the mutant's killer fails on it; otherwise
+    """``killed`` when the mutant's killer fails on it, or cannot be
+    collected on the mutated copy; otherwise
     ``unpinned`` or ``SURVIVED``, as tier-1 fails on it or not.  Returns the
     outcome and the summary of the last run."""
     with tempfile.TemporaryDirectory(prefix="superverma-mutant-") as tmp:
@@ -81,7 +84,7 @@ def judge(mutant) -> tuple[str, str]:
         shutil.copytree(ROOT, copy, ignore=IGNORED)
         mutant.apply(copy)
         status, summary = _run(copy, [*PYTEST, mutant.killer])
-        if status == TESTS_FAILED:
+        if status and status not in NOT_RUN:
             return "killed", summary
         status, summary = _run(copy, TIER1)
     return ("unpinned" if status != 0 else "SURVIVED"), summary

@@ -6,6 +6,9 @@ this only keeps the list from rotting as the source and the tests change.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,14 +28,30 @@ def test_mutant_patch_applies_once(mutant):
     assert (ROOT / mutant.file).read_text().count(mutant.old) == 1
 
 
+@pytest.fixture(scope="module")
+def collected() -> set[str]:
+    """The node ids that pytest collects from the files the killers name,
+    parametrization ids included."""
+    files = sorted({m.killer.partition("::")[0] for m in MUTANTS})
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *files],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    return {line for line in proc.stdout.splitlines() if "::" in line}
+
+
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
-def test_mutant_killer_names_a_test_of_the_suite(mutant):
-    # mutate.py reads a killer that names no test as unpinned; a typo here
-    # would only show there
-    path, _sep, node = mutant.killer.partition("::")
-    name = node.partition("[")[0]
+def test_mutant_killer_names_a_test_of_the_suite(mutant, collected):
+    # mutate.py reads a killer that names no test as unpinned; a typo here,
+    # in the test's name or in its parametrization id, would only show there
+    path = mutant.killer.partition("::")[0]
     assert path.startswith("tests/test_") and path != "tests/test_mutants.py"
-    assert f"\ndef {name}(" in (ROOT / path).read_text()
+    assert mutant.killer in collected
 
 
 def test_the_mutated_suite_leaves_out_the_patch_check():

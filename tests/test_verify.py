@@ -31,7 +31,7 @@ from superverma.verify import (
 )
 from superverma.borels import all_borels, format_label, odd_simple_roots
 from superverma.homology import CERTIFIED, REFUTED
-from superverma.modules import verma_realization
+from superverma.modules import PBWLayout, verma_realization
 from superverma.superalgebra import root_weight
 from superverma.weights import from_tuple, par
 
@@ -150,22 +150,14 @@ def test_conjecture_level_classes_share_one_judgement(monkeypatch):
     assert {(0, 0), (0, 1)} <= classes
 
 
-def test_a_level_whose_parity_does_not_cancel_is_judged_per_parity(monkeypatch):
-    # negative control of the parity gate: where the anchor parity does not
-    # cancel from the census, the tuples of one level at the two parities
-    # are two classes, each judged once, and every case is as before
-    expected = verify_conjecture(2).cases
-    judged = _count_judgements(monkeypatch)
-    monkeypatch.setattr(verify, "parity_cancels", lambda m: False)
-    assert verify_conjecture(2).cases == expected
-    grid = default_conjecture_grid(2)
-    want = sorted(
-        level_class
-        for label in all_borels(2)
-        for alpha in odd_simple_roots(2, label)
-        for level_class in {_level_class(2, from_tuple(2, t, label), alpha) for t in grid}
-    )
-    assert sorted(judged) == want and len(want) == 216
+def test_a_layout_whose_parity_does_not_cancel_stops_the_sweep(monkeypatch):
+    # negative control of the parity gate: a level class spans both anchor
+    # parities only because the census on a Verma layout reads none; on a
+    # layout whose raw parities left their delta sums the sweep stops
+    # rather than give one verdict to both parities
+    monkeypatch.setattr(PBWLayout, "parities_follow_deltas", property(lambda self: False))
+    with pytest.raises(AssertionError, match="anchor parity does not cancel"):
+        verify_conjecture(2, label=(1,), alpha=(1, 3), depth=6)
 
 
 def _seed_seven_rank_three_draws() -> list[tuple]:
