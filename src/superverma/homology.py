@@ -11,9 +11,12 @@ With ``alpha = (i, n+j)`` and ``y = e_(n+j, i)``, the supercommutator
 form ``(mu, alpha)``.  Where that value is not zero, every kernel vector
 ``z`` is ``x(yz) / (mu, alpha)``, so the homology there is zero by homotopy
 (Duflo--Serganova).  Ranks are therefore taken only on the slice
-``(mu, alpha) = 0``, each map once, kept with its rank in the record that
+``(mu, alpha) = 0``, each map once, kept with its rank in the result that
 the cosets and certificates read; every other cell of the valid region is
-``(0, 0)`` without a matrix built.
+``(0, 0)`` without a matrix built.  A result belongs to one realization:
+nothing is shared between anchors here, and the forms in the anchor that a
+run and its certificates read are kept so that a caller can tell at which
+other anchors the same run would read the same numbers.
 
 The homology carries an action of the centralizer subalgebra spanned by
 the units avoiding both index lines of ``alpha`` -- a copy of the general
@@ -41,7 +44,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, product
+from itertools import product
 from operator import add
 
 from .borels import (
@@ -54,7 +57,7 @@ from .borels import (
     simple_roots,
 )
 from .linalg import SparseRationalMatrix, image_basis, kernel_basis, quotient_basis, rank
-from .modules import Realization, bg_module, bg_module_datum, form_values
+from .modules import Realization, bg_module, bg_module_datum
 from .superalgebra import Root, Unit, bracket, is_odd_root, root_weight
 from .weights import (
     Character,
@@ -82,8 +85,7 @@ class WeightClasses:
     kernel and image bases of the whole unit matrices and chosen cosets.
 
     Everything is anchor-free and parity-free: coordinate vectors over the
-    layout's basis at ``offset`` and the echelon.  Views of one homology
-    record share one object per offset of the slice.
+    layout's basis at ``offset`` and the echelon.
     """
 
     def __init__(self, realization: Realization, offset: Weight, out_m, in_m):
@@ -117,50 +119,36 @@ class WeightClasses:
 
 
 @dataclass(eq=False)
-class _Homology:
-    """The rank-one homology of ``alpha`` on one layout, in offsets from the
-    anchor: the class count at every offset of the valid region, in order,
-    its least nonzero ``(offset, count)``, each map of ``e_alpha`` its run
-    ranked as ``(matrix, rank)`` by source offset, the forms that run read,
-    the cosets by slice offset, and the doubled-Verma certificates by
-    ``(target label, parity shift, anchor parity)``, each a list of
-    ``(anchor, forms read, certificate)``.  The counts hold no parity, so
-    views of either parity shift read one record.
-    """
-
-    cells: dict[Weight, int]
-    first_nonzero: tuple | None
-    maps: dict[Weight, tuple[SparseRationalMatrix, int]]
-    reads: tuple
-    classes: dict[Weight, WeightClasses] = field(default_factory=dict)
-    certificates: dict[tuple, list] = field(default_factory=dict)
-
-
-@dataclass
 class DSResult:
     """Homology of one odd root action, valid on a stated depth region.
 
-    Its class counts over the valid region, its cosets on the slice and its
-    doubled-Verma certificates, all in offsets from the anchor, are one
-    record on the source's layout, shared by every view of the same root
-    and level at which the forms the record's run read take the same
-    values; a view translates them by its own anchor and places each count
-    at its own parity there.
+    In offsets from the anchor it holds the class count at every offset of
+    the valid region, in order (``cells``), its least nonzero ``(offset,
+    count)``, each map of ``e_alpha`` its run ranked, as ``(matrix, rank)``
+    by source offset (``maps``), and the cosets built so far by offset.
+    ``reads`` holds the ``Affine.terms`` of every anchor-dependent
+    coefficient that the run and the certificates made from the result
+    evaluated.  The counts hold no parity: :attr:`dim_table` translates them
+    to the source's anchor and places each at the source's parity there.
     """
 
     source: Realization
     alpha: Root
     valid_depth: int
-    _record: _Homology = field(repr=False)
+    cells: dict[Weight, int] = field(repr=False)
+    first_nonzero: tuple | None = field(repr=False)
+    maps: dict[Weight, tuple[SparseRationalMatrix, int]] = field(repr=False)
+    reads: set = field(repr=False)
+    classes: dict[Weight, WeightClasses] = field(default_factory=dict, repr=False)
 
     @cached_property
     def dim_table(self) -> dict[Weight, tuple[int, int]]:
-        """The record's counts translated to the source's anchor and placed
-        at its parities."""
+        """The counts translated to the source's anchor and placed at its
+        parities."""
         hw = self.source.datum.hw
         return {
             tuple(map(add, hw, off)): self._place(off, count)
-            for off, count in self._record.cells.items()
+            for off, count in self.cells.items()
         }
 
     def _place(self, offset: Weight, count: int) -> tuple[int, int]:
@@ -189,39 +177,31 @@ class DSResult:
 
     def classes_at(self, weight: Weight) -> WeightClasses | None:
         """The kernels, images and cosets at ``weight``, or None off the
-        module support, with the rank census checked against the coset
-        census.  On the slice ``(weight, alpha) = 0`` they come from the two
-        maps the record holds and are built once per record offset.  Off it
-        the record does not fix the maps, so they are built from the source's
-        own matrices on every call, and the census check confirms the zero
-        by homotopy."""
+        module support, built once per offset from the maps of ``e_alpha``
+        out of and into it, with the rank census checked against the coset
+        census.  A map the homology run ranked is read from ``maps``, any
+        other is built at the source's anchor; off the slice ``(weight,
+        alpha) = 0`` the census check confirms the zero by homotopy."""
         if not self.in_valid_region(weight):
             raise ValueError(f"weight {weight} is outside the valid region")
         m = self.source
-        offset = sub_weights(weight, m.datum.hw)
-        classes = self._record.classes.get(offset)
+        hw = m.datum.hw
+        offset = sub_weights(weight, hw)
+        classes = self.classes.get(offset)
         if classes is None:
-            layout = m.layout
-            if not layout.spaces.get(offset):
+            if not m.layout.spaces.get(offset):
                 return None
-            maps = self._record.maps
-            src = _lowered(layout, self.alpha)[offset]
-            if offset in maps:
-                pair = maps[offset][0], maps[src][0]
-            else:
-                pair = (
-                    m.unit_matrix(self.alpha, weight),
-                    m.unit_matrix(self.alpha, tuple(map(add, m.datum.hw, src))),
-                )
-            classes = WeightClasses(m, offset, *pair)
-            count = self._record.cells[offset]
+            pair = [
+                self.maps[s][0] if s in self.maps else m.unit_matrix(self.alpha, add_weights(hw, s))
+                for s in (offset, _lowered(m.layout, self.alpha)[offset])
+            ]
+            classes = self.classes[offset] = WeightClasses(m, offset, *pair)
+            count = self.cells[offset]
             if len(classes.reps) != count:
                 raise AssertionError(
                     f"rank census {count} and coset census {len(classes.reps)} "
                     f"disagree at offset {offset}"
                 )
-            if offset in maps:
-                self._record.classes[offset] = classes
         return classes
 
     def to_json(self) -> str:
@@ -251,14 +231,10 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     weight are complete.  The table lists a cell for every offset of the
     valid region: on the slice ``(mu, alpha) = 0`` it comes from the ranks
     of the maps of ``e_alpha`` at the anchor, and everywhere else it is
-    ``(0, 0)``, zero by homotopy.  In offsets from the anchor the counts are
-    a function of the maps around the slice.  A cold run builds and ranks
-    each of them once into its record, kept on the layout under ``(alpha,
-    level)`` with the anchor and the ``Affine`` forms of the entries it
-    evaluated; every anchor of that level where those forms agree recalls
-    it (:func:`_recall`) and places the counts at its own parities.  An
-    empty slice leaves every count zero, so its anchors share one record
-    under ``(alpha,)``.
+    ``(0, 0)``, zero by homotopy.  Each map around the slice is built and
+    ranked once, kept in the result with its rank, and the ``Affine`` forms
+    of the entries it evaluated go into the result's ``reads``: in offsets
+    from the anchor the counts are a function of those maps.
     """
     n = m.datum.n
     if not is_odd_root(n, alpha):
@@ -268,12 +244,7 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
     layout = m.layout
     valid_depth = m.depth - layout.margin(alpha)
     hw = m.datum.hw
-    level = m.level(alpha)
-    offsets = layout.slice_of(alpha, valid_depth, level)
-    made = layout.homology.setdefault((alpha, level) if offsets else (alpha,), [])
-    hit = _recall(made, hw)
-    if hit is not None:
-        return DSResult(m, alpha, valid_depth, hit[2])
+    offsets = layout.slice_of(alpha, valid_depth, m.level(alpha))
     # off the slice every count is zero by homotopy
     cells = dict.fromkeys(layout.valid_offsets(valid_depth), 0)
     # the map into ``off`` is the map out of ``off - alpha``, which lies on
@@ -291,25 +262,13 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
             raise AssertionError(f"negative homology dimension at {add_weights(hw, off)}: {count}")
         cells[off] = count
     first = next(((off, count) for off, count in cells.items() if count), None)
-    record = _Homology(cells, first, maps, tuple(sorted(reads)))
-    made.append((hw, record.reads, record))
-    return DSResult(m, alpha, valid_depth, record)
+    return DSResult(m, alpha, valid_depth, cells, first, maps, reads)
 
 
 def _lowered(layout, alpha: Root) -> dict[Weight, Weight]:
     """``off -> off - alpha`` on the offsets of the layout: the shift of the
     opposite unit."""
     return layout.shift((alpha[1], alpha[0]))
-
-
-def _recall(made: list, anchor: Weight) -> tuple | None:
-    """The first ``(anchor made at, forms read, value)`` of ``made`` whose
-    forms take at ``anchor`` the values they took where it was made."""
-    for entry in made:
-        made_at, forms, _value = entry
-        if form_values(forms, made_at) == form_values(forms, anchor):
-            return entry
-    return None
 
 
 def parity_cancels(m: Realization) -> bool:
@@ -325,17 +284,15 @@ def parity_cancels(m: Realization) -> bool:
 
 
 def unfixed_read(result: DSResult, form) -> tuple | None:
-    """The first form read by the record of ``result``, or by a certificate
-    kept in it, that is not a rational multiple of the linear ``form`` (both
-    as ``Affine.terms``); None when there is none.  Then every form they read
-    takes one value at all anchors where ``form`` takes one value, so
-    :func:`_recall` serves the record and its certificates at each of those
-    anchors, with the numbers the anchor of ``result`` read."""
-    record = result._record
+    """A form of ``result.reads``, read by the homology run or by a
+    certificate made from it, that is not a rational multiple of the linear
+    ``form`` (both as ``Affine.terms``); None when there is none.  Then every
+    form they read takes one value at all anchors where ``form`` takes one
+    value, so at each of those anchors the same run and certificates read
+    the numbers that the anchor of ``result`` read."""
     indices = [i for i, _c in form]
     _i, lead = form[0]
-    kept = (forms for made in record.certificates.values() for _at, forms, _cert in made)
-    for read in chain(record.reads, *kept):
+    for read in result.reads:
         if [i for i, _c in read] != indices or any(
             c * lead != d * read[0][1] for (_i, c), (_j, d) in zip(read, form)
         ):
@@ -470,8 +427,8 @@ def certify_zero(result: DSResult) -> Certificate:
     refutation names the least weight with nonzero homology."""
     if result.valid_depth < 0:
         return Certificate(INCONCLUSIVE, 0, {"reason": "valid region is empty"})
-    checked = len(result._record.cells)
-    first = result._record.first_nonzero
+    checked = len(result.cells)
+    first = result.first_nonzero
     if first is None:
         return Certificate(CERTIFIED, checked, {})
     off, count = first
@@ -495,17 +452,14 @@ def certify_verma_iso(result: DSResult, target_label: Label, target_tuple) -> Ce
        monomials in the lowering units add the target Verma dimension to
        ``rank B``.
 
-    In offsets from the anchor, these checks read the source's homology
-    record, the parity shift that places its counts, the parity of the
+    In offsets from the anchor, these checks read the counts and maps of
+    ``result``, the parity shift that places its counts, the parity of the
     anchor, the target character (which does not depend on the target
     tuple) and the values at the anchor of the coefficients of the raising
-    and lowering maps they apply.  Given the record, the shift, the parity
-    and the target label, the checks are deterministic, so an anchor at
-    which every linear form they read takes the same value runs the same
-    branches on the same numbers.  Each certificate is therefore kept in the
-    record with the anchor it was made at and the forms its run read, and
-    recalled by the rule the record itself follows (:func:`_recall`), with
-    every weight in its ``detail`` translated to the caller's anchor.
+    and lowering maps they apply.  The forms of those coefficients go into
+    ``result.reads``, beside those of the homology run, so
+    :func:`unfixed_read` sees every form the verdict read.  Weights are
+    formed only for a ``detail`` and for the cosets of the two anchor slots.
     """
     m = result.source
     n = m.datum.n
@@ -517,7 +471,9 @@ def certify_verma_iso(result: DSResult, target_label: Label, target_tuple) -> Ce
             f"target highest weight {target_hw} is not the projected anchor "
             f"{pr_alpha(n, anchor, alpha)}"
         )
-    for unit in _target_lowering_units(n, alpha, n - 1, target_label):
+    target_n = n - 1
+    lowering_units = _target_lowering_units(n, alpha, target_n, target_label)
+    for unit in lowering_units:
         if m.datum.root_cost(unit) <= 0:
             raise ValueError(
                 f"the lowering unit {unit} of target Borel {target_label} "
@@ -526,47 +482,10 @@ def certify_verma_iso(result: DSResult, target_label: Label, target_tuple) -> Ce
     if result.valid_depth < 0:
         return Certificate(INCONCLUSIVE, 0, {"reason": "valid region is empty"})
     target_label = tuple(target_label)
-    key = (target_label, m.datum.parity_shift % 2, par(n, anchor))
-    made = result._record.certificates.setdefault(key, [])
-    hit = _recall(made, anchor)
-    if hit is not None:
-        made_at, _forms, cert = hit
-        return _translated(cert, sub_weights(anchor, made_at))
-    reads: set = set()
-    cert = _certify_verma_iso(result, target_label, target_tuple, reads)
-    made.append((anchor, tuple(sorted(reads)), cert))
-    return cert
-
-
-def _translated(cert: Certificate, delta: Weight) -> Certificate:
-    """The certificate with every weight of its detail moved by ``delta``."""
-    detail = dict(cert.detail)
-    if "weight" in detail:
-        detail["weight"] = list(map(add, detail["weight"], delta))
-    if "singular_weights" in detail:
-        detail["singular_weights"] = [
-            list(map(add, w, delta)) for w in detail["singular_weights"]
-        ]
-    return Certificate(cert.verdict, cert.checked_weights, detail)
-
-
-def _certify_verma_iso(
-    result: DSResult, target_label: Label, target_tuple, reads: set
-) -> Certificate:
-    """The checks of :func:`certify_verma_iso` on a nonempty valid region,
-    in offsets from the anchor; the forms of the coefficients they evaluate
-    are added to ``reads``.  Weights are formed only for a ``detail`` and
-    for the cosets of the two anchor slots."""
-    m = result.source
-    n = m.datum.n
-    alpha = result.alpha
-    anchor = m.datum.hw
     layout = m.layout
-    record = result._record
-    cells = record.cells
+    cells = result.cells
+    reads = result.reads
     valid = result.valid_depth
-    target_n = n - 1
-    lowering_units = _target_lowering_units(n, alpha, target_n, target_label)
     depth_t = _target_depth(m, alpha, target_label, lowering_units)
     totals = _target_totals(layout, target_label, depth_t, target_tuple)
     heights_t = height_functional(target_n, target_label)
@@ -625,14 +544,14 @@ def _certify_verma_iso(
         checked += 1
 
     # Steps 2 and 3 are ranks modulo the boundaries ``B = im e_alpha``.  On
-    # the slice ``B`` and its rank are the record's, recalled only where
-    # their forms agree, so only the raising and lowering units add to
-    # ``reads``; an offset the record does not hold raises ``KeyError``.
+    # the slice ``B`` and its rank are the result's, whose forms are in
+    # ``reads`` already, so only the raising and lowering units add to them;
+    # an offset the result does not hold raises ``KeyError``.
     down = _lowered(layout, alpha)
 
     def added(off: Weight, vectors) -> int:
         """The dimension of the span of the cycles ``vectors`` modulo ``B``."""
-        incoming, boundary_rank = record.maps[down[off]]
+        incoming, boundary_rank = result.maps[down[off]]
         index = layout.positions[off]
         entries = dict(incoming.entries)
         for col, vec in enumerate(vectors, start=incoming.ncols):

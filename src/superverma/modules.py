@@ -31,9 +31,10 @@ layout refuses a shape where it would not.  Its matrices and slices read
 those tables, so weights are formed only where they leave the layout.  A
 :class:`Realization` is a thin view of a layout at one anchor; it evaluates
 weight spaces, parities, actions and integer unit matrices there.  Views of
-one shared layout, such as the Verma modules of
-one Borel over a grid of tuples, straighten once, and views at anchors where
-the linear forms a homology run read take the same values share its record.
+one shared layout, such as the Verma modules of one Borel over a grid of
+tuples, straighten once.  Matrices and actions can name the linear forms in
+``hw`` that they evaluate, so a caller can tell at which anchors a
+computation reads the same numbers.
 """
 
 from __future__ import annotations
@@ -387,8 +388,8 @@ class PBWLayout:
     ``const + form(hw)`` for one linear form, and :meth:`matrix_at` can name
     the forms it evaluates.  Everything derived from some maps is therefore
     the same at every anchor where the forms of their entries take the same
-    values.  ``homology`` and ``targets`` (the target Verma totals by label
-    and depth, the target depths by root and label) are memos that
+    values.  ``targets`` (the target Verma totals by label and depth, the
+    target depths by root and label) is a memo that
     :mod:`superverma.homology` owns and the layout never reads.  A
     :class:`Realization` evaluates everything at one anchor.
     """
@@ -427,7 +428,6 @@ class PBWLayout:
         self._valid: dict = {}
         self._slices: dict = {}
         self._margins: dict = {}
-        self.homology: dict = {}
         self.targets: dict = {}
         self._enumerate()
         self.positions = {
@@ -691,9 +691,8 @@ class Realization:
     at this anchor and parity shift; matrices come out with ``int`` entries.
     Every memo lives on the layout, so views sharing one layout (pass
     ``layout``, built for the same datum shape, depth and levi module)
-    straighten each action once and share every rank-one homology record
-    whose forms read agree at their anchors.  The view itself caches only
-    its translated ``weight_spaces``.  Every weight with
+    straighten each action once.  The view itself caches only its
+    translated ``weight_spaces``.  Every weight with
     ``datum.depth_of(weight) <= depth`` has a complete basis.
     """
 

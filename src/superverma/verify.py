@@ -245,12 +245,13 @@ def _conjecture_cases_for_borel(args) -> list[CaseResult]:
     with the job's ``rho`` (:func:`_tuple_levels`); each tuple's key text is
     formatted once per job.  One realization, of the class's least tuple, is
     judged; the other tuples take its verdict and detail only where every
-    form its record and that record's certificates read is a multiple of the
-    level form, so that each of them recalls the same numbers.  A level
-    class spans both anchor parities: the census reads none on a Verma
-    layout, which :func:`~superverma.homology.parity_cancels` checks as an
-    invariant.  A class that fails the gate of forms, and a ``REFUTED``
-    verdict, whose detail names weights, are judged again tuple by tuple.
+    form its homology run and certificate read is a multiple of the level
+    form, so that each of them reads the same numbers; the level class is
+    the only way one judgment serves several anchors.  A level class spans
+    both anchor parities: the census reads none on a Verma layout, which
+    :func:`~superverma.homology.parity_cancels` checks as an invariant.  A
+    class that fails the gate of forms, and a ``REFUTED`` verdict, whose
+    detail names weights, are judged again tuple by tuple.
     """
     n, label, alpha, grid, depth = args
     alphas = [alpha] if alpha is not None else sorted(odd_simple_roots(n, label))
@@ -300,8 +301,8 @@ def verify_conjecture(
     The tuples of a Borel and root are judged by level class: the level
     ``-(hw, alpha)`` of the anchor, read from the tuple.  Each class judges
     its least tuple on the Borel's shared layout.  Its other tuples take
-    that verdict and detail when every form read by the homology record, and
-    by the certificates kept in it, is a multiple of the level form
+    that verdict and detail when every form read by the homology run, and
+    by the certificate made from it, is a multiple of the level form
     (:func:`~superverma.homology.unfixed_read`): then every anchor of the
     class reads the same numbers.  The anchor parity ``par(n, hw)`` splits
     no class: on a Verma layout the census places both sides of each

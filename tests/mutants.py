@@ -89,34 +89,6 @@ MUTANTS = (
         "tests/test_homology.py::test_cosets_match_the_parity_split_oracle",
     ),
     Mutant(
-        "certificate-key-without-anchor-parity",
-        HOMOLOGY,
-        "    key = (target_label, m.datum.parity_shift % 2, par(n, anchor))\n",
-        "    key = (target_label, m.datum.parity_shift % 2, 0)\n",
-        "tests/test_homology.py::test_a_certificate_is_keyed_by_the_anchor_parity",
-    ),
-    Mutant(
-        "certificate-key-without-shift",
-        HOMOLOGY,
-        "    key = (target_label, m.datum.parity_shift % 2, par(n, anchor))\n",
-        "    key = (target_label, 0, par(n, anchor))\n",
-        "tests/test_homology.py::test_a_certificate_is_keyed_by_the_anchor_parity",
-    ),
-    Mutant(
-        "signature-without-level",
-        HOMOLOGY,
-        "(alpha, level) if offsets else (alpha,)",
-        "(alpha,) if offsets else (alpha,)",
-        "tests/test_homology.py::test_sliced_tables_match_the_full_table_oracle[()]",
-    ),
-    Mutant(
-        "empty-slice-key-for-a-nonempty-slice",
-        HOMOLOGY,
-        "(alpha, level) if offsets else (alpha,)",
-        "(alpha, level) if not offsets else (alpha,)",
-        "tests/test_homology.py::test_shift_twins_share_one_record_at_opposite_parities",
-    ),
-    Mutant(
         "slice-on-the-wrong-sign",
         MODULES,
         "(i, -c if i < n else c)",
@@ -124,33 +96,11 @@ MUTANTS = (
         "tests/test_homology.py::test_cosets_match_the_parity_split_oracle",
     ),
     Mutant(
-        "off-slice-cosets-shared",
-        HOMOLOGY,
-        "            if offset in maps:\n"
-        "                self._record.classes[offset] = classes\n",
-        "            self._record.classes[offset] = classes\n",
-        "tests/test_homology.py::test_views_of_one_record_act_through_their_own_maps_off_the_slice",
-    ),
-    Mutant(
-        "recall-at-the-stored-anchor",
-        HOMOLOGY,
-        "        if form_values(forms, made_at) == form_values(forms, anchor):\n",
-        "        if form_values(forms, made_at) == form_values(forms, made_at):\n",
-        "tests/test_homology.py::test_sliced_tables_match_the_full_table_oracle[()]",
-    ),
-    Mutant(
         "homology-record-without-reads",
         HOMOLOGY,
-        "    made.append((hw, record.reads, record))\n",
-        "    made.append((hw, (), record))\n",
-        "tests/test_homology.py::test_sliced_tables_match_the_full_table_oracle[()]",
-    ),
-    Mutant(
-        "certificate-hit-untranslated",
-        HOMOLOGY,
-        "        return _translated(cert, sub_weights(anchor, made_at))\n",
-        "        return cert\n",
-        "tests/test_homology.py::test_refuted_census_carries_counterexample",
+        "        matrix = layout.matrix_at(alpha, s, hw, reads)\n",
+        "        matrix = layout.matrix_at(alpha, s, hw)\n",
+        "tests/test_modules.py::test_anchor_signature_determines_the_blocks[2-label6-6-False]",
     ),
     Mutant(
         "ds-margin-off-by-one",
@@ -169,8 +119,8 @@ MUTANTS = (
     Mutant(
         "boundary-read-at-the-offset",
         HOMOLOGY,
-        "record.maps[down[off]]",
-        "record.maps[off]",
+        "result.maps[down[off]]",
+        "result.maps[off]",
         "tests/test_homology.py::test_certify_standard_borel_anchor",
     ),
     Mutant(
@@ -253,15 +203,15 @@ MUTANTS = (
     Mutant(
         "level-gate-always-passes",
         HOMOLOGY,
-        "    for read in chain(record.reads, *kept):\n",
+        "    for read in result.reads:\n",
         "    for read in ():\n",
         "tests/test_homology.py::test_the_gate_names_a_read_that_the_level_does_not_fix",
     ),
     Mutant(
         "certificate-stored-without-reads",
         HOMOLOGY,
-        "    made.append((anchor, tuple(sorted(reads)), cert))\n",
-        "    made.append((anchor, (), cert))\n",
+        "    reads = result.reads\n",
+        "    reads: set = set()\n",
         "tests/test_homology.py::test_a_certificate_is_shared_only_where_its_reads_agree",
     ),
     Mutant(

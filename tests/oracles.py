@@ -286,7 +286,7 @@ def _lift_weight(n, alpha, anchor, nu, slot, emb) -> Weight:
 def coset_certify_verma_iso(
     result: DSResult, target_label: Label, target_tuple, reads: set
 ) -> Certificate:
-    """The checks of ``homology._certify_verma_iso`` on class coordinates
+    """The checks of ``homology.certify_verma_iso`` on class coordinates
     over the chosen cosets: a moved class is reduced by ``classes_at`` and a
     weight's generated span is grown one class at a time.  The library asks
     the same questions as ranks modulo the boundaries."""

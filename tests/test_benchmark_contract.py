@@ -4,7 +4,7 @@ A hook that no longer finds its function drops that layer's metrics from the
 result line, with only a warning on stderr; so the declared names are
 checked here on a short run of the cheapest workload at both trace levels.
 One pass of ``sweep-rank2`` also checks its 7,500 verdicts end to end: it is
-the workload on which views of one layout share rank-one homology tables.
+the workload on which the level classes share the most verdicts.
 """
 
 from __future__ import annotations

@@ -442,29 +442,13 @@ def test_refuted_census_carries_counterexample():
     assert cert.verdict == REFUTED
     assert not cert.ok
     assert cert.detail == {"weight": [1, 0, -1, 1], "dims": [0, 0], "expected": [1, 0]}
-    # the same case on a layout warmed by another anchor of the same level,
-    # where the forms the record's run read take the same values
+    # the same case on a layout warmed by another anchor of the same level
+    # gets the same certificate, with the weights at its own anchor
     warm = verma_realization(2, (), (0, -2, -1, -2), 6)
+    assert warm.level(E13) == m.level(E13)
     certify_verma_iso(ds13(warm), (), to_tuple(1, pr_alpha(2, warm.datum.hw, E13), ()))
-    records = {key: list(made) for key, made in warm.layout.homology.items()}
     shared = ds13(verma_realization(2, (), (2, 0, 1, 0), 6, warm.layout))
-    _key, (made_at, reads, record) = _kept(shared)
-    assert record is ds13(warm)._record and made_at == warm.datum.hw
-    assert form_values(reads, m.datum.hw) == form_values(reads, made_at)
-    assert warm.layout.homology == records
     assert certify_verma_iso(shared, (), target) == cert
-
-
-def _kept(result):
-    """The key and the ``(anchor made at, forms read, record)`` entry under
-    which the result's record is kept on its layout."""
-    ((key, entry),) = [
-        (key, entry)
-        for key, made in result.source.layout.homology.items()
-        for entry in made
-        if entry[2] is result._record
-    ]
-    return key, entry
 
 
 def _certify_matched(m, alpha, label):
@@ -473,47 +457,56 @@ def _certify_matched(m, alpha, label):
     return certify_verma_iso(ds_homology(m, alpha), target, small)
 
 
-def test_an_inconclusive_certificate_is_shared_by_anchors():
-    # at depth 1 the valid region of a simple root holds only the anchor slot
+def test_an_inconclusive_certificate_is_shared_by_anchors(monkeypatch):
+    # at depth 1 the valid region of a simple root holds only the anchor
+    # slot: each anchor alone is inconclusive, and the sweep gives both
+    # anchors of one level class that verdict from one certificate
+    from superverma import verify
+
     label, alpha = (), (2, 3)
-    first = verma_realization(2, label, (0, -1, -1, 0), 1)
-    second = verma_realization(2, label, (1, -1, -1, 0), 1, first.layout)
-    assert ds_homology(first, alpha)._record is ds_homology(second, alpha)._record
+    grid = [(0, -1, -1, 0), (1, -1, -1, 0)]
     reason = {"reason": "anchor slot -1 outside the valid region"}
-    assert _certify_matched(first, alpha, label).detail == reason
-    warm = _certify_matched(second, alpha, label)
-    (made,) = first.layout.homology.values()
-    ((_anchor, _reads, record),) = made
-    assert [len(certs) for certs in record.certificates.values()] == [1]
-    assert warm == _certify_matched(verma_realization(2, label, (1, -1, -1, 0), 1), alpha, label)
-    assert warm.verdict == INCONCLUSIVE and warm.detail == reason
+    for t in grid:
+        cert = _certify_matched(verma_realization(2, label, t, 1), alpha, label)
+        assert cert.verdict == INCONCLUSIVE and cert.detail == reason
+    certify, runs = verify.certify_verma_iso, []
+
+    def counted(result, *args):
+        runs.append(result.source.datum.hw)
+        return certify(result, *args)
+
+    monkeypatch.setattr(verify, "certify_verma_iso", counted)
+    report = verify.verify_conjecture(2, label=label, alpha=alpha, grid=grid, depth=1)
+    assert [(c.verdict, c.detail) for c in report.cases] == [(INCONCLUSIVE, reason)] * 2
+    assert len(runs) == 1
 
 
 def test_a_certificate_is_keyed_by_the_anchor_parity():
     # the census reads each weight's parity from par(n, weight), not from the
-    # parity shift; a datum whose shift is not par(n, hw) shares the layout
-    # of the Verma data of its shape, and must not reuse their certificates
+    # parity shift: a datum whose shift is not par(n, hw) is refuted where
+    # the Verma datum of its anchor is certified, on a view of the Verma
+    # layout as on a layout of its own.  So a verdict shared across anchor
+    # parities must be keyed by them, or the parity gate of the sweep must
+    # show that they cancel
     from dataclasses import replace
-
-    from superverma.modules import verma_datum
 
     label, alpha = (), (2, 3)
     verma = verma_realization(2, label, (0, -1, -1, 0), 6)
     datum = verma_datum(2, label, (0, -1, -1, -1))
     assert par(2, datum.hw) != par(2, verma.datum.hw)
+    own = Realization(datum, 6, layout=verma.layout)
+    assert _certify_matched(own, alpha, label).verdict == CERTIFIED
     datum = replace(datum, parity_shift=verma.datum.parity_shift)
     twisted = Realization(datum, 6, layout=verma.layout)
-    assert ds_homology(twisted, alpha)._record is ds_homology(verma, alpha)._record
     assert _certify_matched(verma, alpha, label).verdict == CERTIFIED
     cold = _certify_matched(Realization(datum, 6), alpha, label)
     assert cold.verdict == REFUTED
     assert _certify_matched(twisted, alpha, label) == cold
     # the census also reads each count where the parity shift places it: a
     # datum with the Verma anchor (so equal par(n, hw)) and the opposite
-    # shift shares the record too, and must not reuse its certificate either
+    # shift is refuted too
     flipped = replace(verma.datum, parity_shift=1 - verma.datum.parity_shift % 2)
     shifted = Realization(flipped, 6, layout=verma.layout)
-    assert ds_homology(shifted, alpha)._record is ds_homology(verma, alpha)._record
     cold = _certify_matched(Realization(flipped, 6), alpha, label)
     assert cold.verdict == REFUTED
     assert _certify_matched(shifted, alpha, label) == cold
@@ -521,75 +514,78 @@ def test_a_certificate_is_keyed_by_the_anchor_parity():
 
 def test_shift_twins_share_one_record_at_opposite_parities():
     # two matched anchors of one layout on one level, with equal form values
-    # and opposite parity shifts: their maps agree, so they share the counts
-    # and the slice cosets, and each view places the counts at its parity
+    # and opposite parity shifts: their maps agree, so their homology runs
+    # keep one record (equal counts, maps and slice cosets), and each result
+    # places the counts at its own parity
     first = verma_realization(2, (), (-2, -2, -2, -2), 6)
     second = verma_realization(2, (), (-2, -2, -2, -1), 6, first.layout)
     assert first.datum.parity_shift % 2 != second.datum.parity_shift % 2
     a, b = ds13(first), ds13(second)
-    key, (_made_at, reads, _record) = _kept(a)
-    assert key == (E13, first.level(E13)) == (E13, second.level(E13))
-    assert form_values(reads, first.datum.hw) == form_values(reads, second.datum.hw)
-    assert a._record is b._record
+    assert first.level(E13) == second.level(E13)
+    reads = sorted(a.reads)
+    assert reads and form_values(reads, first.datum.hw) == form_values(reads, second.datum.hw)
+    assert a.maps == b.maps and a.cells == b.cells
     for result in (a, b):
         assert result.dim_table == ds13(Realization(result.source.datum, 6)).dim_table
     rw = root_weight(2, E13)
     on_slice = 0
-    for off, count in a._record.cells.items():
+    for off, count in a.cells.items():
         mu, nu = add_weights(first.datum.hw, off), add_weights(second.datum.hw, off)
         assert a.dims(mu) == b.dims(nu)[::-1] and a.total(mu) == count
         if not bilinear_form(2, mu, rw) and first.layout.spaces.get(off):
-            assert a.classes_at(mu) is b.classes_at(nu)
+            mine, theirs = a.classes_at(mu), b.classes_at(nu)
+            assert (mine.kernel, mine.image, mine.reps) == (theirs.kernel, theirs.image, theirs.reps)
             on_slice += count > 0
     assert on_slice
 
 
 def test_empty_slices_share_one_record_across_levels():
-    # where the slice holds no offset of the valid region every count is
-    # zero, whatever the level, so one record serves every such anchor
+    # where the slice holds no offset of the valid region the run builds no
+    # map and reads no form, and every count is zero: whatever the level,
+    # its record is the same
     first = verma_realization(2, (), (-2, -2, -1, -2), 6)
     second = verma_realization(2, (), (-2, -2, 0, -2), 6, first.layout)
     assert first.level(E13) != second.level(E13)
     a, b = ds13(first), ds13(second)
-    key, (_made_at, reads, _record) = _kept(a)
-    assert key == (E13,) and reads == ()
-    assert a._record is b._record
+    assert a.cells == b.cells
     for result in (a, b):
+        assert result.maps == {} and result.reads == set()
         assert result.dim_table == ds13(Realization(result.source.datum, 6)).dim_table
         assert not result.support() and certify_zero(result).verdict == CERTIFIED
 
 
 def test_the_record_keeps_each_map_of_e_alpha_with_its_rank():
-    # the record keeps every map of e_13 its run ranked, by source offset:
-    # each is the matrix of every view that shares the record, with its
-    # rank, and a count on the slice is the dimension less the ranks of the
-    # maps out of and into its offset (the mutant
-    # ``incoming-rank-at-the-offset`` subtracts the outgoing rank twice)
+    # the result of a homology run keeps every map of e_13 the run ranked,
+    # by source offset: each is the matrix of its view, with its rank, and a
+    # count on the slice is the dimension less the ranks of the maps out of
+    # and into its offset (the mutant ``incoming-rank-at-the-offset``
+    # subtracts the outgoing rank twice)
     first = verma_realization(2, (), (-1, -2, -2, -2), 6)
     second = verma_realization(2, (), (-1, -2, -2, -1), 6, first.layout)
-    record = ds13(first)._record
-    assert ds13(second)._record is record
-    for view in (first, second):
-        for s, (matrix, r) in record.maps.items():
-            assert matrix == view.unit_matrix(E13, add_weights(view.datum.hw, s))
-            assert r == rank(matrix)
     rw = root_weight(2, E13)
     spaces = first.layout.spaces
     incoming_ranked = 0
-    for off, count in record.cells.items():
-        if off not in record.maps:
-            assert count == 0
-            continue
-        out_rank, in_rank = record.maps[off][1], record.maps[sub_weights(off, rw)][1]
-        assert count == len(spaces[off]) - out_rank - in_rank
-        incoming_ranked += in_rank != out_rank
-    assert incoming_ranked and any(record.cells.values())
+    for view in (first, second):
+        record = ds13(view)
+        for s, (matrix, r) in record.maps.items():
+            assert matrix == view.unit_matrix(E13, add_weights(view.datum.hw, s))
+            assert r == rank(matrix)
+        for off, count in record.cells.items():
+            if off not in record.maps:
+                assert count == 0
+                continue
+            out_rank, in_rank = record.maps[off][1], record.maps[sub_weights(off, rw)][1]
+            assert count == len(spaces[off]) - out_rank - in_rank
+            incoming_ranked += in_rank != out_rank
+        assert any(record.cells.values())
+    assert incoming_ranked
 
 
 def test_a_record_of_a_non_simple_root_is_shared_only_where_its_reads_agree():
     # e_13 is not simple for the standard Borel, and the entries of its maps
-    # around one slice depend on the anchor through several forms; anchors
-    # of level 0 get one record per value of the forms the record's run read
+    # around one slice depend on the anchor through several forms: anchors
+    # of level 0 where the forms the run read agree read equal maps and
+    # counts, and one where they differ reads other ones
     label, alpha, depth = (), E13, 6
     assert alpha not in odd_simple_roots(2, label)
     first = verma_realization(2, label, (-1, -2, -2, -2), depth)
@@ -600,42 +596,39 @@ def test_a_record_of_a_non_simple_root_is_shared_only_where_its_reads_agree():
     views = (first, agreeing, differing)
     results = [ds_homology(v, alpha) for v in views]
     assert {v.level(alpha) for v in views} == {0}
-    key, (made_at, reads, record) = _kept(results[0])
-    assert key == (alpha, 0) and made_at == first.datum.hw and len(reads) > 1
+    reads = sorted(results[0].reads)
+    assert len(reads) > 1 and all(sorted(r.reads) == reads for r in results)
     values = [form_values(reads, v.datum.hw) for v in views]
     assert values[0] == values[1] != values[2]
-    assert results[0]._record is results[1]._record is record
-    assert results[2]._record is not record and _kept(results[2])[0] == key
+    assert results[0].maps == results[1].maps != results[2].maps
+    assert results[0].cells == results[1].cells != results[2].cells
     for view, result in zip(views, results):
         assert result.dim_table == ds_homology(Realization(view.datum, depth), alpha).dim_table
     assert results[0].support() and not results[2].support()
 
 
 def test_the_gate_names_a_read_that_the_level_does_not_fix():
-    # on the simple root (2, 3) of the standard Borel the record reads only
-    # multiples of the level form; a read of another ratio, in the record or
-    # in a certificate kept in it, is named.  On e_13, which is not simple
-    # there, the record itself reads such forms
+    # on the simple root (2, 3) of the standard Borel the homology run and
+    # its certificate read only multiples of the level form; a read of
+    # another ratio is named.  On e_13, which is not simple there, the run
+    # itself reads such forms
     label, alpha = (), (2, 3)
     m = verma_realization(2, label, (0, -1, -1, 0), 6)
     result = ds_homology(m, alpha)
-    assert _certify_matched(m, alpha, label).ok
+    target = ds_borel_label(2, label, alpha)
+    assert certify_verma_iso(result, target, to_tuple(1, pr_alpha(2, m.datum.hw, alpha), target)).ok
     form = level_form(2, alpha)
-    record = result._record
-    assert record.reads and record.certificates
+    assert result.reads
     assert unfixed_read(result, form) is None
-    record.reads += (tuple((i, 3 * c) for i, c in form), tuple((i, -2 * c) for i, c in form))
+    result.reads.update((tuple((i, 3 * c) for i, c in form), tuple((i, -2 * c) for i, c in form)))
     assert unfixed_read(result, form) is None
-    skew = ((1, 1), (2, 2))
-    ((made,),) = record.certificates.values()
-    record.certificates[("skew",)] = [(made[0], (skew,), made[2])]
-    assert unfixed_read(result, form) == skew
-    del record.certificates[("skew",)]
-    record.reads += (((1, 1),),)
-    assert unfixed_read(result, form) == ((1, 1),)
+    for skew in (((1, 1), (2, 2)), ((1, 1),)):
+        result.reads.add(skew)
+        assert unfixed_read(result, form) == skew
+        result.reads.remove(skew)
     first = verma_realization(2, label, (-1, -2, -2, -2), 6)
     off_simple = ds_homology(first, E13)
-    assert unfixed_read(off_simple, level_form(2, E13)) in off_simple._record.reads
+    assert unfixed_read(off_simple, level_form(2, E13)) in off_simple.reads
 
 
 def test_the_parity_gate_reads_the_layout_parities_and_the_shift():
@@ -709,7 +702,7 @@ def test_a_target_character_shallower_than_the_valid_region_is_inconclusive(monk
     alpha = (2, 3)
     assert ds_borel_label(2, (), alpha) == ()
     heights = height_functional(1, ())
-    cells = list(ds_homology(m, alpha)._record.cells)
+    cells = list(ds_homology(m, alpha).cells)
     slot_costs = {
         off: -sum(h * v for h, v in zip(heights, pr_alpha(2, off, alpha)))
         for off in cells
@@ -811,65 +804,65 @@ def test_certification_records_the_forms_of_anchor_dependent_maps():
 
 
 def test_a_certificate_is_shared_only_where_its_reads_agree(monkeypatch):
-    # make every cold run also read the form hw_1: anchors of one record
-    # and parity share a certificate exactly when hw_1 agrees there
-    import superverma.homology as homology
+    # the sweep shares a certificate only where every form it read is fixed
+    # by the level, so the certificate adds the forms it reads to the reads
+    # of the result, beside those of the homology run, where the gate sees
+    # them.  On Verma data the maps a certificate applies are constant, so
+    # every action with a collection of reads is made to read hw_1 too
+    hw_1 = ((0, 1),)
+    act = Realization.act_unit
 
-    cold = homology._certify_verma_iso
-    runs = []
+    def reading_hw1(self, unit, vec, reads=None):
+        if reads is not None:
+            reads.add(hw_1)
+        return act(self, unit, vec, reads)
 
-    def reading_hw1(result, target_label, target_tuple, reads):
-        runs.append(result.source.datum.hw)
-        reads.add(((0, 1),))
-        return cold(result, target_label, target_tuple, reads)
-
-    monkeypatch.setattr(homology, "_certify_verma_iso", reading_hw1)
-    label, alpha, depth = (), (2, 3), 4
-    first = verma_realization(2, label, (-2, -2, -2, -2), depth)
-    views = [first] + [
-        verma_realization(2, label, t, depth, first.layout)
-        for t in ((-2, -2, -2, 0), (0, -2, -2, -2))
-    ]
-    assert len({(id(ds_homology(v, alpha)._record), par(2, v.datum.hw)) for v in views}) == 1
-    assert [v.datum.hw[0] for v in views] == [-2, -2, 0]
-    certs = [_certify_matched(v, alpha, label) for v in views]
-    assert runs == [views[0].datum.hw, views[2].datum.hw]
-    for view, cert in zip(views, certs):
-        assert cert.verdict == CERTIFIED
-        assert cert == _certify_matched(Realization(view.datum, depth), alpha, label)
+    monkeypatch.setattr(Realization, "act_unit", reading_hw1)
+    label, alpha = (), (2, 3)
+    m = verma_realization(2, label, (-2, -2, -2, -2), 4)
+    result = ds_homology(m, alpha)
+    run_reads = set(result.reads)
+    assert run_reads and hw_1 not in run_reads
+    assert unfixed_read(result, level_form(2, alpha)) is None
+    target = ds_borel_label(2, label, alpha)
+    cert = certify_verma_iso(result, target, to_tuple(1, pr_alpha(2, m.datum.hw, alpha), target))
+    assert cert.verdict == CERTIFIED
+    assert result.reads == run_reads | {hw_1}
+    assert unfixed_read(result, level_form(2, alpha)) == hw_1
 
 
 def test_rank_certificates_match_the_coset_oracle(monkeypatch):
-    # every cold doubled-Verma certificate of one pass of the rank-2 default
-    # grid and of the rank-3 sample gets the verdict, count and detail of
-    # the certificate that reduces classes over cosets
-    import superverma.homology as homology
+    # every doubled-Verma certificate of one pass of the rank-2 default grid
+    # and of the rank-3 sample gets the verdict, count and detail of the
+    # certificate that reduces classes over cosets
+    from superverma import verify
     from superverma.verify import verify_conjecture
 
-    cold = homology._certify_verma_iso
+    certify = verify.certify_verma_iso
     compared: dict = {2: [], 3: []}
 
-    def against_the_oracle(result, target_label, target_tuple, reads):
-        cert = cold(result, target_label, target_tuple, reads)
+    def against_the_oracle(result, target_label, target_tuple):
+        cert = certify(result, target_label, target_tuple)
         other = coset_certify_verma_iso(result, target_label, target_tuple, set())
         assert cert == other
         compared[result.n].append(cert.verdict)
         return cert
 
     monkeypatch.setenv("SUPERVERMA_JOBS", "1")
-    monkeypatch.setattr(homology, "_certify_verma_iso", against_the_oracle)
+    monkeypatch.setattr(verify, "certify_verma_iso", against_the_oracle)
     for n in compared:
         assert set(verify_conjecture(n).counts()) == {CERTIFIED}
     assert all(set(verdicts) == {CERTIFIED} for verdicts in compared.values())
 
 
 def test_after_the_record_no_map_of_e_alpha_is_built_or_ranked_again(monkeypatch):
-    # a cold doubled-Verma certificate and the cosets on the slice read the
-    # maps of e_alpha and their ranks from the record of ``ds_homology``:
-    # they build no matrix and rank none of the record's maps again.  Every
-    # cold certificate of the rank-2 default grid and of one rank-3 sample
-    # tuple is watched
+    # a doubled-Verma certificate and the cosets on the slice read the maps
+    # of e_alpha and their ranks from the record of ``ds_homology``, the
+    # result: they build no matrix and rank none of the record's maps
+    # again.  Every certificate of the rank-2 default grid and of one rank-3
+    # sample tuple is watched
     import superverma.homology as homology
+    from superverma import verify
     from superverma.verify import verify_conjecture
 
     watching = []
@@ -883,20 +876,20 @@ def test_after_the_record_no_map_of_e_alpha_is_built_or_ranked_again(monkeypatch
 
         return wrapper
 
-    cold = homology._certify_verma_iso
+    certify = verify.certify_verma_iso
 
-    def certify_watched(result, target_label, target_tuple, reads):
+    def certify_watched(result, target_label, target_tuple):
         rw = root_weight(result.n, result.alpha)
         watching.append(True)
         try:
-            cert = cold(result, target_label, target_tuple, reads)
+            cert = certify(result, target_label, target_tuple)
             for w in result.dim_table:
                 if not bilinear_form(result.n, w, rw):
                     result.classes_at(w)
         finally:
             watching.pop()
         assert built == []
-        kept = {matrix for matrix, _rank in result._record.maps.values()}
+        kept = {matrix for matrix, _rank in result.maps.values()}
         assert not [args for args in ranked if args[0] in kept]
         ranked.clear()
         verdicts.append(cert.verdict)
@@ -906,7 +899,7 @@ def test_after_the_record_no_map_of_e_alpha_is_built_or_ranked_again(monkeypatch
     monkeypatch.setattr(PBWLayout, "matrix_at", watched(PBWLayout.matrix_at, built))
     monkeypatch.setattr(Realization, "unit_matrix", watched(Realization.unit_matrix, built))
     monkeypatch.setattr(homology, "rank", watched(homology.rank, ranked))
-    monkeypatch.setattr(homology, "_certify_verma_iso", certify_watched)
+    monkeypatch.setattr(verify, "certify_verma_iso", certify_watched)
     assert set(verify_conjecture(2).counts()) == {CERTIFIED}
     assert set(verify_conjecture(3, grid=[(1, 0, 1, 1, 0, 1)]).counts()) == {CERTIFIED}
     assert len(verdicts) > 24 and set(verdicts) == {CERTIFIED}
@@ -938,15 +931,15 @@ def test_induced_action_shapes_and_guards():
 
 
 def test_views_of_one_record_act_through_their_own_maps_off_the_slice():
-    # two anchors of one layout share the record of e_13, yet the maps of
-    # e_13 off their slice differ; the induced action reads
-    # kernels and images there, so each view must take them from its own
-    # maps, as a lone layout does
+    # two anchors of one layout and one level keep one record of e_13 (equal
+    # maps around their slice), yet the maps off it differ; the induced
+    # action reads kernels and images there, so each view must take them
+    # from its own maps, as a lone layout does
     depth = 6
     first = verma_realization(2, (), (-2, -2, 2, -1), depth)
     other = verma_realization(2, (), (-2, -1, 2, -1), depth, first.layout)
     shared, own = ds13(first), ds13(other)
-    assert shared._record is own._record
+    assert first.level(E13) == other.level(E13) and shared.maps == own.maps
     offsets = [sub_weights(w, first.datum.hw) for w in shared.dim_table]
     assert any(
         first.unit_matrix(E13, add_weights(first.datum.hw, off))

@@ -747,9 +747,7 @@ def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, 
     ]
     assert any(matched) and not all(matched)
     # interleave the views so each one reads memo entries another one filled
-    certified = set()
-    first_view = {}
-    shared = 0
+    on_slice = []
     for rounds in range(2):
         for view, t in zip(views, tuples):
             alone = verma_realization(n, label, t, depth)
@@ -759,47 +757,39 @@ def test_views_of_a_shared_layout_match_their_own_layouts(label, tuples, depth, 
                 warm, cold = ds_homology(view, alpha), ds_homology(alone, alpha)
                 assert warm.dim_table == cold.dim_table
                 _assert_same_classes(warm, cold)
-                first = first_view.setdefault(warm._record, warm)
-                if first.source is not view:
-                    _assert_one_classes_object(warm, first)
-                    shared += 1
                 assert _certificate(label, warm) == _certificate(label, cold), (t, alpha)
                 if bilinear_form(n, view.datum.hw, root_weight(n, alpha)) == 0:
-                    shift = view.datum.parity_shift % 2
-                    certified.add((id(warm._record), shift, par(n, view.datum.hw)))
+                    on_slice.append(warm)
             assert view.census() == alone.census()
             if rounds == 0:
                 _check_representation(view, basis_count)
-    # one doubled-Verma certificate per record, shift and anchor parity: on
-    # Verma data no run reads an anchor-dependent coefficient
+    # on Verma data no certificate reads an anchor-dependent coefficient
     made = []
     for alpha in alphas:
         target = ds_borel_label(n, label, alpha)
         valid = depth - abs(views[0].datum.xi(root_weight(n, alpha)))
-        made += _certificates_made(views[0].layout, alpha, target, valid)
-    assert len(made) == len(certified)
-    assert all(reads == () for _anchor, reads, _cert in made)
-    # some views share a record, so they read each other's tables
-    assert shared
+        made += _certificates_made([r for r in on_slice if r.alpha == alpha], target, valid)
+    assert made and all(reads == set() for _cert, reads in made)
 
 
-def _certificates_made(layout, alpha, target, valid) -> list:
-    """The ``(anchor, forms read, certificate)`` of every doubled-Verma
-    certificate memoized on the layout for ``alpha`` and the target label;
-    each recorded read is one of the forms the oracle lists for the maps
+def _certificates_made(results, target, valid) -> list:
+    """``(certificate, forms read)`` of the doubled-Verma certificate of each
+    result for the target label, made on a copy of the result whose reads
+    start empty; each read is one of the forms the oracle lists for the maps
     that certification may apply."""
-    listed = set(certificate_forms(layout, alpha, target, valid))
-    made = [
-        entry
-        for (root, *_level), records in layout.homology.items()
-        if root == alpha
-        for _made_at, _reads, record in records
-        for (target_label, _shift, _parity), entries in record.certificates.items()
-        if target_label == target
-        for entry in entries
-    ]
-    for _anchor, reads, _cert in made:
-        assert set(reads) <= listed, (alpha, reads)
+    from dataclasses import replace
+
+    from superverma.homology import certify_verma_iso
+    from superverma.weights import pr_alpha, to_tuple
+
+    made = []
+    for result in results:
+        n, alpha, hw = result.n, result.alpha, result.source.datum.hw
+        listed = set(certificate_forms(result.source.layout, alpha, target, valid))
+        copy = replace(result, reads=set())
+        cert = certify_verma_iso(copy, target, to_tuple(n - 1, pr_alpha(n, hw, alpha), target))
+        assert copy.reads <= listed, (alpha, copy.reads)
+        made.append((cert, copy.reads))
     return made
 
 
@@ -813,19 +803,6 @@ def _assert_same_classes(warm, cold):
         assert got.reps == want.reps, w
         for rep in want.reps:
             assert got.reduce(rep) == want.reduce(rep), w
-
-
-def _assert_one_classes_object(view, other):
-    """Two views of one record get one cosets object at each offset of the
-    slice; off it the record does not fix the maps, so each view builds its
-    own."""
-
-    rw = root_weight(view.n, view.alpha)
-    for w in view.dim_table:
-        off = sub_weights(w, view.source.datum.hw)
-        mine = view.classes_at(w)
-        theirs = other.classes_at(add_weights(other.source.datum.hw, off))
-        assert (mine is theirs) == (bilinear_form(view.n, w, rw) == 0), w
 
 
 def _certificate(label, result):
@@ -845,10 +822,11 @@ def _certificate(label, result):
     [(2, b, 6, True) for b in all_borels(2)] + [(2, (), 6, False), (3, (2, 1), 4, True)],
 )
 def test_anchor_signature_determines_the_blocks(n, label, depth, simple_only):
-    # a homology record is kept with the forms its run read and recalled
-    # where they take the same values; the forms of a simple root are L and
-    # -L for one L, other odd roots have several independent forms, so every
-    # form of every map around the slice must be read
+    # the sweep gives one verdict to anchors where every form a homology run
+    # read takes one value; the forms of a simple root are L and -L for one
+    # L, other odd roots have several independent forms, so the run must
+    # read the form of every anchor-dependent entry of every map around the
+    # slice, and anchors of one level where those forms agree read equal maps
     from functools import cache
 
     from superverma.borels import odd_simple_roots
@@ -880,74 +858,54 @@ def test_anchor_signature_determines_the_blocks(n, label, depth, simple_only):
             level = view.level(alpha)
             assert list(layout.slice_of(alpha, valid, level)) == on_level(level)
             result = ds_homology(view, alpha)
-            ((key, (made_at, reads)),) = [
-                (key, entry[:2])
-                for key, made in layout.homology.items()
-                for entry in made
-                if entry[2] is result._record
-            ]
-            # views on different levels share a record only where the slice
-            # is empty, and then every count is zero
-            if on_level(level):
-                assert key == (alpha, level), (alpha, t)
-            else:
-                assert key == (alpha,) and reads == () and not result.support(), (alpha, t)
-            assert form_values(reads, made_at) == form_values(reads, view.datum.hw), (alpha, t)
+            reads = sorted(result.reads)
+            # an empty slice reads nothing, and every count is zero
+            if not on_level(level):
+                assert reads == [] and not result.support(), (alpha, t)
+            # every anchor-dependent entry of the maps around the slice is a
+            # constant plus one of the forms the run read
+            for source in around(level):
+                _nrows, _ncols, entries = layout.map_entries(alpha, source)
+                for entry in entries.values():
+                    if type(entry) is not int:
+                        assert entry.terms in result.reads, (alpha, source, entry.terms)
             hw = view.datum.hw
             # the maps around the slice at this anchor (they fix no parity)
             seen = [view.unit_matrix(alpha, add_weights(hw, s)) for s in around(level)]
-            if result._record not in first:
-                first[result._record] = seen
-                # every anchor-dependent entry of those maps is a constant
-                # plus one of the forms the record's run read
-                for source in around(level):
-                    _nrows, _ncols, entries = layout.map_entries(alpha, source)
-                    for entry in entries.values():
-                        if type(entry) is not int:
-                            assert entry.terms in reads, (alpha, source, entry.terms)
-            else:
-                assert seen == first[result._record], (alpha, t)
-        keys = [key for key, made in layout.homology.items() if key[0] == alpha for _ in made]
-        assert len(first) == len(keys) < len(grid)
-        assert len({key[1:] for key in keys if key[1:]}) > 1
+            key = (level, form_values(reads, hw))
+            assert first.setdefault(key, seen) == seen, (alpha, t)
+        assert len(first) < len(grid)
+        assert len({level for level, _values in first if on_level(level)}) > 1
         if n == 2 and alpha in odd_simple_roots(n, label):
-            # on Verma data every map that certification reads is constant,
-            # so certificates split no further than record and parity
+            # on Verma data every map that certification reads is constant
             target = ds_borel_label(n, label, alpha)
             assert certificate_forms(layout, alpha, target, valid) == ()
-            assert _certified_maps_follow_the_key(views, alpha, target, valid) < len(grid)
+            assert _certified_maps_follow_the_forms(views, alpha, target, valid) == 1
 
 
-def _certified_maps_follow_the_key(views, alpha, target, valid) -> int:
-    """Views of one layout with equal certificate keys (homology record,
-    parity shift, anchor parity, values of the oracle's certificate forms)
-    have equal matrices for every map that certification may apply.
-    Returns the number of distinct keys."""
-    from superverma.homology import ds_homology
-
+def _certified_maps_follow_the_forms(views, alpha, target, valid) -> int:
+    """Views of one layout where the oracle's certificate forms take equal
+    values have equal matrices for every map that certification may apply.
+    Returns the number of distinct values."""
     layout = views[0].layout
-    n = layout.n
     maps = certified_maps(layout, alpha, target, valid)
     assert maps
     forms = certificate_forms(layout, alpha, target, valid)
     first: dict = {}
     for view in views:
         hw = view.datum.hw
-        shift = view.datum.parity_shift % 2
-        record = ds_homology(view, alpha)._record
-        key = (record, shift, par(n, hw), form_values(forms, hw))
         matrices = [view.unit_matrix(u, add_weights(hw, off)) for u, off in maps]
-        assert first.setdefault(key, matrices) == matrices, (alpha, hw)
+        assert first.setdefault(form_values(forms, hw), matrices) == matrices, (alpha, hw)
     return len(first)
 
 
 def test_certificates_agree_where_certified_maps_depend_on_the_anchor():
     # on the enlarged-Borel module of unmatched tuples, the lifted raising
     # unit of e_14 acts through a Cartan bracket, so the certificate forms
-    # are not empty; views with equal keys read equal maps and share one
-    # (refuted) certificate, which equals the one of a lone layout
-    from superverma.homology import certify_verma_iso, ds_homology
-    from superverma.weights import pr_alpha, to_tuple
+    # are not empty; views where they take equal values read equal maps,
+    # and each view's (refuted) certificate, whose reads the oracle lists,
+    # equals the one of a lone layout
+    from superverma.homology import ds_homology
 
     alpha, target, depth = (1, 4), (1,), 6
     grid = [t for t in product(range(-1, 2), repeat=4) if t[0] != t[2] and t[1] != t[3]]
@@ -956,15 +914,10 @@ def test_certificates_agree_where_certified_maps_depend_on_the_anchor():
         views.append(Realization(bg_datum(2, t), depth, layout=views[0].layout if views else None))
     valid = ds_homology(views[0], alpha).valid_depth
     assert certificate_forms(views[0].layout, alpha, target, valid)
-    assert _certified_maps_follow_the_key(views, alpha, target, valid) < len(views)
-    for view in views:
-        hw = view.datum.hw
-        small = to_tuple(1, pr_alpha(2, hw, alpha), target)
-        warm = certify_verma_iso(ds_homology(view, alpha), target, small)
-        lone = Realization(view.datum, depth)
-        assert warm == certify_verma_iso(ds_homology(lone, alpha), target, small), hw
-    made = _certificates_made(views[0].layout, alpha, target, valid)
-    assert len(made) < len(views)
+    assert 1 < _certified_maps_follow_the_forms(views, alpha, target, valid) < len(views)
+    warm = _certificates_made([ds_homology(view, alpha) for view in views], target, valid)
+    lone = [ds_homology(Realization(view.datum, depth), alpha) for view in views]
+    assert warm == _certificates_made(lone, target, valid)
 
 
 @settings(max_examples=80, deadline=None)

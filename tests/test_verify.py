@@ -202,33 +202,35 @@ def test_the_level_read_from_the_tuple_is_minus_the_invariant_form(n):
             assert verify._tuple_levels(n, rho, alpha, grid) == want
 
 
-def test_every_default_rank_two_case_matches_a_fresh_judgement():
-    # the other side of the level classes: each tuple of the default grid
-    # judged on a layout of its own, where it shares no record with another
-    # tuple, gets the verdict and detail of the sweep
-    swept = {c.key: (c.verdict, c.detail) for c in verify_conjecture(2).cases}
-    fresh = {}
-    for label in all_borels(2):
-        for t in default_conjecture_grid(2):
-            m = verma_realization(2, label, t, 6)
-            for alpha in sorted(odd_simple_roots(2, label)):
-                level, _parity = _level_class(2, m.datum.hw, alpha)
-                verdict, detail, _result = _judge_conjecture(2, label, m, alpha, level)
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_default_case_matches_a_fresh_judgement(n):
+    # the other side of the level classes, the only sharing of the sweep:
+    # each tuple of the default grid judged on a layout of its own gets the
+    # verdict and detail of the sweep, also where one class spans both
+    # anchor parities
+    swept = {c.key: (c.verdict, c.detail) for c in verify_conjecture(n).cases}
+    fresh, parities = {}, {}
+    for label in all_borels(n):
+        for t in default_conjecture_grid(n):
+            m = verma_realization(n, label, t, verify.DEFAULT_DEPTH[n])
+            for alpha in sorted(odd_simple_roots(n, label)):
+                level, parity = _level_class(n, m.datum.hw, alpha)
+                parities.setdefault((label, alpha, level), set()).add(parity)
+                verdict, detail, _result = _judge_conjecture(n, label, m, alpha, level)
                 key = f"b={format_label(label)} alpha={alpha[0]},{alpha[1]} t=({_fmt_tuple(t)})"
                 fresh[key] = (verdict, detail)
     assert fresh == swept
+    assert {0, 1} in parities.values()
 
 
 @pytest.mark.parametrize("side", ["record", "certificate"])
 def test_a_class_whose_reads_the_level_does_not_fix_is_judged_tuple_by_tuple(
     monkeypatch, side
 ):
-    # negative control of the gate: once the homology record, or a
-    # certificate kept in it, reads hw_1, which is no multiple of the level
-    # form of (1, 3), no tuple may take another's verdict.  Every tuple of
-    # the grid is matched, so each class keeps a certificate
-    import superverma.homology as homology
-
+    # negative control of the gate: once the homology run, or the certificate
+    # made from it, reads hw_1, which is no multiple of the level form of
+    # (1, 3), no tuple may take another's verdict.  Every tuple of the grid
+    # is matched, so each class makes a certificate
     label, alpha = (1,), (1, 3)
     grid = [(a, b, a, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
     args = dict(n=2, label=label, alpha=alpha, grid=grid, depth=6)
@@ -242,19 +244,19 @@ def test_a_class_whose_reads_the_level_does_not_fix_is_judged_tuple_by_tuple(
 
         def reading_hw1(m, a):
             result = ds(m, a)
-            if hw_1 not in result._record.reads:
-                result._record.reads += (hw_1,)
+            result.reads.add(hw_1)
             return result
 
         monkeypatch.setattr(verify, "ds_homology", reading_hw1)
     else:
-        cold = homology._certify_verma_iso
+        certify = verify.certify_verma_iso
 
-        def reading_hw1(result, target_label, target_tuple, reads):
-            reads.add(hw_1)
-            return cold(result, target_label, target_tuple, reads)
+        def reading_hw1(result, target_label, target_tuple):
+            cert = certify(result, target_label, target_tuple)
+            result.reads.add(hw_1)
+            return cert
 
-        monkeypatch.setattr(homology, "_certify_verma_iso", reading_hw1)
+        monkeypatch.setattr(verify, "certify_verma_iso", reading_hw1)
     judged.clear()
     assert verify_conjecture(**args).cases == expected
     assert len(judged) == len(grid)
@@ -283,27 +285,22 @@ def test_a_refuted_class_is_judged_tuple_by_tuple(monkeypatch):
 
 
 def test_a_borel_job_certifies_once_per_signature(monkeypatch):
-    # the doubled-Verma certificate is memoized in the homology record that
-    # a root's anchors share on the job's layout where the forms its run
-    # read agree: on Verma data the checks run at most once per (record,
-    # target, parity shift, anchor parity), whatever the number of matched
-    # tuples
+    # the doubled-Verma certificate runs once per level class of a root,
+    # the only sharing of the sweep: on Verma data the matched tuples of a
+    # root form one class, whatever their number and anchor parities
     from itertools import product
 
-    import superverma.homology as homology
     from superverma.verify import _conjecture_cases_for_borel
-    from superverma.weights import par
 
-    cold = homology._certify_verma_iso
+    certify = verify.certify_verma_iso
     runs: dict = {}
 
     def counted(result, target_label, *rest):
-        datum = result.source.datum
-        key = (id(result._record), target_label, datum.parity_shift % 2, par(result.n, datum.hw))
+        key = (result.alpha, target_label, result.source.level(result.alpha))
         runs[key] = runs.get(key, 0) + 1
-        return cold(result, target_label, *rest)
+        return certify(result, target_label, *rest)
 
-    monkeypatch.setattr(homology, "_certify_verma_iso", counted)
+    monkeypatch.setattr(verify, "certify_verma_iso", counted)
     grid = list(product(range(-2, 3), repeat=4))
     cases = _conjecture_cases_for_borel((2, (1,), None, grid, 6))
     assert {c.verdict for c in cases} == {CERTIFIED}
@@ -446,8 +443,8 @@ def test_every_gl22_inconclusive_names_its_reason():
     ids=["mabg2", "mabg3", "conjecture1", "conjecture2", "conjecture3"],
 )
 def test_every_shallow_inconclusive_names_its_reason(scenario, depths):
-    # depths 0-1 of the rank-2 and rank-3 conjectures run the shared
-    # homology records through empty and shallow valid regions; a shallow
+    # depths 0-1 of the rank-2 and rank-3 conjectures run the level classes
+    # through empty and shallow valid regions; a shallow
     # region may leave a case undecided, never refute it
     seen = 0
     for depth in depths:
