@@ -223,6 +223,7 @@ class RealizationFactor:
         self.roots = frozenset(
             (coord_map[p - 1], coord_map[q - 1]) for p, q in all_roots(m)
         )
+        self._matrices: dict = {}
 
     def _lift_weight(self, w: Weight) -> Weight:
         out = [0] * (2 * self.n)
@@ -231,10 +232,15 @@ class RealizationFactor:
         return tuple(out)
 
     def unit_terms(self, unit: Unit, state: int):
+        """The ``(state, coefficient)`` terms of the unit on one state, read
+        from a column of the factor's unit matrix; each ``(unit, weight)``
+        matrix is built once per factor."""
         m = self.realization.datum.n
         local_unit = (self._to_local[unit[0]], self._to_local[unit[1]])
         w, idx = self._local_keys[state]
-        matrix = self.realization.unit_matrix(local_unit, w)
+        matrix = self._matrices.get((local_unit, w))
+        if matrix is None:
+            matrix = self._matrices[local_unit, w] = self.realization.unit_matrix(local_unit, w)
         target = add_weights(w, root_weight(m, root_of(m, local_unit)))
         out = []
         for r in range(matrix.nrows):
@@ -622,12 +628,17 @@ class PBWLayout:
         """``(nrows, ncols, entries)`` of the unit's map from the weight space
         at ``offset`` to the one at ``offset + root``, with ``int`` and
         ``Affine`` entries; ``None`` when either space leaves the truncation
-        region.  Rows and columns follow the canonical bases."""
+        region.  Rows and columns follow the canonical bases.  A target
+        inside the region that holds no basis vector gets the zero map
+        unstraightened: the walk numbers every vector of the region, so
+        nothing can land there."""
         target = self.shift(unit)[offset]
         if max(self.cost(offset), self.cost(target)) > self.depth:
             return None
-        rows = self.positions.get(target, {})
         cols = self.spaces.get(offset, ())
+        rows = self.positions.get(target)
+        if rows is None:
+            return 0, len(cols), {}
         entries: dict = {}
         for c, bvec in enumerate(cols):
             for bv, value in self.act(unit, bvec).items():

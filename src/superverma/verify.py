@@ -32,6 +32,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import attrgetter
 from typing import NamedTuple
@@ -123,9 +124,6 @@ class CaseResult(NamedTuple):
     verdict: str
     detail: dict | None = None
 
-    def to_jsonable(self) -> dict:
-        return {"key": self.key, "verdict": self.verdict, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class ScenarioReport:
@@ -148,14 +146,34 @@ class ScenarioReport:
 
     def to_json(self, timing: bool = False) -> str:
         """Serialize the report; timing is excluded by default so that the
-        serialized form is byte-identical across runs."""
-        doc = {
-            "scenario": self.scenario,
-            "params": self.params,
-            "cases": [c.to_jsonable() for c in self.cases],
-            "wall_time_ms": self.wall_time_ms if timing else None,
-        }
-        return json.dumps(doc, sort_keys=True)
+        serialized form is byte-identical across runs.
+
+        The bytes are those of ``json.dumps(sort_keys=True)`` of the document
+        ``{"scenario", "params", "cases", "wall_time_ms"}``, each case an
+        object ``{"key", "verdict", "detail"}``.  Each distinct verdict and
+        detail object is encoded once per report, as a frame around the key:
+        a case writes only its key, escaped as ``json.dumps`` escapes it."""
+        rest = json.dumps(
+            {
+                "params": self.params,
+                "scenario": self.scenario,
+                "wall_time_ms": self.wall_time_ms if timing else None,
+            },
+            sort_keys=True,
+        )
+        frames: dict = {}
+        parts = []
+        for key, verdict, detail in self.cases:
+            frame = frames.get((verdict, id(detail)))
+            if frame is None:
+                frame = frames[verdict, id(detail)] = (
+                    '{"detail": ' + json.dumps(detail, sort_keys=True) + ', "key": ',
+                    ', "verdict": ' + json.dumps(verdict) + "}",
+                )
+            head, tail = frame
+            parts.append(f"{head}{encode_basestring_ascii(key)}{tail}")
+        # "cases" sorts before the other three keys
+        return '{"cases": [' + ", ".join(parts) + "], " + rest[1:]
 
     def summary(self) -> str:
         counts = ", ".join(f"{k}={v}" for k, v in self.counts().items())
@@ -237,14 +255,15 @@ def _tuple_levels(n: int, rho, alpha, tuples) -> list[int]:
 
 
 def _conjecture_cases_for_borel(args) -> list[CaseResult]:
-    """The cases of one Borel job ``(n, label, alpha, grid, depth)``.
+    """The cases of one Borel job ``(n, label, alpha, entries, depth)``,
+    ``entries`` being the grid's ``(tuple, key tail)`` pairs in tuple order,
+    formatted once per :func:`verify_conjecture` call.
 
     Every tuple of the job has the same PBW layout; it is straightened once,
     by the first realization, and dropped when the job returns.  For each
     root the tuples fall into level classes, the level read from the tuple
-    with the job's ``rho`` (:func:`_tuple_levels`); each tuple's key text is
-    formatted once per job.  One realization, of the class's least tuple, is
-    judged; the other tuples take its verdict and detail only where every
+    with the job's ``rho`` (:func:`_tuple_levels`).  One realization, of the
+    class's least tuple, is judged; the other tuples take its verdict and detail only where every
     form its homology run and certificate read is a multiple of the level
     form, so that each of them reads the same numbers; the level class is
     the only way one judgment serves several anchors.  A level class spans
@@ -253,11 +272,10 @@ def _conjecture_cases_for_borel(args) -> list[CaseResult]:
     class that fails the gate of forms, and a ``REFUTED`` verdict, whose
     detail names weights, are judged again tuple by tuple.
     """
-    n, label, alpha, grid, depth = args
+    n, label, alpha, entries, depth = args
     alphas = [alpha] if alpha is not None else sorted(odd_simple_roots(n, label))
     cases: list[CaseResult] = []
     rho = rho_vector(n, label)
-    entries = sorted((t, f"{_fmt_tuple(t)})") for t in grid)
     tuples = [t for t, _tail in entries]
     layout = None
     prefix = f"b={format_label(label)}"
@@ -334,7 +352,8 @@ def verify_conjecture(
         "alpha": None if alpha is None else f"{alpha[0]},{alpha[1]}",
         "tuples": len(grid),
     }
-    jobs = [(n, b, alpha, grid, depth) for b in labels]
+    entries = sorted((t, f"{_fmt_tuple(t)})") for t in grid)
+    jobs = [(n, b, alpha, entries, depth) for b in labels]
     workers = min(_job_count(), len(jobs))
     if workers > 1:
         # imported only here, so a one-job run never loads the pool modules

@@ -243,4 +243,23 @@ MUTANTS = (
         "    eps = [beta[n - i] - i for i in range(1, n + 1)]\n",
         "tests/test_borels.py::test_rho_closed_form_matches_half_sum[2]",
     ),
+    Mutant(
+        "report-frame-keyed-by-verdict",
+        VERIFY,
+        "            frame = frames.get((verdict, id(detail)))\n"
+        "            if frame is None:\n"
+        "                frame = frames[verdict, id(detail)] = (\n",
+        "            frame = frames.get(verdict)\n"
+        "            if frame is None:\n"
+        "                frame = frames[verdict] = (\n",
+        "tests/test_verify.py::test_report_bytes_are_those_of_the_direct_serializer"
+        "[shared-detail-plain]",
+    ),
+    Mutant(
+        "empty-target-map-without-columns",
+        MODULES,
+        "            return 0, len(cols), {}\n",
+        "            return 0, 0, {}\n",
+        "tests/test_modules.py::test_a_map_into_an_empty_space_is_zero_unstraightened[2]",
+    ),
 )

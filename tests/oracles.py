@@ -7,6 +7,7 @@ nothing in ``superverma`` depends on them.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from superverma.borels import (
@@ -604,3 +605,22 @@ def mapped_label(n: int, label: Label, kind: str) -> Label:
     fn = map_root_c if kind == "c" else map_root_at
     image = {fn(n, r) for r in odd_positive_roots(n, label)}
     return label_from_odd_positive_roots(n, image)
+
+
+# ---------------------------------------------------------------------------
+# Reports serialized the direct way: the other side of the framed writer of
+# ``ScenarioReport.to_json``.
+
+
+def report_json(report, timing: bool = False) -> str:
+    """The report as one document of plain dicts, a dict per case, passed
+    whole to ``json.dumps(sort_keys=True)``."""
+    doc = {
+        "scenario": report.scenario,
+        "params": report.params,
+        "cases": [
+            {"key": c.key, "verdict": c.verdict, "detail": c.detail} for c in report.cases
+        ],
+        "wall_time_ms": report.wall_time_ms if timing else None,
+    }
+    return json.dumps(doc, sort_keys=True)

@@ -489,6 +489,32 @@ def test_truncation_overflow_is_raised_not_dropped():
     assert m.nrows == 0 and m.ncols == 1
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_map_into_an_empty_space_is_zero_unstraightened(n):
+    # on the layouts of the default sweeps (every Borel, the default depth),
+    # a map whose target lies in the region but holds no basis vector is
+    # the zero map of full shape: every column, straightened on a layout
+    # that map_entries never touched, is empty
+    from superverma.superalgebra import all_units, is_cartan
+    from superverma.verify import DEFAULT_DEPTH
+
+    depth, zero = DEFAULT_DEPTH[n], (0,) * (2 * n)
+    units = [u for u in all_units(n) if not is_cartan(u)]
+    empty = 0
+    for label in all_borels(n):
+        layout = verma_realization(n, label, zero, depth).layout
+        fresh = verma_realization(n, label, zero, depth).layout
+        for unit, off in product(units, list(layout.spaces)):
+            target = add_weights(off, root_weight(n, unit))
+            if tuple_cost(layout, target) > depth or target in layout.spaces:
+                continue
+            cols = layout.spaces[off]
+            assert layout.map_entries(unit, off) == (0, len(cols), {}), (label, unit, off)
+            assert all(fresh.act(unit, bvec) == {} for bvec in cols), (label, unit, off)
+            empty += 1
+    assert empty
+
+
 # ---------------------------------------------------------------------------
 # Singular vectors.
 
@@ -632,6 +658,28 @@ def test_bg_levi_factors_act_inside_their_region():
         for unit in f.roots:
             for state in range(len(f.states)):
                 f.unit_terms(unit, state)
+
+
+def test_a_factor_builds_each_unit_matrix_once(monkeypatch):
+    # a factor state sits in many tensor states, and each of them reads a
+    # column of the same factor matrix; the terms equal those of a levi
+    # built afresh for each call
+    specs = [("verma_eps", 2, 2), ("verma_delta", 1, 1), ("simple", 3, 1)]
+    shape = bg_module_levi(3, specs)
+    calls = [(unit, state) for unit in sorted(shape.roots) for state in range(len(shape.states))]
+    fresh = [bg_module_levi(3, specs).unit_terms(unit, state) for unit, state in calls]
+    built: dict = {}
+    unit_matrix = Realization.unit_matrix
+
+    def counted(self, unit, source):
+        built[id(self), unit, source] = built.get((id(self), unit, source), 0) + 1
+        return unit_matrix(self, unit, source)
+
+    monkeypatch.setattr(Realization, "unit_matrix", counted)
+    levi = bg_module_levi(3, specs)
+    assert [levi.unit_terms(unit, state) for unit, state in calls] == fresh
+    assert any(fresh) and max(built.values()) == 1
+    assert len(built) < len(calls)
 
 
 def test_bg_datum_is_the_nonnegative_good_degree_part():

@@ -35,7 +35,7 @@ from superverma.modules import PBWLayout, verma_realization
 from superverma.superalgebra import root_weight
 from superverma.weights import from_tuple, par
 
-from oracles import bilinear_form
+from oracles import bilinear_form, report_json
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +66,48 @@ def test_report_json_is_deterministic_and_excludes_timing():
     assert doc["wall_time_ms"] is None
     timed = json.loads(r1.to_json(timing=True))
     assert isinstance(timed["wall_time_ms"], int)
+
+
+_SHARED = {"expected": "zero"}
+# keys that ``json.dumps`` escapes: a quote, a backslash, control characters,
+# and non-ASCII text inside and outside the basic plane
+_ODD_KEYS = (
+    'q"uote', "back\\slash", "new\nline", "tab\t", "caf\u00e9", "snow\u2603", "face\U0001f600",
+)
+SERIALIZED_CASES = {
+    "empty": (),
+    "none-detail": (CaseResult("a", PASS), CaseResult("b", PASS, {})),
+    # one detail object under two verdicts, and another detail under the
+    # first verdict: a frame is keyed by the pair
+    "shared-detail": (
+        CaseResult("a", CERTIFIED, _SHARED),
+        CaseResult("b", REFUTED, _SHARED),
+        CaseResult("c", CERTIFIED, {"expected": "double-verma"}),
+        CaseResult("d", CERTIFIED, _SHARED),
+    ),
+    "nested-detail": (
+        CaseResult(
+            "a",
+            FAIL,
+            {"z": [1, {"b": [2, [3, -4]], "a": None}], "a": {"y": "\u00e9\"", "x": [[-1, 0.5]]}},
+        ),
+    ),
+    "odd-keys": tuple(CaseResult(key, PASS, {"k": key}) for key in sorted(_ODD_KEYS)),
+}
+
+
+@pytest.mark.parametrize("timing", [False, True], ids=["plain", "timed"])
+@pytest.mark.parametrize("name", sorted(SERIALIZED_CASES))
+def test_report_bytes_are_those_of_the_direct_serializer(name, timing):
+    rep = ScenarioReport("demo", {"n": 2, "tuples": [[1, -1]]}, SERIALIZED_CASES[name], 7)
+    assert rep.to_json(timing=timing) == report_json(rep, timing=timing)
+
+
+@pytest.mark.parametrize("workload", ["sweep-rank2", "sweep-rank3", "examples", "deep-rank3"])
+def test_workload_report_bytes_are_those_of_the_direct_serializer(workload):
+    for call in _benchmark_workloads().build(workload, 0):
+        rep = getattr(verify, call.scenario)(**call.kwargs)
+        assert rep.to_json() == report_json(rep), call.scenario
 
 
 def test_first_mismatch_payload_carries_weight_and_dims():
@@ -160,9 +202,8 @@ def test_a_layout_whose_parity_does_not_cancel_stops_the_sweep(monkeypatch):
         verify_conjecture(2, label=(1,), alpha=(1, 3), depth=6)
 
 
-def _seed_seven_rank_three_draws() -> list[tuple]:
-    """The rank-3 tuples that the benchmark's ``sweep-rank3`` workload draws
-    at seed 7."""
+def _benchmark_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded as a module."""
     import importlib.util
 
     root = Path(__file__).resolve().parents[1]
@@ -173,7 +214,13 @@ def _seed_seven_rank_three_draws() -> list[tuple]:
     # its dataclasses look their module up by name
     sys.modules[spec.name] = workloads
     spec.loader.exec_module(workloads)
-    (call,) = workloads.build("sweep-rank3", 7)
+    return workloads
+
+
+def _seed_seven_rank_three_draws() -> list[tuple]:
+    """The rank-3 tuples that the benchmark's ``sweep-rank3`` workload draws
+    at seed 7."""
+    (call,) = _benchmark_workloads().build("sweep-rank3", 7)
     return [tuple(t) for t in call.kwargs["grid"]]
 
 
@@ -302,7 +349,8 @@ def test_a_borel_job_certifies_once_per_signature(monkeypatch):
 
     monkeypatch.setattr(verify, "certify_verma_iso", counted)
     grid = list(product(range(-2, 3), repeat=4))
-    cases = _conjecture_cases_for_borel((2, (1,), None, grid, 6))
+    entries = sorted((t, f"{_fmt_tuple(t)})") for t in grid)
+    cases = _conjecture_cases_for_borel((2, (1,), None, entries, 6))
     assert {c.verdict for c in cases} == {CERTIFIED}
     matched = sum(c.detail == {"expected": "double-verma"} for c in cases)
     assert runs and max(runs.values()) == 1
@@ -555,6 +603,14 @@ DEFAULT_REPORTS = {
     "conjecture1": (
         lambda: verify_conjecture(1),
         "99b8a484213060765bc045e2419f748e741ee74fbbc4683a6021e699ead48f61",
+    ),
+    "conjecture2": (
+        lambda: verify_conjecture(2),
+        "a4788023da643cf1e3245b3fc9df27985beb947a8fddf44ea034b264cbec0518",
+    ),
+    "conjecture3": (
+        lambda: verify_conjecture(3),
+        "744eeb79c2f091b37232c7abc42e1e8031e134541c554ac826e396b9cc8daf60",
     ),
 }
 
