@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
+from math import lcm
 from operator import add
 
 from .borels import (
@@ -576,7 +577,10 @@ def certify_verma_iso(result: DSResult, target_label: Label, target_tuple) -> Ce
             )
         # through the public entry, so a span around it sees every coset
         wc = result.classes_at(tuple(map(add, anchor, off)))
-        rep = {bv: c for bv, c in zip(wc.basis, wc.reps[0], strict=True) if c}
+        # a nonzero multiple spans the same line: with integer coefficients
+        # the actions on it and the stacked ranks stay in ``int``
+        scale = lcm(*(c.denominator for c in wc.reps[0]))
+        rep = {bv: int(c * scale) for bv, c in zip(wc.basis, wc.reps[0], strict=True) if c}
         singular[s] = (off, rep)
         for beta in simple_roots(target_n, target_label):
             unit = lift_unit(n, alpha, beta)

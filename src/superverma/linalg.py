@@ -153,8 +153,11 @@ def rank(m: SparseRationalMatrix) -> int:
 
     A row with fractional entries is first scaled by the least common
     multiple of its denominators, which keeps the rank; Bareiss elimination
-    then runs on integers only.
+    then runs on integers only.  A matrix with no entries has rank 0 and
+    builds no rows.
     """
+    if not m.entries:
+        return 0
     rows = []
     for row in m.rows():
         if not row:

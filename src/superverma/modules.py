@@ -22,10 +22,12 @@ Actions and matrices that leave the region raise
 The work is split in two.  A :class:`PBWLayout` depends on the shape of the
 induction (rank, inducing and levi roots, PBW order, heights, depth, levi
 module) but not on the anchor weight ``hw``.  It numbers the basis once, by
-weight offset from the anchor, keeps the cost and parity of each offset and,
-per unit, the offset it moves each offset to, and holds the one
-straightening memo, whose coefficients are integers affine in ``hw``: a
-plain ``int`` when constant (almost always), otherwise an :class:`Affine`.
+weight offset from the anchor, in a walk that stops where no unit left fits
+the budget, keeps the cost and parity of each offset and, per unit, the
+offset it moves each offset to, and holds the one straightening memo, whose
+coefficients are integers affine in ``hw``: a plain ``int`` when constant
+(almost always), otherwise an :class:`Affine`.  Straightening peels one PBW
+factor per step.
 Every weight space has one parity (here always that of its weight), and the
 layout refuses a shape where it would not.  Its matrices and slices read
 those tables, so weights are formed only where they leave the layout.  A
@@ -380,6 +382,9 @@ class PBWLayout:
     basis vector of height-depth at most ``depth`` in one walk that carries
     the vector's weight offset from the anchor, its cost and its raw parity,
     so every offset of height-depth at most ``depth`` has a complete basis.
+    The walk files a vector as soon as the budget left is below the least
+    cost of the units still to come, and moves the two coordinates a root
+    changes in one offset list.
     ``numbered`` maps each basis vector to its offset, ``spaces`` lists the
     offsets in increasing order, ``costs`` maps each to its height-depth and
     ``parities`` to the one raw parity of its basis vectors; construction
@@ -394,10 +399,11 @@ class PBWLayout:
     ``const + form(hw)`` for one linear form, and :meth:`matrix_at` can name
     the forms it evaluates.  Everything derived from some maps is therefore
     the same at every anchor where the forms of their entries take the same
-    values.  ``targets`` (the target Verma totals by label and depth, the
-    target depths by root and label) is a memo that
-    :mod:`superverma.homology` owns and the layout never reads.  A
-    :class:`Realization` evaluates everything at one anchor.
+    values.  :meth:`act` peels one PBW factor per step, so each action is
+    read from memoized actions on vectors one factor shorter.  ``targets``
+    (the target Verma totals by label and depth, the target depths by root
+    and label) is a memo that :mod:`superverma.homology` owns and the layout
+    never reads.  A :class:`Realization` evaluates everything at one anchor.
     """
 
     def __init__(self, datum: InductionDatum, depth: int, levi=None):
@@ -444,14 +450,21 @@ class PBWLayout:
     def _enumerate(self):
         """Number every basis vector of height-depth at most ``depth``: the
         walk carries the offset, cost and raw parity of the exponents so far,
-        and files each vector under its offset.  Offsets are then put in
-        increasing order, each basis sorted."""
-        k = len(self._roots)
+        and files each vector under its offset once ``floor[i]``, the least
+        cost of the units from position ``i`` on, exceeds the budget left.
+        Offsets are then put in increasing order, each basis sorted."""
+        k = len(self.units)
+        depth = self.depth
+        unit_costs, odds = self._root_costs, self._odd
+        floor = [depth + 1] * (k + 1)
+        for i in range(k - 1, -1, -1):
+            floor[i] = min(floor[i + 1], unit_costs[i])
         exps = [0] * k
         spaces, parities, costs, numbered = self.spaces, self.parities, self.costs, self.numbered
 
-        def walk(i: int, off: Weight, spent: int, parity: int, levi_state: int):
-            if i == k:
+        def walk(i: int, coords: list, spent: int, parity: int, levi_state: int):
+            if depth - spent < floor[i]:
+                off = tuple(coords)
                 bvec = (tuple(exps), levi_state)
                 numbered[bvec] = off
                 basis = spaces.get(off)
@@ -464,16 +477,26 @@ class PBWLayout:
                     raise ValueError(f"the weight space at offset {off} holds both parities")
                 basis.append(bvec)
                 return
-            cost, rw, odd = self._root_costs[i], self._roots[i], self._odd[i]
-            top = (self.depth - spent) // cost
-            for e in range((min(top, 1) if odd else top) + 1):
+            cost, odd = unit_costs[i], odds[i]
+            p, q = self.units[i]
+            top = (depth - spent) // cost
+            if odd:
+                top = min(top, 1)
+            walk(i + 1, coords, spent, parity, levi_state)
+            for e in range(1, top + 1):
                 exps[i] = e
-                walk(i + 1, off, spent + e * cost, parity ^ (e & odd), levi_state)
-                off = tuple(map(add, off, rw))
+                coords[p - 1] += 1
+                coords[q - 1] -= 1
+                walk(i + 1, coords, spent + e * cost, parity ^ (e & odd), levi_state)
             exps[i] = 0
+            coords[p - 1] -= top
+            coords[q - 1] += top
 
         for state, off in enumerate(self._state_offsets):
-            walk(0, off, self.cost(off), self.levi.states[state][1], state)
+            spent = self.cost(off)
+            # a levi state beyond the depth holds no vector of the region
+            if spent <= depth:
+                walk(0, list(off), spent, self.levi.states[state][1], state)
         self.spaces = {off: sorted(spaces[off]) for off in sorted(spaces)}
 
     # -- basic queries ------------------------------------------------
@@ -539,7 +562,9 @@ class PBWLayout:
     def act(self, unit: Unit, bvec) -> dict:
         """Action of a matrix unit on a basis vector (no truncation), with
         ``int`` or :class:`Affine` coefficients; memoized in one dict per
-        unit, do not mutate."""
+        unit, do not mutate.  A vector ``F_p b'``, with ``p`` its first
+        nonzero exponent, is straightened one factor at a time:
+        ``u F_p b' = (-1)^{|u||F_p|} F_p (u b') + [u, F_p] b'``."""
         memo = self._act_memo.get(unit)
         if memo is None:
             memo = self._act_memo[unit] = {}
@@ -572,55 +597,31 @@ class PBWLayout:
                 result = {(tuple(new), state): 1}
             memo[bvec] = result
             return result
-        # commute the unit through the leading PBW power F^a
+        # peel the first factor F_p off the vector F_p b'
         p = first
-        a = exps[p]
         f_unit = self.units[p]
-        sign_gf = unit_parity(n, unit) * (1 if self._odd[p] else 0)
-        rest = list(exps)
-        rest[p] = 0
+        sign = -1 if self._odd[p] and unit_parity(n, unit) else 1
+        shorter = list(exps)
+        shorter[p] -= 1
+        rest = (tuple(shorter), state)
         total: dict = {}
-
-        def accumulate(vec: dict, scalar: int):
-            for bv, c in vec.items():
-                val = total.get(bv, 0) + scalar * c
+        for bv, c in self.act(unit, rest).items():
+            c = sign * c
+            for bv2, c2 in self.act(f_unit, bv).items():
+                val = total.get(bv2, 0) + c * c2
+                if val:
+                    total[bv2] = val
+                else:
+                    total.pop(bv2, None)
+        for c_unit, c_coef in bracket(n, unit, f_unit):
+            for bv, c in self.act(c_unit, rest).items():
+                val = total.get(bv, 0) + c_coef * c
                 if val:
                     total[bv] = val
                 else:
                     total.pop(bv, None)
-
-        lead = self.act(unit, (tuple(rest), state))
-        accumulate(self._prepend_power(f_unit, a, lead), -1 if (sign_gf * a) % 2 else 1)
-        commutator = bracket(n, unit, f_unit)
-        for s in range(a if commutator else 0):
-            mid_exps = list(exps)
-            mid_exps[p] = a - 1 - s
-            mid_bvec = (tuple(mid_exps), state)
-            inner: dict = {}
-            for c_unit, c_coef in commutator:
-                for bv, c in self.act(c_unit, mid_bvec).items():
-                    val = inner.get(bv, 0) + c_coef * c
-                    if val:
-                        inner[bv] = val
-                    else:
-                        inner.pop(bv, None)
-            inner = self._prepend_power(f_unit, s, inner)
-            accumulate(inner, -1 if (sign_gf * s) % 2 else 1)
         memo[bvec] = total
         return total
-
-    def _prepend_power(self, f_unit: Unit, power: int, vec: dict) -> dict:
-        for _ in range(power):
-            nxt: dict = {}
-            for bv, c in vec.items():
-                for bv2, c2 in self.act(f_unit, bv).items():
-                    val = nxt.get(bv2, 0) + c * c2
-                    if val:
-                        nxt[bv2] = val
-                    else:
-                        nxt.pop(bv2, None)
-            vec = nxt
-        return vec
 
     # -- matrices -----------------------------------------------------
 

@@ -256,6 +256,20 @@ MUTANTS = (
         "[shared-detail-plain]",
     ),
     Mutant(
+        "peel-sign-dropped",
+        MODULES,
+        "        sign = -1 if self._odd[p] and unit_parity(n, unit) else 1\n",
+        "        sign = 1\n",
+        "tests/test_modules.py::test_one_factor_straightening_matches_power_peeling[verma-()]",
+    ),
+    Mutant(
+        "prune-floor-read-one-position-late",
+        MODULES,
+        "            if depth - spent < floor[i]:\n",
+        "            if depth - spent < floor[i + 1]:\n",
+        "tests/test_modules.py::test_the_walk_numbers_every_vector_of_the_region[verma-()]",
+    ),
+    Mutant(
         "empty-target-map-without-columns",
         MODULES,
         "            return 0, len(cols), {}\n",

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 from superverma.borels import (
     Label,
@@ -34,8 +36,17 @@ from superverma.homology import (
     surviving_indices,
 )
 from superverma.linalg import Echelon, SparseRationalMatrix, image_basis, kernel_basis, rank
-from superverma.modules import PBWLayout, Realization
-from superverma.superalgebra import Root, Unit, Weight, bracket, is_odd_root, root_weight
+from superverma.modules import Affine, PBWLayout, Realization
+from superverma.superalgebra import (
+    Root,
+    Unit,
+    Weight,
+    bracket,
+    is_cartan,
+    is_odd_root,
+    root_weight,
+    unit_parity,
+)
 from superverma.weights import add_weights, par, pr_alpha, sub_weights, verma_character
 
 
@@ -131,6 +142,100 @@ def tuple_cost(layout: PBWLayout, offset: Weight) -> int:
 def tuple_shift(layout: PBWLayout, unit: Unit, offset: Weight) -> Weight:
     """The offset a unit moves ``offset`` to."""
     return add_weights(offset, root_weight(layout.n, unit))
+
+
+def brute_force_basis(layout: PBWLayout) -> dict:
+    """Every basis vector of height-depth at most ``layout.depth``, mapped to
+    its offset: each levi state with every choice of PBW exponents in each
+    unit's range (odd units 0 or 1), kept where the total cost fits."""
+    costs = [tuple_cost(layout, root_weight(layout.n, unit)) for unit in layout.units]
+    ranges = [
+        range(2 if is_odd_root(layout.n, unit) else layout.depth // cost + 1)
+        for unit, cost in zip(layout.units, costs, strict=True)
+    ]
+    found = {}
+    for state, (weight, _parity) in enumerate(layout.levi.states):
+        budget = layout.depth - tuple_cost(layout, sub_weights(weight, layout.levi.hw))
+        for exps in product(*ranges):
+            if sum(map(mul, exps, costs)) <= budget:
+                found[exps, state] = tuple_offset(layout, (exps, state))
+    return found
+
+
+def power_peeling_act(layout: PBWLayout, unit: Unit, bvec, memo: dict) -> dict:
+    """Action of a matrix unit on a basis vector, straightened by peeling
+    the whole leading power ``F_p^a`` of the vector at once:
+
+        u F^a b'' = (-1)^{a|u||F|} F^a (u b'')
+                    + sum_s (-1)^{s|u||F|} F^s [u, F] F^{a-1-s} b''.
+
+    Coefficients are ``int`` or :class:`Affine`, as the layout's; every
+    action is kept in ``memo`` by ``(unit, vector)``.  The levi module and
+    the offsets are the layout's own."""
+    found = memo.get((unit, bvec))
+    if found is not None:
+        return found
+    n = layout.n
+
+    def add_into(total: dict, vec: dict, scalar) -> None:
+        for bv, c in vec.items():
+            val = total.get(bv, 0) + scalar * c
+            if val:
+                total[bv] = val
+            else:
+                total.pop(bv, None)
+
+    def prepend_power(f_unit: Unit, power: int, vec: dict) -> dict:
+        for _ in range(power):
+            nxt: dict = {}
+            for bv, c in vec.items():
+                add_into(nxt, power_peeling_act(layout, f_unit, bv, memo), c)
+            vec = nxt
+        return vec
+
+    exps, state = bvec
+    if is_cartan(unit):
+        i = unit[0] - 1
+        result = {bvec: Affine(tuple_offset(layout, bvec)[i], ((i, 1),))}
+    elif not any(exps) or (unit in layout.units and layout.units.index(unit) <= _first(exps)):
+        if unit not in layout.units:
+            result = {}
+            if unit in layout.levi_roots:
+                for s2, coef in layout.levi.unit_terms(unit, state):
+                    add_into(result, {(exps, s2): coef}, 1)
+        else:
+            position = layout.units.index(unit)
+            if is_odd_root(n, unit) and exps[position] == 1:
+                result = {}
+            else:
+                new = list(exps)
+                new[position] += 1
+                result = {(tuple(new), state): 1}
+    else:
+        p = _first(exps)
+        a = exps[p]
+        f_unit = layout.units[p]
+        odd_pair = unit_parity(n, unit) * is_odd_root(n, f_unit)
+        rest = list(exps)
+        rest[p] = 0
+        result = {}
+        lead = power_peeling_act(layout, unit, (tuple(rest), state), memo)
+        add_into(result, prepend_power(f_unit, a, lead), (-1) ** (odd_pair * a))
+        commutator = bracket(n, unit, f_unit)
+        for s in range(a if commutator else 0):
+            mid = list(exps)
+            mid[p] = a - 1 - s
+            inner: dict = {}
+            for c_unit, c_coef in commutator:
+                add_into(inner, power_peeling_act(layout, c_unit, (tuple(mid), state), memo), c_coef)
+            add_into(result, prepend_power(f_unit, s, inner), (-1) ** (odd_pair * s))
+    memo[unit, bvec] = result
+    return result
+
+
+def _first(exps) -> int:
+    """The position of the first nonzero exponent."""
+    return next(i for i, e in enumerate(exps) if e)
 
 
 def singular_vectors(r: Realization, b: Label, mu: Weight) -> list:

@@ -855,6 +855,38 @@ def test_rank_certificates_match_the_coset_oracle(monkeypatch):
     assert all(set(verdicts) == {CERTIFIED} for verdicts in compared.values())
 
 
+def test_the_certificate_ranks_integer_matrices_only(monkeypatch):
+    # the anchor class is scaled to integer coefficients, so every matrix
+    # that ``added`` stacks and ranks holds ``int`` entries only, on one
+    # pass of the rank-2 default grid and of the rank-3 sample
+    import superverma.homology as homology
+    from superverma import verify
+    from superverma.verify import verify_conjecture
+
+    certify, rank = verify.certify_verma_iso, homology.rank
+    watching, ranked = [], []
+
+    def certify_watched(*args):
+        watching.append(True)
+        try:
+            return certify(*args)
+        finally:
+            watching.pop()
+
+    def rank_watched(matrix):
+        if watching:
+            ranked.append(matrix)
+        return rank(matrix)
+
+    monkeypatch.setenv("SUPERVERMA_JOBS", "1")
+    monkeypatch.setattr(homology, "rank", rank_watched)
+    monkeypatch.setattr(verify, "certify_verma_iso", certify_watched)
+    for n in (2, 3):
+        assert set(verify_conjecture(n).counts()) == {CERTIFIED}
+    assert len(ranked) > 100
+    assert all(type(v) is int for matrix in ranked for v in matrix.entries.values())
+
+
 def test_after_the_record_no_map_of_e_alpha_is_built_or_ranked_again(monkeypatch):
     # a doubled-Verma certificate and the cosets on the slice read the maps
     # of e_alpha and their ranks from the record of ``ds_homology``, the

@@ -243,3 +243,12 @@ def test_fraction_free_rank_clears_row_denominators():
     m = from_rows([[F(1, 2), F(1, 3)], [3, 2], [F(2, 7), 0]])
     assert rank(m) == 2
     assert rank(from_rows([[F(1, 2), F(1, 3)], [3, 2]])) == 1
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 4), (5, 7)])
+def test_rank_of_a_matrix_without_entries_builds_no_rows(shape, monkeypatch):
+    def no_rows(self):
+        raise AssertionError("rows built for a matrix without entries")
+
+    monkeypatch.setattr(SparseRationalMatrix, "rows", no_rows)
+    assert rank(SparseRationalMatrix.zero(*shape)) == 0

@@ -46,8 +46,10 @@ from superverma.weights import (
 
 from oracles import (
     bilinear_form,
+    brute_force_basis,
     certificate_forms,
     certified_maps,
+    power_peeling_act,
     raw_parity,
     singular_vectors,
     tuple_cost,
@@ -156,6 +158,45 @@ def test_numbered_tables_match_the_tuple_oracle(make):
             for level in range(-2 * layout.depth - 2, 2 * layout.depth + 3):
                 assert list(layout.slice_of(unit, max_depth, level)) == levels.get(level, [])
             assert set(levels) <= set(range(-2 * layout.depth - 2, 2 * layout.depth + 3))
+
+
+WALKED_LAYOUTS = {
+    **NUMBERED_LAYOUTS,
+    # 8 of its 34 levi states cost more than the depth, so they hold no vector
+    "parabolic-rank3": lambda: parabolic_IJ_realization(3, (), (1,), (3, 1, 0, -1, -2, -4), 3),
+}
+
+
+@pytest.mark.parametrize("make", WALKED_LAYOUTS.values(), ids=WALKED_LAYOUTS.keys())
+def test_the_walk_numbers_every_vector_of_the_region(make):
+    # the pruned walk numbers exactly the vectors that every choice of
+    # exponents, filtered by cost, finds, and files each space in order
+    layout = make().layout
+    found = brute_force_basis(layout)
+    assert layout.numbered == found
+    spaces: dict = {}
+    for bv, off in sorted(found.items()):
+        spaces.setdefault(off, []).append(bv)
+    assert list(layout.spaces.items()) == sorted(spaces.items())
+
+
+def _plain(vec: dict) -> dict:
+    return {bv: c if type(c) is int else (c.const, c.terms) for bv, c in vec.items()}
+
+
+@pytest.mark.parametrize("make", NUMBERED_LAYOUTS.values(), ids=NUMBERED_LAYOUTS.keys())
+def test_one_factor_straightening_matches_power_peeling(make):
+    # the layout peels one PBW factor per step; the oracle peels the whole
+    # leading power at once.  Every unit, Cartan and levi units included, on
+    # every basis vector
+    layout = make().layout
+    n = layout.n
+    memo: dict = {}
+    for unit in root_units(n) + [(i, i) for i in range(1, 2 * n + 1)]:
+        for bvec in layout.numbered:
+            assert _plain(layout.act(unit, bvec)) == _plain(
+                power_peeling_act(layout, unit, bvec, memo)
+            )
 
 
 def test_the_level_form_is_minus_the_invariant_form_against_the_root():
