@@ -10,9 +10,10 @@ Subcommands::
     superverma verify {conjecture|mabg|gl22|structure} [options]
 
 Exit codes: 0 when every verdict is PASS or CERTIFIED-TO-DEPTH, 1 when any
-check is REFUTED or FAIL, 2 on a usage error (malformed tuples and labels
-are reported with the offending position, and every ``ValueError`` the
-library raises on its arguments becomes a one-line usage message).
+verdict is REFUTED, FAIL or INCONCLUSIVE (a run too shallow to decide is not
+a pass), 2 on a usage error (malformed tuples and labels are reported with
+the offending position, and every ``ValueError`` the library raises on its
+arguments becomes a one-line usage message).
 
 The full default verification suite is the composition::
 

@@ -12,7 +12,7 @@ form ``(mu, alpha)``.  Where that value is not zero, every kernel vector
 ``z`` is ``x(yz) / (mu, alpha)``, so the homology there is zero by homotopy
 (Duflo--Serganova).  Ranks are therefore taken only on the slice
 ``(mu, alpha) = 0``, each map once, kept with its rank in the result that
-the cosets and certificates read; every other cell of the valid region is
+the classes and certificates read; every other cell of the valid region is
 ``(0, 0)`` without a matrix built.  A result belongs to one realization:
 nothing is shared between anchors here, and the forms in the anchor that a
 run and its certificates read are kept so that a caller can tell at which
@@ -22,8 +22,12 @@ The homology carries an action of the centralizer subalgebra spanned by
 the units avoiding both index lines of ``alpha`` -- a copy of the general
 linear superalgebra one size down.  This module computes:
 
-* ``ds_homology``        -- per-weight coset representatives and dimensions;
-* ``induced_action``     -- matrices of centralizer units on the homology;
+* ``ds_homology``        -- per-weight homology dimensions, from ranks; the
+                            result's ``classes_at`` gives a weight's integer
+                            kernel and image bases and class representatives;
+* ``induced_action``     -- images of the class representatives under a
+                            centralizer unit, checked to induce a map on
+                            homology;
 * ``certify_verma_iso``  -- certificate that the homology is a double Verma
                             (census, then ranks modulo im e_alpha);
 * ``certify_zero``       -- certificate that the homology vanishes;
@@ -45,7 +49,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
-from math import lcm
 from operator import add
 
 from .borels import (
@@ -59,7 +62,7 @@ from .borels import (
 )
 from .linalg import SparseRationalMatrix, image_basis, kernel_basis, quotient_basis, rank
 from .modules import Realization, bg_module, bg_module_datum
-from .superalgebra import Root, Unit, bracket, is_odd_root, root_weight
+from .superalgebra import Root, Unit, bracket, is_cartan, is_odd_root, root_weight, unit_parity
 from .weights import (
     Character,
     Weight,
@@ -72,51 +75,29 @@ from .weights import (
     verma_character,
 )
 
-Vector = tuple[Fraction, ...]
-
 CERTIFIED = "CERTIFIED-TO-DEPTH"
 REFUTED = "REFUTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-_ZERO = Fraction(0)
-
 
 class WeightClasses:
     """Homology data of one weight space, in offsets from the anchor: the
-    kernel and image bases of the whole unit matrices and chosen cosets.
+    kernel (cycles) and image (boundaries) bases of the whole unit matrices,
+    and the class representatives: the kernel vectors that, in order, are
+    independent modulo the image.
 
-    Everything is anchor-free and parity-free: coordinate vectors over the
-    layout's basis at ``offset`` and the echelon.
+    Everything is anchor-free and parity-free: sparse integer vectors over
+    the layout's basis at ``offset``.
     """
 
     def __init__(self, realization: Realization, offset: Weight, out_m, in_m):
         self.offset = offset
         self.basis = realization.layout.spaces[offset]
-        self.kernel: list[Vector] = kernel_basis(out_m)
-        self.image: list[Vector] = image_basis(in_m)
-        # the image goes in untagged, so every representative accepted below
-        # is independent modulo the image; tags count the representatives
-        self._echelon = quotient_basis(len(self.basis), self.image)
-        self.reps: list[Vector] = []
-        want = len(self.kernel) - len(self.image)
-        for k in self.kernel:
-            if len(self.reps) == want:
-                break
-            if self._echelon.add(k, tag=len(self.reps)):
-                self.reps.append(k)
-        if len(self.reps) != want:
+        self.kernel = kernel_basis(out_m)
+        self.image = image_basis(in_m)
+        self.reps = quotient_basis(self.image, self.kernel)
+        if len(self.reps) != len(self.kernel) - len(self.image):
             raise AssertionError(f"homology at offset {offset}: image not inside the kernel")
-
-    def coordinates(self, vector) -> Vector | None:
-        """Class coordinates over the chosen cosets, or None outside the kernel."""
-        return self._echelon.coordinates(vector, len(self.reps))
-
-    def reduce(self, vector) -> Vector:
-        """Class coordinates of a kernel vector over the chosen cosets."""
-        coeffs = self.coordinates(vector)
-        if coeffs is None:
-            raise AssertionError(f"vector at offset {self.offset} is not a homology class")
-        return coeffs
 
 
 @dataclass(eq=False)
@@ -126,7 +107,7 @@ class DSResult:
     In offsets from the anchor it holds the class count at every offset of
     the valid region, in order (``cells``), its least nonzero ``(offset,
     count)``, each map of ``e_alpha`` its run ranked, as ``(matrix, rank)``
-    by source offset (``maps``), and the cosets built so far by offset.
+    by source offset (``maps``), and the classes built so far by offset.
     ``reads`` holds the ``Affine.terms`` of every anchor-dependent
     coefficient that the run and the certificates made from the result
     evaluated.  The counts hold no parity: :attr:`dim_table` translates them
@@ -169,17 +150,13 @@ class DSResult:
     def dims(self, weight: Weight) -> tuple[int, int]:
         return self.dim_table.get(weight, (0, 0))
 
-    def total(self, weight: Weight) -> int:
-        e, o = self.dims(weight)
-        return e + o
-
     def support(self) -> list[Weight]:
         return sorted(w for w, d in self.dim_table.items() if d != (0, 0))
 
     def classes_at(self, weight: Weight) -> WeightClasses | None:
-        """The kernels, images and cosets at ``weight``, or None off the
+        """The kernels, images and classes at ``weight``, or None off the
         module support, built once per offset from the maps of ``e_alpha``
-        out of and into it, with the rank census checked against the coset
+        out of and into it, with the rank census checked against the class
         census.  A map the homology run ranked is read from ``maps``, any
         other is built at the source's anchor; off the slice ``(weight,
         alpha) = 0`` the census check confirms the zero by homotopy."""
@@ -200,7 +177,7 @@ class DSResult:
             count = self.cells[offset]
             if len(classes.reps) != count:
                 raise AssertionError(
-                    f"rank census {count} and coset census {len(classes.reps)} "
+                    f"rank census {count} and class census {len(classes.reps)} "
                     f"disagree at offset {offset}"
                 )
         return classes
@@ -328,14 +305,17 @@ def ds_borel_label(n: int, label: Label, alpha: Root) -> Label:
     return label_of_sequence(n - 1, kept)
 
 
-def induced_action(result: DSResult, g: Unit) -> dict[Weight, SparseRationalMatrix]:
-    """Matrices of a centralizer unit on homology classes, per source weight.
+def induced_action(result: DSResult, g: Unit) -> dict[Weight, list[dict]]:
+    """Images of the class representatives under a centralizer unit, per
+    source weight.
 
-    Keys are source weights ``mu`` whose translate also lies in the valid
-    region; the matrix sends class coordinates at ``mu`` to class
-    coordinates at ``mu + root(g)``.  Well-definedness is asserted:
-    the unit must commute with the differential, map kernels into kernels
-    and images into images.
+    Keys are source weights ``mu`` with a basis whose translate by the root
+    of ``g`` also lies in the valid region; each value lists the images of
+    the representatives at ``mu``, in order, as expansions over the basis
+    at the translate.  That the unit induces a map on homology is asserted:
+    it must commute with the differential, keep every image a cycle and
+    send the boundaries at ``mu`` into the boundaries at the translate,
+    by ranks.
     """
     m = result.source
     n = m.datum.n
@@ -345,7 +325,7 @@ def induced_action(result: DSResult, g: Unit) -> dict[Weight, SparseRationalMatr
     if bracket(n, g, result.alpha):
         raise AssertionError(f"unit {g} does not centralize e_{result.alpha}")
     rwg = root_weight(n, g)
-    matrices: dict[Weight, SparseRationalMatrix] = {}
+    images: dict[Weight, list[dict]] = {}
     for mu in sorted(result.dim_table):
         tgt = add_weights(mu, rwg)
         if not result.in_valid_region(tgt):
@@ -353,59 +333,36 @@ def induced_action(result: DSResult, g: Unit) -> dict[Weight, SparseRationalMatr
         wc = result.classes_at(mu)
         if wc is None:
             continue
-        tgt_wc = result.classes_at(tgt)
-        tgt_dim = 0 if tgt_wc is None else len(tgt_wc.reps)
-        columns = []
-        for vec in wc.reps:
-            moved = _act_on_vector(m, g, wc.basis, vec)
-            if tgt_wc is None:
-                if moved:
-                    raise AssertionError(
-                        f"class at {mu} moved by {g} into an empty weight space"
-                    )
-                columns.append(())
-                continue
-            _assert_in_kernel(m, result.alpha, moved)
-            full = _as_coordinates(m, moved, tgt_wc)
-            columns.append(tgt_wc.reduce(full))
-        _assert_image_stability(m, result, g, mu, tgt, wc, tgt_wc)
-        entries = {}
-        for c, col in enumerate(columns):
-            for r, val in enumerate(col):
-                if val:
-                    entries[(r, c)] = val
-        matrices[mu] = SparseRationalMatrix(tgt_dim, len(wc.reps), entries)
-    return matrices
+        moved = [m.act_unit(g, _expansion(wc, rep)) for rep in wc.reps]
+        for vec in moved:
+            _assert_in_kernel(m, result.alpha, vec)
+        boundaries = [m.act_unit(g, _expansion(wc, vec)) for vec in wc.image]
+        if not _in_boundaries(m, result.classes_at(tgt), boundaries):
+            raise AssertionError(f"unit {g} does not preserve the image at {tgt}")
+        images[mu] = moved
+    return images
 
 
-def _act_on_vector(m: Realization, unit: Unit, basis, vec) -> dict:
-    expansion = {bv: c for bv, c in zip(basis, vec, strict=True) if c}
-    return m.act_unit(unit, expansion)
+def _expansion(wc: WeightClasses, vector: dict) -> dict:
+    """A sparse vector over the basis of ``wc`` as basis-vector terms."""
+    basis = wc.basis
+    return {basis[i]: c for i, c in vector.items()}
 
 
-def _as_coordinates(m: Realization, expansion: dict, wc: WeightClasses) -> Vector:
+def _in_boundaries(m: Realization, wc: WeightClasses | None, vectors) -> bool:
+    """Whether the expansions ``vectors`` at the weight of ``wc`` are all
+    boundaries there: ``rank [B | vectors] = rank B``."""
+    vectors = [vec for vec in vectors if vec]
+    if not vectors or wc is None:
+        return not vectors
     index = m.layout.positions[wc.offset]
-    out = [_ZERO] * len(index)
-    for bv, c in expansion.items():
-        out[index[bv]] = c
-    return tuple(out)
+    columns = [{index[bv]: c for bv, c in vec.items()} for vec in vectors]
+    return not quotient_basis(wc.image, columns)
 
 
 def _assert_in_kernel(m: Realization, alpha: Root, expansion: dict) -> None:
     if m.act_unit(alpha, expansion):
         raise AssertionError("moved class left the kernel of the differential")
-
-
-def _assert_image_stability(m, result, g, mu, tgt, wc, tgt_wc) -> None:
-    for vec in wc.image:
-        out = _act_on_vector(m, g, wc.basis, vec)
-        if not out:
-            continue
-        if tgt_wc is None:
-            raise AssertionError(f"image at {mu} moved by {g} into an empty space")
-        coords = tgt_wc.coordinates(_as_coordinates(m, out, tgt_wc))
-        if coords is None or any(coords):
-            raise AssertionError(f"unit {g} does not preserve the image at {tgt}")
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +417,7 @@ def certify_verma_iso(result: DSResult, target_label: Label, target_tuple) -> Ce
     and lowering maps they apply.  The forms of those coefficients go into
     ``result.reads``, beside those of the homology run, so
     :func:`unfixed_read` sees every form the verdict read.  Weights are
-    formed only for a ``detail`` and for the cosets of the two anchor slots.
+    formed only for a ``detail`` and for the classes of the two anchor slots.
     """
     m = result.source
     n = m.datum.n
@@ -575,12 +532,11 @@ def certify_verma_iso(result: DSResult, target_label: Label, target_tuple) -> Ce
                 checked,
                 {"reason": f"anchor slot {s} outside the valid region"},
             )
-        # through the public entry, so a span around it sees every coset
+        # through the public entry, so a span around it sees every class
+        # built; the class is integer, so its actions and the stacked ranks
+        # stay in ``int``
         wc = result.classes_at(tuple(map(add, anchor, off)))
-        # a nonzero multiple spans the same line: with integer coefficients
-        # the actions on it and the stacked ranks stay in ``int``
-        scale = lcm(*(c.denominator for c in wc.reps[0]))
-        rep = {bv: int(c * scale) for bv, c in zip(wc.basis, wc.reps[0], strict=True) if c}
+        rep = _expansion(wc, wc.reps[0])
         singular[s] = (off, rep)
         for beta in simple_roots(target_n, target_label):
             unit = lift_unit(n, alpha, beta)
@@ -684,29 +640,29 @@ def _target_lowering_units(n, alpha, target_n, target_label) -> list[Unit]:
 
 
 def induced_bracket_check(result: DSResult, pairs) -> dict:
-    """Verify the induced centralizer matrices close under the superbracket.
+    """Verify that the induced centralizer action closes under the
+    superbracket.
 
-    For each unit pair the supercommutator of the induced matrices must
-    equal the induced matrix of the bracket, weight space by weight space
-    (Cartan units act on a class by its weight coordinate).  Returns a
-    report with the number of comparisons and any failures.
+    For each unit pair ``(g1, g2)`` and each weight ``mu`` where both units
+    act on homology at every step (a Cartan unit acts everywhere, by the
+    weight coordinate; any other unit where the module has a basis), every
+    class ``v`` at ``mu`` must have ``g1(g2 v) -+ g2(g1 v) - [g1, g2] v``
+    among the boundaries ``B`` at ``mu + root(g1) + root(g2)``:
+    ``rank [B | ...] = rank B``.  The inner actions are the induced ones.
+    Returns a report with the number of ``(pair, mu)`` comparisons and any
+    failures.
     """
-    from .superalgebra import is_cartan, unit_parity
-
     m = result.source
     n = m.datum.n
-    actions: dict[Unit, dict[Weight, SparseRationalMatrix]] = {}
+    actions: dict[Unit, dict[Weight, list[dict]]] = {}
 
-    def act_of(u: Unit) -> dict[Weight, SparseRationalMatrix]:
+    def act_of(u: Unit) -> dict[Weight, list[dict]]:
         if u not in actions:
             actions[u] = induced_action(result, u)
         return actions[u]
 
-    def matrix_at(u: Unit, mu: Weight) -> SparseRationalMatrix | None:
-        if is_cartan(u):
-            d = result.total(mu)
-            return SparseRationalMatrix.identity(d).scale(mu[u[0] - 1])
-        return act_of(u).get(mu)
+    def acts(u: Unit, mu: Weight) -> bool:
+        return is_cartan(u) or mu in act_of(u)
 
     checked = 0
     failures = []
@@ -716,30 +672,26 @@ def induced_bracket_check(result: DSResult, pairs) -> dict:
         rw2 = root_weight(n, g2)
         terms = bracket(n, g1, g2)
         for mu in sorted(result.dim_table):
-            stops = [
-                add_weights(mu, rw1),
-                add_weights(mu, rw2),
-                add_weights(add_weights(mu, rw1), rw2),
-            ]
-            if not all(result.in_valid_region(w) for w in stops):
+            up1, up2 = add_weights(mu, rw1), add_weights(mu, rw2)
+            top = add_weights(up1, rw2)
+            if not all(result.in_valid_region(w) for w in (up1, up2, top)):
                 continue
-            a2 = matrix_at(g2, mu)
-            a1 = matrix_at(g1, mu)
-            b1 = matrix_at(g1, add_weights(mu, rw2))
-            b2 = matrix_at(g2, add_weights(mu, rw1))
-            if a1 is None or a2 is None or b1 is None or b2 is None:
+            if not (acts(g1, mu) and acts(g2, mu) and acts(g1, up2) and acts(g2, up1)):
                 continue
-            lhs = (b1 @ a2) - (b2 @ a1).scale(sign)
-            d_src = result.total(mu)
-            d_tgt = lhs.nrows
-            rhs = SparseRationalMatrix.zero(d_tgt, d_src)
-            for unit, coef in terms:
-                piece = matrix_at(unit, mu)
-                if piece is None:
-                    piece = SparseRationalMatrix.zero(d_tgt, d_src)
-                rhs = rhs + piece.scale(coef)
             checked += 1
-            if lhs != rhs:
+            wc = result.classes_at(mu)
+            if wc is None:
+                continue
+            defects = []
+            for k in range(len(wc.reps)):
+                defect = m.act_unit(g1, act_of(g2)[mu][k])
+                parts = [(m.act_unit(g2, act_of(g1)[mu][k]), -sign)]
+                parts += [(act_of(unit)[mu][k], -coef) for unit, coef in terms]
+                for vec, coef in parts:
+                    for bv, c in vec.items():
+                        defect[bv] = defect.get(bv, 0) + coef * c
+                defects.append({bv: c for bv, c in defect.items() if c})
+            if not _in_boundaries(m, result.classes_at(top), defects):
                 failures.append({"pair": [list(g1), list(g2)], "weight": list(mu)})
     return {"checked": checked, "ok": not failures, "failures": failures}
 

@@ -135,10 +135,6 @@ class Character:
     def dims(self, weight: Weight) -> tuple[int, int]:
         return self.table.get(weight, (0, 0))
 
-    def total(self, weight: Weight) -> int:
-        e, o = self.dims(weight)
-        return e + o
-
     def disagreement(self, other: "Character") -> Weight | None:
         """First weight inside both complete regions with differing dims."""
         for w in sorted(set(self.table) | set(other.table)):

@@ -18,6 +18,7 @@ from typing import NamedTuple
 BORELS = "src/superverma/borels.py"
 MODULES = "src/superverma/modules.py"
 HOMOLOGY = "src/superverma/homology.py"
+LINALG = "src/superverma/linalg.py"
 SUPERALGEBRA = "src/superverma/superalgebra.py"
 VERIFY = "src/superverma/verify.py"
 
@@ -275,5 +276,26 @@ MUTANTS = (
         "            return 0, len(cols), {}\n",
         "            return 0, 0, {}\n",
         "tests/test_modules.py::test_a_map_into_an_empty_space_is_zero_unstraightened[2]",
+    ),
+    Mutant(
+        "kernel-back-substitution-unscaled",
+        LINALG,
+        "                up = pivot // common\n",
+        "                up = 1\n",
+        "tests/test_linalg.py::test_kernel_basis_is_the_oracle_line_in_integers",
+    ),
+    Mutant(
+        "quotient-accepts-a-dependent-candidate",
+        LINALG,
+        "    return [candidates[col - len(subspace)] for col in pivots[spanned:]]\n",
+        "    return list(candidates[: len(pivots) - spanned])\n",
+        "tests/test_linalg.py::test_quotient_basis_picks_the_oracle_tagged_vectors",
+    ),
+    Mutant(
+        "bracket-check-ignores-the-boundaries",
+        HOMOLOGY,
+        "            if not _in_boundaries(m, result.classes_at(top), defects):\n",
+        "            if any(defects):\n",
+        "tests/test_homology.py::test_the_bracket_check_reads_classes_modulo_the_boundaries",
     ),
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from operator import mul
 
 from superverma.borels import (
@@ -28,14 +29,12 @@ from superverma.homology import (
     REFUTED,
     Certificate,
     DSResult,
-    _ZERO,
-    _as_coordinates,
     _shrink_unit,
     _target_lowering_units,
     lift_unit,
     surviving_indices,
 )
-from superverma.linalg import Echelon, SparseRationalMatrix, image_basis, kernel_basis, rank
+from superverma.linalg import SparseRationalMatrix, image_basis, kernel_basis, rank
 from superverma.modules import Affine, PBWLayout, Realization
 from superverma.superalgebra import (
     Root,
@@ -258,7 +257,7 @@ def singular_vectors(r: Realization, b: Label, mu: Weight) -> list:
             row_base += m.nrows
         stacked = SparseRationalMatrix(row_base, len(cols), entries)
         for kvec in kernel_basis(stacked):
-            out.append((parity, {basis[cols[i]]: v for i, v in enumerate(kvec) if v}))
+            out.append((parity, {basis[cols[i]]: v for i, v in kvec.items()}))
     return out
 
 
@@ -283,13 +282,178 @@ def parity_split_classes(r: Realization, alpha: Root, weight: Weight) -> tuple:
     for p in (0, 1):
         cols = [k for k, bv in enumerate(basis) if vector_parity(r, bv) == p]
         for vec in kernel_basis(_column_submatrix(out_m, cols)):
-            full = [Fraction(0)] * len(basis)
-            for val, c in zip(vec, cols, strict=True):
-                full[c] = val
-            kernels[p].append(tuple(full))
+            kernels[p].append({cols[c]: val for c, val in vec.items()})
         src_cols = [k for k, bv in enumerate(src_basis) if vector_parity(r, bv) == 1 - p]
         images[p].extend(image_basis(_column_submatrix(in_m, src_cols)))
     return kernels, images
+
+
+# ---------------------------------------------------------------------------
+# Exact linear algebra over ``Fraction``: the reduced row echelon form, grown
+# one vector at a time, and the canonical bases read off it.  The library
+# answers the same questions on one integer Bareiss elimination.
+
+Vector = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class Echelon:
+    """The reduced row echelon form of a family of vectors, grown one at a time.
+
+    ``rows`` maps each pivot column to its row: leading entry 1 and zero in
+    every other pivot column.  That form is unique for the span, whatever the
+    order the vectors came in.  A vector added with a ``tag`` also carries a 1
+    in the extra column ``dim + tag``, so each row records which tagged
+    vectors it combines; ``coordinates`` reads those columns back.
+
+    A vector is a dense sequence of length ``dim`` or a sparse map
+    ``column -> value``.
+    """
+
+    __slots__ = ("dim", "rows")
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows: dict[int, dict[int, Fraction]] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _residue(self, vector, tag: int | None) -> dict[int, Fraction]:
+        """``vector`` (with its tag column) minus its projection on the rows."""
+        if isinstance(vector, dict):
+            items = vector.items()
+        elif len(vector) != self.dim:
+            raise ValueError(f"vector length {len(vector)} != dim {self.dim}")
+        else:
+            items = enumerate(vector)
+        residue = {c: Fraction(x) for c, x in items if x}
+        if tag is not None:
+            residue[self.dim + tag] = _ONE
+        # each row is zero in the other pivot columns, so one pass in any
+        # order clears every pivot column of the residue
+        for col, row in self.rows.items():
+            factor = residue.get(col)
+            if factor:
+                _subtract(residue, factor, row)
+        return residue
+
+    def add(self, vector, tag: int | None = None) -> bool:
+        """Insert ``vector`` if it is independent of the rows; say whether it was."""
+        residue = self._residue(vector, tag)
+        col = min((c for c in residue if c < self.dim), default=None)
+        if col is None:
+            return False
+        lead = residue[col]
+        if lead != _ONE:
+            residue = {c: v / lead for c, v in residue.items()}
+        for row in self.rows.values():
+            factor = row.get(col)
+            if factor:
+                _subtract(row, factor, residue)
+        self.rows[col] = residue
+        return True
+
+    def coordinates(self, vector, count: int) -> Vector | None:
+        """Coefficients of ``vector`` over the tagged vectors ``0..count-1``,
+        modulo the untagged ones; None when ``vector`` is outside the span."""
+        residue = self._residue(vector, None)
+        if any(c < self.dim for c in residue):
+            return None
+        return tuple(-residue.get(self.dim + t, _ZERO) for t in range(count))
+
+
+def _subtract(target: dict[int, Fraction], factor: Fraction, row: dict[int, Fraction]) -> None:
+    """``target -= factor * row`` in place, storing no zeros."""
+    for c, v in row.items():
+        nv = target.get(c, _ZERO) - factor * v
+        if nv:
+            target[c] = nv
+        else:
+            del target[c]
+
+
+def echelon_kernel_basis(m: SparseRationalMatrix) -> list[Vector]:
+    """The reduced-echelon basis of the right null space of ``m``: one
+    vector per free column, ordered by column index, with the free
+    coordinate 1 and the negated echelon entries at the pivot coordinates."""
+    echelon = Echelon(m.ncols)
+    for row in m.rows():
+        echelon.add(row)
+    basis: list[Vector] = []
+    for free in range(m.ncols):
+        if free in echelon.rows:
+            continue
+        v = [_ZERO] * m.ncols
+        v[free] = _ONE
+        for pc, row in echelon.rows.items():
+            coef = row.get(free)
+            if coef:
+                v[pc] = -coef
+        basis.append(tuple(v))
+    return basis
+
+
+def echelon_image_basis(m: SparseRationalMatrix) -> list[Vector]:
+    """The reduced column echelon basis of the column space of ``m``: each
+    vector with leading entry 1 at a distinct row, ordered by that row."""
+    echelon = Echelon(m.nrows)
+    columns: list[dict] = [{} for _ in range(m.ncols)]
+    for (r, c), v in m.entries.items():
+        columns[c][r] = v
+    for column in columns:
+        echelon.add(column)
+    basis = []
+    for lead in sorted(echelon.rows):
+        v = [_ZERO] * m.nrows
+        for c, val in echelon.rows[lead].items():
+            v[c] = val
+        basis.append(tuple(v))
+    return basis
+
+
+def echelon_quotient_basis(ambient_dim: int, subspace) -> Echelon:
+    """The echelon form of ``span(subspace)``, on which a quotient is built:
+    vectors added afterwards with tags 0, 1, ... and accepted by ``add``
+    represent independent cosets, and ``coordinates`` gives a vector's
+    coefficients over them modulo the subspace.  A dependent subspace
+    family is reported with both dimensions."""
+    echelon = Echelon(ambient_dim)
+    for v in subspace:
+        echelon.add(v)
+    if len(echelon) != len(subspace):
+        raise ValueError(
+            f"dependent subspace: {len(subspace)} vectors span only {len(echelon)} dimensions"
+        )
+    return echelon
+
+
+def integer_line(vector) -> dict[int, int]:
+    """The sparse integer vector on the line of a dense rational ``vector``:
+    coprime entries, the last nonzero one positive."""
+    nonzero = {c: Fraction(v) for c, v in enumerate(vector) if v}
+    scale = lcm(*(v.denominator for v in nonzero.values()))
+    ints = {c: int(v * scale) for c, v in nonzero.items()}
+    content = gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        content = -content
+    return {c: v // content for c, v in ints.items()}
+
+
+def matmul(a: SparseRationalMatrix, b: SparseRationalMatrix) -> SparseRationalMatrix:
+    """The matrix product ``a @ b``."""
+    if a.ncols != b.nrows:
+        raise ValueError(f"shape mismatch {a.nrows}x{a.ncols} @ {b.nrows}x{b.ncols}")
+    by_row: dict[int, dict[int, int]] = {}
+    for (r, k), v in b.entries.items():
+        by_row.setdefault(r, {})[k] = v
+    acc: dict[tuple[int, int], int] = {}
+    for (r, c), x in a.entries.items():
+        for k, y in by_row.get(c, {}).items():
+            acc[r, k] = acc.get((r, k), 0) + x * y
+    return SparseRationalMatrix(a.nrows, b.ncols, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +522,67 @@ def certificate_forms(
 
 
 # ---------------------------------------------------------------------------
-# The doubled-Verma certificate on cosets: the census, then the singular step
-# and the freeness probe reduced to class coordinates, with one ``Echelon``
-# span per weight.
+# Homology classes over ``Fraction`` cosets, and the doubled-Verma certificate
+# on them: the census, then the singular step and the freeness probe reduced
+# to class coordinates, with one ``Echelon`` span per weight.
 
 
-def rep_dict(result: DSResult, weight: Weight, index: int) -> dict:
-    """The ``index``-th coset representative at ``weight`` as a basis-vector
-    expansion."""
-    wc = result.classes_at(weight)
-    return {bv: c for bv, c in zip(wc.basis, wc.reps[index], strict=True) if c}
+class CosetClasses:
+    """The kernel and image of ``e_alpha`` at one weight as reduced-echelon
+    bases, and the kernel vectors that, in order, are independent modulo
+    the image, each tagged in one ``Echelon``, so that a cycle reduces to
+    its coordinates over those classes."""
+
+    def __init__(self, basis, out_m: SparseRationalMatrix, in_m: SparseRationalMatrix):
+        self.basis = basis
+        self.kernel = echelon_kernel_basis(out_m)
+        self.image = echelon_image_basis(in_m)
+        self._echelon = echelon_quotient_basis(len(basis), self.image)
+        self.reps: list[Vector] = []
+        for k in self.kernel:
+            if self._echelon.add(k, tag=len(self.reps)):
+                self.reps.append(k)
+        if len(self.reps) != len(self.kernel) - len(self.image):
+            raise AssertionError("image not inside the kernel")
+
+    def reduce(self, expansion: dict) -> Vector:
+        """Class coordinates over the representatives of a cycle given as
+        basis-vector terms."""
+        index = {bv: k for k, bv in enumerate(self.basis)}
+        vector = {index[bv]: c for bv, c in expansion.items()}
+        coeffs = self._echelon.coordinates(vector, len(self.reps))
+        if coeffs is None:
+            raise AssertionError("vector is not a homology class")
+        return coeffs
+
+    def expansion(self, coeffs) -> dict:
+        """The cycle with class coordinates ``coeffs``, as basis-vector terms."""
+        full = [_ZERO] * len(self.basis)
+        for c, rep in zip(coeffs, self.reps, strict=True):
+            if c:
+                full = [a + c * b for a, b in zip(full, rep, strict=True)]
+        return {bv: c for bv, c in zip(self.basis, full, strict=True) if c}
+
+
+def coset_classes(result: DSResult):
+    """``weight -> CosetClasses`` of ``result`` at that weight, or None off the
+    module support, from the unit matrices of ``e_alpha`` out of and into it
+    at the source's anchor, built once per weight."""
+    m = result.source
+    rw = root_weight(m.datum.n, result.alpha)
+    memo: dict = {}
+
+    def classes_at(weight: Weight) -> CosetClasses | None:
+        if weight not in memo:
+            basis = m.weight_spaces.get(weight)
+            memo[weight] = basis and CosetClasses(
+                basis,
+                m.unit_matrix(result.alpha, weight),
+                m.unit_matrix(result.alpha, sub_weights(weight, rw)),
+            )
+        return memo[weight] or None
+
+    return classes_at
 
 
 def _slot(alpha: Root, anchor: Weight, weight: Weight) -> int | None:
@@ -393,14 +608,16 @@ def coset_certify_verma_iso(
     result: DSResult, target_label: Label, target_tuple, reads: set
 ) -> Certificate:
     """The checks of ``homology.certify_verma_iso`` on class coordinates
-    over the chosen cosets: a moved class is reduced by ``classes_at`` and a
-    weight's generated span is grown one class at a time.  The library asks
-    the same questions as ranks modulo the boundaries."""
+    over ``Fraction`` cosets: a moved class is reduced by its
+    ``CosetClasses`` and a weight's generated span is grown one class at a
+    time.  The library asks the same questions as integer ranks modulo the
+    boundaries."""
     m = result.source
     n = m.datum.n
     alpha = result.alpha
     anchor = m.datum.hw
     rw = root_weight(n, alpha)
+    classes_at = coset_classes(result)
     target_n = n - 1
     target_pos = simple_roots(target_n, target_label)
     lowering_units = _target_lowering_units(n, alpha, target_n, target_label)
@@ -441,7 +658,7 @@ def coset_certify_verma_iso(
                     checked,
                     {"reason": "target character shallower than the valid region"},
                 )
-            expected_total = target_char.total(nu)
+            expected_total = sum(target_char.dims(nu))
         e, o = result.dims(mu)
         expected = (expected_total, 0) if par(n, mu) == 0 else (0, expected_total)
         if (e, o) != expected:
@@ -468,21 +685,20 @@ def coset_certify_verma_iso(
                 checked,
                 {"reason": f"anchor slot {s} outside the valid region"},
             )
-        if result.total(mu) != 1:
+        if sum(result.dims(mu)) != 1:
             return Certificate(
                 REFUTED,
                 checked,
                 {"weight": list(mu), "dims": list(result.dims(mu)), "expected_total": 1},
             )
         singular[s] = mu
-        rep = rep_dict(result, mu, 0)
+        rep = classes_at(mu).expansion((1,))
         for beta in target_pos:
             unit = lift_unit(n, alpha, beta)
             moved = m.act_unit(unit, rep, reads)
             if not moved:
                 continue
-            wc = result.classes_at(add_weights(mu, root_weight(n, unit)))
-            if any(wc.reduce(_as_coordinates(m, moved, wc))):
+            if any(classes_at(add_weights(mu, root_weight(n, unit))).reduce(moved)):
                 return Certificate(
                     REFUTED,
                     checked,
@@ -495,19 +711,13 @@ def coset_certify_verma_iso(
 
     # 3. freeness probe from each anchor class.
     for s, mu0 in singular.items():
-        wc0 = result.classes_at(mu0)
-        start = wc0.reduce(_as_coordinates(m, rep_dict(result, mu0, 0), wc0))
-        spans = {mu0: Echelon(len(wc0.reps))}
+        start = (_ONE,)
+        spans = {mu0: Echelon(1)}
         spans[mu0].add(start)
         queue = [(mu0, start)]
         while queue:
             w, coords = queue.pop()
-            wc = result.classes_at(w)
-            full = [_ZERO] * len(wc.basis)
-            for c, repv in zip(coords, wc.reps, strict=True):
-                if c:
-                    full = [a + c * b for a, b in zip(full, repv, strict=True)]
-            expansion = {bv: c for bv, c in zip(wc.basis, full, strict=True) if c}
+            expansion = classes_at(w).expansion(coords)
             for unit in lowering_units:
                 w2 = add_weights(w, root_weight(n, unit))
                 if not result.in_valid_region(w2):
@@ -515,17 +725,16 @@ def coset_certify_verma_iso(
                 moved = m.act_unit(unit, expansion, reads)
                 if not moved:
                     continue
-                wc2 = result.classes_at(w2)
-                coords2 = wc2.reduce(_as_coordinates(m, moved, wc2))
+                coords2 = classes_at(w2).reduce(moved)
                 if not any(coords2):
                     continue
-                if spans.setdefault(w2, Echelon(len(wc2.reps))).add(coords2):
+                if spans.setdefault(w2, Echelon(len(coords2))).add(coords2):
                     queue.append((w2, coords2))
         for mu in sorted(candidates):
             if _slot(alpha, anchor, mu) != s:
                 continue
             nu = pr_alpha(n, mu, alpha)
-            expected = target_char.total(nu)
+            expected = sum(target_char.dims(nu))
             got = len(spans[mu]) if mu in spans else 0
             if got != expected:
                 return Certificate(

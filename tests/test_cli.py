@@ -214,6 +214,14 @@ def test_verify_exits_one_on_failure(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_exits_one_when_every_verdict_is_inconclusive(capsys):
+    # at depth 0 every valid region is empty: nothing is refuted, and nothing
+    # is certified either
+    code, out = run(capsys, "verify", "conjecture", "--n", "1", "--depth", "0")
+    assert code == 1
+    assert "conjecture: 50 cases (INCONCLUSIVE=50)" in out
+
+
 def test_verify_precondition_error_is_usage_error(capsys, monkeypatch):
     def boom(n, depth=None):
         raise ValueError("tuple (1, 2, 1, 3) is not in the matched-diagonal family")

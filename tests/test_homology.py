@@ -34,7 +34,7 @@ from superverma.homology import (
     surviving_indices,
     unfixed_read,
 )
-from superverma.linalg import SparseRationalMatrix, rank
+from superverma.linalg import quotient_basis, rank
 from superverma.modules import (
     PBWLayout,
     Realization,
@@ -64,13 +64,15 @@ from superverma.weights import (
 from oracles import (
     bilinear_form,
     coset_certify_verma_iso,
+    coset_classes,
     full_ds_table,
+    integer_line,
     map_root_at,
     map_root_c,
     map_weight,
     mapped_label,
+    matmul,
     parity_split_classes,
-    rep_dict,
 )
 
 E13 = (1, 3)
@@ -146,7 +148,7 @@ def test_root_vector_squares_to_zero_on_module():
         second = add_weights(first, rw)
         if first not in m.weight_spaces or second not in m.weight_spaces:
             continue
-        composed = m.unit_matrix(E13, first) @ m.unit_matrix(E13, mu)
+        composed = matmul(m.unit_matrix(E13, first), m.unit_matrix(E13, mu))
         assert composed.entries == {}
 
 
@@ -184,26 +186,34 @@ def test_each_weight_space_is_pure_parity():
 
 
 def test_class_representatives_cross_check():
+    # the integer kernel, image and classes span the lines and spaces of the
+    # oracle's ``Fraction`` cosets: the same kernel lines and class lines,
+    # in order, and images of equal span
     r = ds13(verma_realization(2, (1,), (0, 1, 0, 1), 6))
+    cosets = coset_classes(r)
     for mu in r.support():
-        wc = r.classes_at(mu)
-        assert len(wc.reps) == r.total(mu)
-        rep = rep_dict(r, mu, 0)
-        assert rep and all(isinstance(c, Fraction) for c in rep.values())
+        wc, other = r.classes_at(mu), cosets(mu)
+        assert len(wc.reps) == sum(r.dims(mu))
+        assert all(type(c) is int for rep in wc.reps for c in rep.values())
+        assert wc.kernel == [integer_line(v) for v in other.kernel]
+        assert wc.reps == [integer_line(v) for v in other.reps]
+        image = [integer_line(v) for v in other.image]
+        assert not quotient_basis(wc.image, image) and not quotient_basis(image, wc.image)
     assert r.classes_at((99, 0, 0, 0)) is None
 
 
 def test_reduce_refuses_a_vector_outside_the_kernel():
+    # the oracle's cosets reduce cycles only, so the coset certificate
+    # cannot read a moved vector that left the kernel as a class
     r = ds13(verma_realization(2, (1,), (0, 1, 0, 1), 6))
+    cosets = coset_classes(r)
     refused = 0
     for mu in sorted(r.dim_table):
-        wc = r.classes_at(mu)
-        for k, bv in enumerate(wc.basis):
+        for bv in r.source.weight_spaces[mu]:
             if not r.source.act_unit(E13, {bv: 1}):
                 continue
-            e = tuple(Fraction(int(i == k)) for i in range(len(wc.basis)))
             with pytest.raises(AssertionError, match="is not a homology class"):
-                wc.reduce(e)
+                cosets(mu).reduce({bv: 1})
             refused += 1
     assert refused
 
@@ -301,11 +311,12 @@ def test_the_homotopy_identity_on_unit_matrices(n, label, t, depth, alpha):
     levels = set()
     for mu in weights:
         below, above = sub_weights(mu, rw), add_weights(mu, rw)
-        lhs = m.unit_matrix(alpha, below) @ m.unit_matrix(y, mu) + m.unit_matrix(
-            y, above
-        ) @ m.unit_matrix(alpha, mu)
+        xy = matmul(m.unit_matrix(alpha, below), m.unit_matrix(y, mu)).entries
+        yx = matmul(m.unit_matrix(y, above), m.unit_matrix(alpha, mu)).entries
+        lhs = {key: xy.get(key, 0) + yx.get(key, 0) for key in xy.keys() | yx.keys()}
         level = bilinear_form(n, mu, rw)
-        assert lhs == SparseRationalMatrix.identity(len(m.weight_spaces[mu])).scale(level), mu
+        scalar = {(i, i): level for i in range(len(m.weight_spaces[mu])) if level}
+        assert {key: v for key, v in lhs.items() if v} == scalar, mu
         levels.add(level)
     assert len(levels) > 3
 
@@ -531,7 +542,7 @@ def test_shift_twins_share_one_record_at_opposite_parities():
     on_slice = 0
     for off, count in a.cells.items():
         mu, nu = add_weights(first.datum.hw, off), add_weights(second.datum.hw, off)
-        assert a.dims(mu) == b.dims(nu)[::-1] and a.total(mu) == count
+        assert a.dims(mu) == b.dims(nu)[::-1] and sum(a.dims(mu)) == count
         if not bilinear_form(2, mu, rw) and first.layout.spaces.get(off):
             mine, theirs = a.classes_at(mu), b.classes_at(nu)
             assert (mine.kernel, mine.image, mine.reps) == (theirs.kernel, theirs.image, theirs.reps)
@@ -953,11 +964,15 @@ def test_shallow_region_is_inconclusive():
 def test_induced_action_shapes_and_guards():
     r = ds13(verma_realization(2, (1,), (0, 1, 0, 1), 6))
     rw = root_weight(2, (4, 2))
-    matrices = induced_action(r, (4, 2))
-    assert matrices
-    for mu, mat in matrices.items():
-        assert mat.ncols == r.total(mu)
-        assert mat.nrows == r.total(add_weights(mu, rw))
+    images = induced_action(r, (4, 2))
+    assert images
+    for mu, moved in images.items():
+        # one image per class at mu, each a cycle over the basis one step up
+        assert len(moved) == sum(r.dims(mu))
+        basis = set(r.source.weight_spaces.get(add_weights(mu, rw), ()))
+        for vec in moved:
+            assert set(vec) <= basis and not r.source.act_unit(E13, vec)
+    assert any(vec for moved in images.values() for vec in moved)
     with pytest.raises(ValueError):
         induced_action(r, (1, 2))
 
@@ -1005,6 +1020,59 @@ def test_induced_bracket_one_size_up():
     report = induced_bracket_check(r, [((2, 5), (5, 2)), ((3, 6), (6, 3))])
     assert report["ok"]
     assert report["checked"] == 3
+
+
+def test_a_dropped_cartan_term_fails_the_bracket_check(monkeypatch):
+    # a negative control: [e_25, e_52] = e_22 + e_55, and without e_55 the
+    # check must fail where a class meets a nonzero coordinate mu_5: at the
+    # one weight where both composites of the pair act on classes
+    import superverma.homology as homology
+
+    r = ds_homology(verma_realization(3, (2, 1), (1, 1, 0, 1, 1, 0), 4), (1, 4))
+    bracket = homology.bracket
+
+    def dropped(n, x, y):
+        terms = bracket(n, x, y)
+        if (x, y) == ((2, 5), (5, 2)):
+            return tuple((u, c) for u, c in terms if u != (5, 5))
+        return terms
+
+    monkeypatch.setattr(homology, "bracket", dropped)
+    report = induced_bracket_check(r, [((2, 5), (5, 2)), ((3, 6), (6, 3))])
+    assert report["checked"] == 3 and not report["ok"]
+    assert report["failures"] == [{"pair": [[2, 5], [5, 2]], "weight": [1, 0, 1, -1, -1, 0]}]
+    assert sum(r.dims((1, 0, 1, -1, -1, 0))) == 2
+
+
+def test_the_bracket_check_reads_classes_modulo_the_boundaries(monkeypatch):
+    # moving each induced image by a boundary at its weight moves no class:
+    # the composites then differ from the bracket by boundaries, which the
+    # check must accept by rank, with the same comparisons
+    import superverma.homology as homology
+
+    # on the standard Borel with alpha = (1, 4), boundaries sit where the
+    # composites of these pairs land
+    r = ds_homology(verma_realization(2, (), (0, 1, 0, 1), 6), (1, 4))
+    induced = homology.induced_action
+
+    def moved_by_boundaries(result, g):
+        images = induced(result, g)
+        rw = root_weight(result.n, g)
+        for mu, moved in images.items():
+            wc = result.classes_at(add_weights(mu, rw))
+            for b in wc.image[:1] if wc else ():
+                for vec, (i, c) in product(moved, b.items()):
+                    bv = wc.basis[i]
+                    vec[bv] = vec.get(bv, 0) + c
+                    if not vec[bv]:
+                        del vec[bv]
+        return images
+
+    pairs = [((2, 3), (3, 2)), ((3, 2), (2, 3)), ((2, 3), (2, 2)), ((3, 3), (2, 3))]
+    expected = induced_bracket_check(r, pairs)
+    monkeypatch.setattr(homology, "induced_action", moved_by_boundaries)
+    assert induced_bracket_check(r, pairs) == expected
+    assert expected["ok"] and expected["checked"] > 0, expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,27 @@
-"""Exact linear algebra: frozen examples and algebraic invariants."""
+"""Exact linear algebra: frozen examples, algebraic invariants, and the integer
+elimination against the ``Fraction`` reduced echelon form of the oracles."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superverma.linalg import (
-    Echelon,
     SparseRationalMatrix,
     image_basis,
     kernel_basis,
     quotient_basis,
     rank,
+)
+
+from oracles import (
+    Echelon,
+    echelon_image_basis,
+    echelon_kernel_basis,
+    echelon_quotient_basis,
+    integer_line,
+    matmul,
 )
 
 F = Fraction
@@ -25,13 +34,22 @@ def from_rows(rows) -> SparseRationalMatrix:
     return SparseRationalMatrix(len(rows), ncols, entries)
 
 
+def from_columns(nrows: int, columns) -> SparseRationalMatrix:
+    """A matrix whose columns are the sparse vectors ``columns``."""
+    entries = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
+    return SparseRationalMatrix(nrows, len(columns), entries)
+
+
+def identity(n: int) -> SparseRationalMatrix:
+    return SparseRationalMatrix(n, n, {(i, i): 1 for i in range(n)})
+
 
 def test_rank_identity():
-    assert rank(SparseRationalMatrix.identity(2)) == 2
+    assert rank(identity(2)) == 2
 
 
 def test_rank_zero_matrix():
-    assert rank(SparseRationalMatrix.zero(3, 4)) == 0
+    assert rank(SparseRationalMatrix(3, 4)) == 0
 
 
 def test_rank_one_matrix():
@@ -41,53 +59,55 @@ def test_rank_one_matrix():
 
 def test_kernel_basis_canonical():
     m = from_rows([[1, 2], [2, 4]])
-    assert kernel_basis(m) == [(F(-2), F(1))]
+    assert kernel_basis(m) == [{0: -2, 1: 1}]
+    # the pivot 2 does not divide: the line of (-1/2, 1), in coprime integers
+    assert kernel_basis(from_rows([[2, 1]])) == [{0: -1, 1: 2}]
+    assert kernel_basis(from_rows([[F(1, 2), F(1, 3), 0]])) == [{0: -2, 1: 3}, {2: 1}]
 
 
 def test_image_basis_canonical():
     m = from_rows([[1, 2], [2, 4]])
-    assert image_basis(m) == [(F(1), F(2))]
+    assert image_basis(m) == [{0: 1, 1: 2}]
 
 
 def test_kernel_of_identity_is_empty():
-    assert kernel_basis(SparseRationalMatrix.identity(3)) == []
+    assert kernel_basis(identity(3)) == []
 
 
 def test_kernel_of_zero_is_full():
-    ker = kernel_basis(SparseRationalMatrix.zero(2, 3))
-    assert len(ker) == 3
-    assert ker[0] == (F(1), F(0), F(0))
+    ker = kernel_basis(SparseRationalMatrix(2, 3))
+    assert ker == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_matvec_and_matmul():
+    # the product of the oracles, which the tests use to compose unit matrices
     m = from_rows([[1, 2], [3, 4]])
-    assert m @ from_rows([[1], [0]]) == from_rows([[1], [3]])
-    sq = m @ m
-    assert sq == from_rows([[7, 10], [15, 22]])
+    assert matmul(m, from_rows([[1], [0]])) == from_rows([[1], [3]])
+    assert matmul(m, m) == from_rows([[7, 10], [15, 22]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        matmul(m, from_rows([[1, 2, 3]]))
 
 
 def test_quotient_basis_reports_dependent_input():
     with pytest.raises(ValueError, match="2 vectors span only 1"):
-        quotient_basis(2, [[1, 2], [2, 4]])
+        quotient_basis([{0: 1, 1: 2}, {0: 2, 1: 4}], [])
 
 
 def test_quotient_basis_projection():
-    echelon = quotient_basis(3, [[1, 0, 1]])
-    assert echelon.add([0, 1, 0], tag=0)
-    assert echelon.add([0, 0, 1], tag=1)
-    # a subspace vector has zero coset coordinates
-    assert echelon.coordinates([2, 0, 2], 2) == (F(0), F(0))
-    # coset coordinates are exact
-    assert echelon.coordinates([0, 5, 7], 2) == (F(5), F(7))
-    # coordinates are constant on cosets
-    assert echelon.coordinates([1, 5, 8], 2) == echelon.coordinates([0, 5, 7], 2)
+    subspace = [{0: 1, 2: 1}]
+    # a subspace vector and a multiple of a chosen candidate are refused
+    chosen = quotient_basis(subspace, [{0: 2, 2: 2}, {1: 1}, {1: 3}, {2: 1}, {0: 1}])
+    assert chosen == [{1: 1}, {2: 1}]
+    # a candidate is chosen modulo the subspace: (1, 5, 8) = (0, 5, 7) + (1, 0, 1)
+    assert quotient_basis(subspace, [{1: 5, 2: 7}, {0: 1, 1: 5, 2: 8}]) == [{1: 5, 2: 7}]
+    assert quotient_basis([], [{}, {0: F(1, 2)}]) == [{0: F(1, 2)}]
 
 
 def test_rejects_bad_shapes():
     with pytest.raises(ValueError):
         SparseRationalMatrix(2, 2, {(2, 0): 1})
     with pytest.raises(ValueError):
-        quotient_basis(2, [[1, 2, 3]])
+        SparseRationalMatrix(-1, 2)
 
 
 def test_no_stored_zeros():
@@ -114,7 +134,7 @@ def test_rank_nullity_and_exact_kernel(rows):
     ker = kernel_basis(m)
     assert rank(m) + len(ker) == m.ncols
     for v in ker:
-        assert not (m @ from_rows([[x] for x in v])).entries
+        assert not matmul(m, from_columns(m.ncols, [v])).entries
 
 
 @given(small_matrices)
@@ -124,12 +144,8 @@ def test_image_dimension_matches_rank(rows):
     img = image_basis(m)
     assert len(img) == rank(m)
     # every column lies in the span of the image basis
-    if img:
-        echelon = quotient_basis(m.nrows, img)
-        for col in zip(*rows):
-            assert echelon.coordinates(col, 0) == ()
-    else:
-        assert not m.entries
+    columns = [{r: v for r, v in enumerate(col) if v} for col in zip(*rows)]
+    assert quotient_basis(img, columns) == []
 
 
 @given(small_matrices)
@@ -142,7 +158,8 @@ def test_determinism(rows):
 
 
 # ---------------------------------------------------------------------------
-# The incremental echelon against Bareiss rank and exact recombination.
+# The ``Fraction`` echelon of the oracles against Bareiss rank and exact
+# recombination: the other side of the tests below must be sound itself.
 
 tagged_families = st.integers(1, 5).flatmap(
     lambda dim: st.tuples(
@@ -193,8 +210,21 @@ def test_echelon_coordinates_refuse_a_vector_outside_the_span(case):
             assert echelon.coordinates(e, len(family)) is not None
 
 
+def test_echelon_canonical_forms():
+    m = from_rows([[1, 2], [2, 4]])
+    assert echelon_kernel_basis(m) == [(F(-2), F(1))]
+    assert echelon_image_basis(m) == [(F(1), F(2))]
+    echelon = echelon_quotient_basis(3, [[1, 0, 1]])
+    assert echelon.add([0, 1, 0], tag=0)
+    assert echelon.add([0, 0, 1], tag=1)
+    assert echelon.coordinates([2, 0, 2], 2) == (F(0), F(0))
+    assert echelon.coordinates([1, 5, 8], 2) == (F(5), F(7))
+    with pytest.raises(ValueError, match="2 vectors span only 1"):
+        echelon_quotient_basis(2, [[1, 2], [2, 4]])
+
+
 # ---------------------------------------------------------------------------
-# Fraction-free rank against the Fraction reduced echelon form.
+# The integer elimination against the ``Fraction`` echelon.
 
 rank_entries = st.one_of(
     st.integers(-4, 4),
@@ -227,15 +257,72 @@ def rank_matrices(draw):
     return SparseRationalMatrix(nrows, ncols, entries)
 
 
+def _pivot_not_dividing() -> SparseRationalMatrix:
+    return from_rows([[2, 1, 0], [0, 3, 1]])
+
+
+@given(rank_matrices())
+@example(_pivot_not_dividing())
+@settings(max_examples=300, deadline=None)
+def test_kernel_basis_is_the_oracle_line_in_integers(m):
+    """Each kernel vector is the reduced-echelon null vector of the oracle,
+    in the same order, scaled to coprime ``int`` entries with a positive
+    free entry."""
+    got = kernel_basis(m)
+    assert all(type(v) is int for vector in got for v in vector.values())
+    assert got == [integer_line(v) for v in echelon_kernel_basis(m)]
+
+
+@given(rank_matrices())
+@settings(max_examples=200, deadline=None)
+def test_image_basis_spans_the_oracle_image(m):
+    got = image_basis(m)
+    assert len(got) == rank(m)
+    want = [integer_line(v) for v in echelon_image_basis(m)]
+    # each basis spans the other's vectors
+    assert quotient_basis(got, want) == [] and quotient_basis(want, got) == []
+
+
+quotient_cases = st.integers(1, 6).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), max_size=4),
+        st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), max_size=7),
+    )
+)
+
+
+def _sparse(vector) -> dict:
+    return {c: x for c, x in enumerate(vector) if x}
+
+
+@given(quotient_cases)
+@example((3, [[1, 0, 1]], [[2, 0, 2], [0, 1, 0], [0, 2, 0], [1, 1, 1], [0, 0, 1]]))
+@settings(max_examples=200, deadline=None)
+def test_quotient_basis_picks_the_oracle_tagged_vectors(case):
+    """The candidates chosen are those that the oracle's echelon, started
+    from the subspace, accepts with tags, in order."""
+    dim, family, candidates = case
+    # an independent subspace: the oracle's basis of the span of ``family``
+    spanned = echelon_image_basis(from_columns(dim, [_sparse(v) for v in family]))
+    subspace = [integer_line(v) for v in spanned]
+    echelon = echelon_quotient_basis(dim, subspace)
+    want = []
+    for vector in candidates:
+        if echelon.add(vector, tag=len(want)):
+            want.append(_sparse(vector))
+    assert quotient_basis(subspace, [_sparse(v) for v in candidates]) == want
+
+
 @given(rank_matrices())
 @settings(max_examples=300, deadline=None)
 def test_fraction_free_rank_matches_kernel_dimension(m):
-    assert rank(m) == m.ncols - len(kernel_basis(m))
+    assert rank(m) == m.ncols - len(echelon_kernel_basis(m)) == m.ncols - len(kernel_basis(m))
 
 
 def test_fraction_free_rank_of_empty_shapes():
     for shape in [(0, 0), (0, 4), (4, 0)]:
-        m = SparseRationalMatrix.zero(*shape)
+        m = SparseRationalMatrix(*shape)
         assert rank(m) == 0 == shape[1] - len(kernel_basis(m))
 
 
@@ -251,4 +338,4 @@ def test_rank_of_a_matrix_without_entries_builds_no_rows(shape, monkeypatch):
         raise AssertionError("rows built for a matrix without entries")
 
     monkeypatch.setattr(SparseRationalMatrix, "rows", no_rows)
-    assert rank(SparseRationalMatrix.zero(*shape)) == 0
+    assert rank(SparseRationalMatrix(*shape)) == 0

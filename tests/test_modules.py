@@ -49,6 +49,7 @@ from oracles import (
     brute_force_basis,
     certificate_forms,
     certified_maps,
+    matmul,
     power_peeling_act,
     raw_parity,
     singular_vectors,
@@ -491,7 +492,7 @@ def test_odd_unit_squares_to_zero_on_module():
         double = add_weights(target, root_weight(2, (3, 2)))
         if max(r.datum.depth_of(target), r.datum.depth_of(double)) > r.depth:
             continue
-        square = r.unit_matrix((3, 2), target) @ r.unit_matrix((3, 2), w)
+        square = matmul(r.unit_matrix((3, 2), target), r.unit_matrix((3, 2), w))
         assert square.entries == {}
         checked += 1
     assert checked > 0
@@ -804,7 +805,7 @@ def _check_representation(r, basis_count):
             target = add_weights(w, step)
             if max(r.datum.depth_of(w) for w in (target, add_weights(target, step))) > r.depth:
                 continue
-            assert (r.unit_matrix(unit, target) @ r.unit_matrix(unit, w)).entries == {}
+            assert matmul(r.unit_matrix(unit, target), r.unit_matrix(unit, w)).entries == {}
             squares += 1
     assert squares > 0
 
@@ -883,15 +884,13 @@ def _certificates_made(results, target, valid) -> list:
 
 
 def _assert_same_classes(warm, cold):
-    """Cosets of a view of a shared layout equal those of a lone layout."""
+    """Classes of a view of a shared layout equal those of a lone layout."""
     for w in warm.dim_table:
         got, want = warm.classes_at(w), cold.classes_at(w)
         assert got.offset == want.offset == sub_weights(w, warm.source.datum.hw)
         assert got.basis == want.basis
         assert (got.kernel, got.image) == (want.kernel, want.image), w
         assert got.reps == want.reps, w
-        for rep in want.reps:
-            assert got.reduce(rep) == want.reduce(rep), w
 
 
 def _certificate(label, result):

@@ -24,11 +24,9 @@ SRC = Path(superverma.__file__).parent
 
 ALLOWED_UNREACHED: set[str] = set()
 
-SHARED_METHOD_NAMES = {
-    "coordinates", "dims", "ok", "to_json", "total", "unit_terms", "xi",
-}
+SHARED_METHOD_NAMES = {"dims", "ok", "to_json", "unit_terms", "xi"}
 
-ATTRIBUTE_METHOD_NAMES = {"n", "offset", "rows"}
+ATTRIBUTE_METHOD_NAMES = {"n", "offset"}
 
 
 def _references_outside(trees, skip) -> tuple[set[str], set[str]]:

@@ -208,8 +208,8 @@ def test_gl11_verma_character():
     top = from_tuple(1, (3, 5), ())
     assert top == (3, -5)
     assert set(char.table) == {top, (2, -4)}
-    assert char.total(top) == 1
-    assert char.total((2, -4)) == 1
+    assert sum(char.dims(top)) == 1
+    assert sum(char.dims((2, -4))) == 1
     # parity split: top has par = -5 mod 2 = 1
     assert char.dims(top) == (0, 1)
     assert char.dims((2, -4)) == (1, 0)
@@ -229,7 +229,7 @@ def test_verma_character_depth1_layer_gl22():
     top = (0, 0, 0, 0)
     heights = height_functional(2, ())
     layer1 = {
-        w: char.total(w)
+        w: sum(char.dims(w))
         for w in char.table
         if sum(h * (a - b) for h, a, b in zip(heights, top, w)) == 1
     }
@@ -237,7 +237,7 @@ def test_verma_character_depth1_layer_gl22():
         sub_weights(top, root_weight(2, r)): 1 for r in [(1, 2), (2, 3), (3, 4)]
     }
     assert layer1 == simple_steps
-    assert char.total(top) == 1
+    assert sum(char.dims(top)) == 1
 
 
 @pytest.mark.parametrize("t", [(0, 0, 0, 0), (2, 0, 1, -1), (1, 1, 1, 0)])
@@ -277,11 +277,11 @@ def test_bg_character_mabg_gl22():
     char = bg_character(2, t, depth=3)
     top = from_tuple(2, t, b_outer(2))
     assert top == (1, 0, -1, 0)
-    assert char.total(top) == 1
+    assert sum(char.dims(top)) == 1
     # no diagonal odd factors: both pairs atypical; weights drop only along
     # the two common odd roots and the even roots
-    assert char.total(sub_weights(top, root_weight(2, (1, 3)))) == 0
-    assert char.total(sub_weights(top, root_weight(2, (1, 4)))) == 1
+    assert sum(char.dims(sub_weights(top, root_weight(2, (1, 3))))) == 0
+    assert sum(char.dims(sub_weights(top, root_weight(2, (1, 4))))) == 1
 
 
 def test_verma_weight_multiplicity_gl11():
@@ -299,7 +299,7 @@ def test_verma_weight_multiplicity_matches_character(label):
     char = verma_character(2, label, t, depth)
     top = from_tuple(2, t, label)
     for w in char.table:
-        assert verma_weight_multiplicity(2, label, top, w) == char.total(w)
+        assert verma_weight_multiplicity(2, label, top, w) == sum(char.dims(w))
     # and a weight outside the support
     off = tuple(v + 1 for v in top)
     assert verma_weight_multiplicity(2, label, top, off) == 0
