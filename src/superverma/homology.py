@@ -105,9 +105,9 @@ class DSResult:
     """Homology of one odd root action, valid on a stated depth region.
 
     In offsets from the anchor it holds the class count at every offset of
-    the valid region, in order (``cells``), its least nonzero ``(offset,
-    count)``, each map of ``e_alpha`` its run ranked, as ``(matrix, rank)``
-    by source offset (``maps``), and the classes built so far by offset.
+    the valid region, in order (``cells``), each map of ``e_alpha`` its run
+    ranked, as ``(matrix, rank)`` by source offset (``maps``), and the
+    classes built so far by offset.
     ``reads`` holds the ``Affine.terms`` of every anchor-dependent
     coefficient that the run and the certificates made from the result
     evaluated.  The counts hold no parity: :attr:`dim_table` translates them
@@ -118,7 +118,6 @@ class DSResult:
     alpha: Root
     valid_depth: int
     cells: dict[Weight, int] = field(repr=False)
-    first_nonzero: tuple | None = field(repr=False)
     maps: dict[Weight, tuple[SparseRationalMatrix, int]] = field(repr=False)
     reads: set = field(repr=False)
     classes: dict[Weight, WeightClasses] = field(default_factory=dict, repr=False)
@@ -239,8 +238,7 @@ def ds_homology(m: Realization, alpha: Root) -> DSResult:
         if count < 0:
             raise AssertionError(f"negative homology dimension at {add_weights(hw, off)}: {count}")
         cells[off] = count
-    first = next(((off, count) for off, count in cells.items() if count), None)
-    return DSResult(m, alpha, valid_depth, cells, first, maps, reads)
+    return DSResult(m, alpha, valid_depth, cells, maps, reads)
 
 
 def _lowered(layout, alpha: Root) -> dict[Weight, Weight]:
@@ -386,7 +384,7 @@ def certify_zero(result: DSResult) -> Certificate:
     if result.valid_depth < 0:
         return Certificate(INCONCLUSIVE, 0, {"reason": "valid region is empty"})
     checked = len(result.cells)
-    first = result.first_nonzero
+    first = next(((off, count) for off, count in result.cells.items() if count), None)
     if first is None:
         return Certificate(CERTIFIED, checked, {})
     off, count = first
@@ -649,8 +647,8 @@ def induced_bracket_check(result: DSResult, pairs) -> dict:
     class ``v`` at ``mu`` must have ``g1(g2 v) -+ g2(g1 v) - [g1, g2] v``
     among the boundaries ``B`` at ``mu + root(g1) + root(g2)``:
     ``rank [B | ...] = rank B``.  The inner actions are the induced ones.
-    Returns a report with the number of ``(pair, mu)`` comparisons and any
-    failures.
+    Returns a report with the number of ``(pair, mu)`` comparisons, counted
+    only where ``mu`` holds a class, and any failures.
     """
     m = result.source
     n = m.datum.n
@@ -678,10 +676,10 @@ def induced_bracket_check(result: DSResult, pairs) -> dict:
                 continue
             if not (acts(g1, mu) and acts(g2, mu) and acts(g1, up2) and acts(g2, up1)):
                 continue
-            checked += 1
             wc = result.classes_at(mu)
-            if wc is None:
+            if wc is None or not wc.reps:
                 continue
+            checked += 1
             defects = []
             for k in range(len(wc.reps)):
                 defect = m.act_unit(g1, act_of(g2)[mu][k])

@@ -71,9 +71,6 @@ class SparseRationalMatrix:
                 clean[(r, c)] = v
         self.entries = clean
 
-    def __getitem__(self, key: tuple[int, int]) -> Rational:
-        return self.entries.get(key, 0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseRationalMatrix):
             return NotImplemented

@@ -1,9 +1,9 @@
 """Truncated induced modules over gl(n|n) with exact PBW straightening.
 
 A module here is an induction ``U(g) ⊗_{U(p)} L`` presented on the PBW basis
-``f_1^{a_1} ··· f_k^{a_k} ⊗ x``: the ``f_i`` run over an ordered list of
-lowering root vectors (the complement of the inducing subalgebra ``p``) and
-``x`` over a basis of a finite or truncated ``p``-module ``L``.
+``f_1^{a_1} ··· f_k^{a_k} ⊗ x``: the ``f_i`` run, in increasing order, over
+the root vectors outside the inducing subalgebra ``p`` and ``x`` over a
+basis of a finite or truncated ``p``-module ``L``.
 
 The Levi module ``L`` is a :class:`TensorLevi` whose factors are
 :class:`RealizationFactor` objects, smaller realizations embedded on blocks
@@ -20,10 +20,10 @@ Actions and matrices that leave the region raise
 :class:`TruncationOverflow` — results are never silently dropped.
 
 The work is split in two.  A :class:`PBWLayout` depends on the shape of the
-induction (rank, inducing and levi roots, PBW order, heights, depth, levi
-module) but not on the anchor weight ``hw``.  It numbers the basis once, by
-weight offset from the anchor, in a walk that stops where no unit left fits
-the budget, keeps the cost and parity of each offset and, per unit, the
+induction (rank, inducing and levi roots, heights, depth, levi module) but
+not on the anchor weight ``hw``.  It numbers the basis once, by weight
+offset from the anchor, in a walk that stops where no unit left fits the
+budget, keeps the cost and parity of each offset and, per unit, the
 offset it moves each offset to, and holds the one straightening memo, whose
 coefficients are integers affine in ``hw``: a plain ``int`` when constant
 (almost always), otherwise an :class:`Affine`.  Straightening peels one PBW
@@ -95,26 +95,26 @@ class TruncationOverflow(RuntimeError):
 
 @dataclass(frozen=True)
 class InductionDatum:
-    """An induction problem: inducing subalgebra, PBW complement, anchor.
+    """An induction problem: inducing subalgebra, anchor, truncation.
 
     ``inducing_roots`` are the roots of the inducing subalgebra (the Cartan
     is always included implicitly); ``levi_roots`` marks the subset acting
-    through a genuine module rather than by zero.  ``complement_order`` fixes
-    the PBW order.  ``hw`` anchors the truncation region and, for
-    one-dimensional inductions, is the inflated weight.  ``heights`` define
-    the truncation functional.
+    through a genuine module rather than by zero.  The PBW order,
+    :attr:`complement_order`, is derived from them: the roots outside the
+    inducing subalgebra, in increasing order.  ``hw`` anchors the truncation
+    region and, for one-dimensional inductions, is the inflated weight.
+    ``heights`` define the truncation functional.
     """
 
     n: int
     inducing_roots: frozenset[Root]
-    complement_order: tuple[Root, ...]
     hw: Weight
     parity_shift: int
     heights: tuple[int, ...]
     levi_roots: frozenset[Root] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        forms = _validate_shape(self.shape)
+        _complement, forms = _validate_shape(self.shape)
         if len(self.hw) != 2 * self.n:
             raise ValueError("weight or height vector has wrong rank")
         # the anchor weight kills every Cartan bracket of non-levi opposite
@@ -133,9 +133,14 @@ class InductionDatum:
             self.n,
             self.inducing_roots,
             self.levi_roots,
-            self.complement_order,
             self.heights,
         )
+
+    @property
+    def complement_order(self) -> tuple[Root, ...]:
+        """The PBW order: the roots outside the inducing subalgebra, in
+        increasing order."""
+        return _validate_shape(self.shape)[0]
 
     def xi(self, vec) -> int:
         return sum(h * v for h, v in zip(self.heights, vec, strict=True))
@@ -158,18 +163,19 @@ class InductionDatum:
 def _validate_shape(shape: tuple) -> tuple:
     """Check everything of a datum but its anchor, once per shape.
 
-    Returns the Cartan brackets the anchor must kill, as ``(root, opposite,
-    form)`` with ``form`` the ``(index, coefficient)`` pairs of the bracket.
-    A rejected shape is not cached, so it is rejected again on every datum.
+    Returns the PBW order, the roots outside the inducing subalgebra in
+    increasing order, and the Cartan brackets the anchor must kill, as
+    ``(root, opposite, form)`` with ``form`` the ``(index, coefficient)``
+    pairs of the bracket.  A rejected shape is not cached, so it is rejected
+    again on every datum.
     """
-    n, inducing, levi_roots, complement, heights = shape
+    n, inducing, levi_roots, heights = shape
     every = set(all_roots(n))
+    if not inducing <= every:
+        raise ValueError("inducing roots must be roots")
     if not levi_roots <= inducing:
         raise ValueError("levi roots must be inducing roots")
-    if inducing | set(complement) != every or inducing & set(complement):
-        raise ValueError("inducing and complement roots must partition the roots")
-    if len(complement) != len(set(complement)):
-        raise ValueError("duplicate complement root")
+    complement = tuple(sorted(every - inducing))
     if len(heights) != 2 * n:
         raise ValueError("weight or height vector has wrong rank")
     # the inducing subalgebra is closed under the bracket
@@ -191,7 +197,7 @@ def _validate_shape(shape: tuple) -> tuple:
             (unit[0] - 1, coef) for unit, coef in bracket(n, r, opposite) if is_cartan(unit)
         )
         forms.append((r, opposite, form))
-    return tuple(forms)
+    return complement, tuple(forms)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +208,9 @@ class RealizationFactor:
     """A truncated realization of gl(m|m) embedded as a Levi block.
 
     ``coord_map`` sends local storage coordinates 1..2m to ambient storage
-    coordinates; units and weights translate along it.
+    coordinates; units and weights translate along it.  The states are the
+    realization's basis vectors, numbered once by weight, and each unit acts
+    through the realization's straightening memo.
     """
 
     def __init__(self, realization: "Realization", n: int, coord_map: tuple[int, ...]):
@@ -215,17 +223,16 @@ class RealizationFactor:
         self._to_local = {amb: loc + 1 for loc, amb in enumerate(coord_map)}
         self.hw = self._lift_weight(realization.datum.hw)
         self.states = []
-        self._by_local: dict[tuple[Weight, int], int] = {}
-        self._local_keys: list[tuple[Weight, int]] = []
+        self._vectors = []
         for w in sorted(realization.weight_spaces):
-            for idx in range(len(realization.weight_spaces[w])):
-                self._by_local[(w, idx)] = len(self.states)
-                self._local_keys.append((w, idx))
-                self.states.append((self._lift_weight(w), realization.space_parity(w)))
+            state = (self._lift_weight(w), realization.space_parity(w))
+            for bvec in realization.weight_spaces[w]:
+                self._vectors.append(bvec)
+                self.states.append(state)
+        self._index = {bvec: i for i, bvec in enumerate(self._vectors)}
         self.roots = frozenset(
             (coord_map[p - 1], coord_map[q - 1]) for p, q in all_roots(m)
         )
-        self._matrices: dict = {}
 
     def _lift_weight(self, w: Weight) -> Weight:
         out = [0] * (2 * self.n)
@@ -234,35 +241,30 @@ class RealizationFactor:
         return tuple(out)
 
     def unit_terms(self, unit: Unit, state: int):
-        """The ``(state, coefficient)`` terms of the unit on one state, read
-        from a column of the factor's unit matrix; each ``(unit, weight)``
-        matrix is built once per factor."""
-        m = self.realization.datum.n
+        """The ``(state, coefficient)`` terms of the unit on one state, in
+        increasing state order, each coefficient nonzero.  A nonzero term
+        beyond the factor's truncation raises :class:`TruncationOverflow`;
+        terms that are all zero give no terms, even where the target weight
+        lies beyond the truncation."""
         local_unit = (self._to_local[unit[0]], self._to_local[unit[1]])
-        w, idx = self._local_keys[state]
-        matrix = self._matrices.get((local_unit, w))
-        if matrix is None:
-            matrix = self._matrices[local_unit, w] = self.realization.unit_matrix(local_unit, w)
-        target = add_weights(w, root_weight(m, root_of(m, local_unit)))
-        out = []
-        for r in range(matrix.nrows):
-            value = matrix[r, idx]
-            if value:
-                out.append((self._by_local[(target, r)], value))
-        return out
+        image = self.realization.act_unit(local_unit, {self._vectors[state]: 1})
+        return sorted((self._index[bvec], c) for bvec, c in image.items())
 
 
 class TensorLevi:
     """Outer tensor product of factors covering disjoint coordinate blocks.
 
     With no factors it is the one-dimensional module k_hw: its one state
-    sits at the anchor and every root vector acts by zero.
+    sits at the anchor and every root vector acts by zero.  Each root acts
+    through the one factor that owns it, found in a table made once; the
+    terms name distinct states, each with a nonzero coefficient.
     """
 
     def __init__(self, n: int, factors):
         self.n = n
         self.factors = list(factors)
-        self.roots = frozenset().union(*(f.roots for f in self.factors))
+        self._owners = {r: j for j, f in enumerate(self.factors) for r in f.roots}
+        self.roots = frozenset(self._owners)
         zero = (0,) * (2 * n)
         self.hw = reduce(add_weights, (f.hw for f in self.factors), zero)
         self._keys = list(product(*(range(len(f.states)) for f in self.factors)))
@@ -275,11 +277,7 @@ class TensorLevi:
 
     def unit_terms(self, unit: Unit, state: int):
         key = self._keys[state]
-        owner = None
-        for j, f in enumerate(self.factors):
-            if root_of(self.n, unit) in f.roots:
-                owner = j
-                break
+        owner = self._owners.get(root_of(self.n, unit))
         if owner is None:
             return []
         sign = 1
@@ -375,8 +373,8 @@ class PBWLayout:
     """The anchor-free part of a truncated induction: basis and straightening.
 
     A layout depends on the shape of a datum (rank, inducing and levi roots,
-    PBW order, heights), the depth and the levi module, never on the anchor
-    weight ``hw``.  Basis vectors are pairs ``(exponents, levi_state)``:
+    heights), the depth and the levi module, never on the anchor weight
+    ``hw``.  Basis vectors are pairs ``(exponents, levi_state)``:
     exponents align with the PBW order (odd-root exponents are 0 or 1), the
     levi state indexes the levi module's basis.  Construction numbers every
     basis vector of height-depth at most ``depth`` in one walk that carries
@@ -583,12 +581,9 @@ class PBWLayout:
         if first is None or (position is not None and position <= first):
             # vacuum zone, or a complement unit that lands in PBW position
             if position is None:
-                result = {}
-                if unit in self.levi_roots:
-                    for s2, coef in self.levi.unit_terms(unit, state):
-                        result[(exps, s2)] = result.get((exps, s2), 0) + coef
-                    result = {bv: c for bv, c in result.items() if c}
-                # otherwise an inducing non-levi root vector kills the vacuum
+                # an inducing non-levi root vector kills the vacuum
+                terms = self.levi.unit_terms(unit, state) if unit in self.levi_roots else ()
+                result = {(exps, s2): c for s2, c in terms}
             elif self._odd[position] and exps[position] == 1:
                 result = {}
             else:
@@ -823,20 +818,14 @@ class Realization:
 # Datum constructors.
 
 
-def _ordered_complement(n: int, roots) -> tuple[Root, ...]:
-    return tuple(sorted(roots))
-
-
 def verma_datum(n: int, label: Label, t) -> InductionDatum:
     """Verma induction from a Borel: inducing roots are the positives."""
     label = normalize_label(label, n)
     pos = positive_roots(n, label)
     hw = from_tuple(n, t, label)
-    complement = _ordered_complement(n, ((q, p) for p, q in pos))
     return InductionDatum(
         n=n,
         inducing_roots=pos,
-        complement_order=complement,
         hw=hw,
         parity_shift=par(n, hw),
         heights=height_functional(n, label),
@@ -852,11 +841,9 @@ def bg_datum(n: int, t) -> InductionDatum:
         if t[k - 1] == t[n + k - 1]:
             pos.add((n + k, k))
     hw = from_tuple(n, t, base)
-    complement = _ordered_complement(n, (r for r in all_roots(n) if r not in pos))
     return InductionDatum(
         n=n,
         inducing_roots=frozenset(pos),
-        complement_order=complement,
         hw=hw,
         parity_shift=par(n, hw),
         heights=height_functional(n, base),
@@ -872,11 +859,9 @@ def union_borel_datum(n: int, labels, hw: Weight) -> InductionDatum:
     pos: set[Root] = set()
     for label in labels:
         pos |= positive_roots(n, normalize_label(label, n))
-    complement = _ordered_complement(n, (r for r in all_roots(n) if r not in pos))
     return InductionDatum(
         n=n,
         inducing_roots=frozenset(pos),
-        complement_order=complement,
         hw=hw,
         parity_shift=par(n, hw),
         heights=height_functional(n, normalize_label(labels[0], n)),
@@ -933,7 +918,6 @@ def bg_module_datum(n: int, specs) -> InductionDatum:
     return InductionDatum(
         n=n,
         inducing_roots=inducing,
-        complement_order=_ordered_complement(n, (r for r in roots if r not in inducing)),
         hw=tuple(top[0] for top in tops) + tuple(top[1] for top in tops),
         parity_shift=0,
         heights=height_functional(n, hypercube_label(n, gamma)),
@@ -997,13 +981,11 @@ def parabolic_IJ_datum(n: int, label1: Label, label2: Label, levi: TensorLevi) -
         )
     )
     inducing = frozenset(u_roots) | levi_roots
-    complement = _ordered_complement(n, ((q, p) for p, q in u_roots))
     hw = levi.hw
     joined = star(1, normalize_label(label1, 1), n - 1, normalize_label(label2, n - 1))
     return InductionDatum(
         n=n,
         inducing_roots=inducing,
-        complement_order=complement,
         hw=hw,
         parity_shift=0,
         heights=height_functional(n, joined),
@@ -1025,7 +1007,6 @@ def gl11_simple_datum(a: int) -> InductionDatum:
     return InductionDatum(
         n=1,
         inducing_roots=frozenset({(1, 2), (2, 1)}),
-        complement_order=(),
         hw=hw,
         parity_shift=par(1, hw),
         heights=height_functional(1, ()),

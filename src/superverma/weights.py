@@ -114,22 +114,19 @@ class Character:
 
     ``table`` maps weights to (even_dim, odd_dim).  The declared complete
     region is every weight w with xi(top - w) <= depth, where xi is the
-    linear functional with the given per-coordinate heights; ``depth``
-    None means the character is complete everywhere.
+    linear functional with the given per-coordinate heights.
     """
 
     n: int
     top: Weight
     heights: tuple[int, ...]
-    depth: int | None
+    depth: int
     table: dict[Weight, tuple[int, int]] = field(default_factory=dict)
 
     def xi(self, vec) -> int:
         return sum(h * v for h, v in zip(self.heights, vec, strict=True))
 
     def contains(self, weight: Weight) -> bool:
-        if self.depth is None:
-            return True
         return self.xi(sub_weights(self.top, weight)) <= self.depth
 
     def dims(self, weight: Weight) -> tuple[int, int]:

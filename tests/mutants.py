@@ -298,4 +298,18 @@ MUTANTS = (
         "            if any(defects):\n",
         "tests/test_homology.py::test_the_bracket_check_reads_classes_modulo_the_boundaries",
     ),
+    Mutant(
+        "pbw-order-unsorted",
+        MODULES,
+        "    complement = tuple(sorted(every - inducing))\n",
+        "    complement = tuple(every - inducing)\n",
+        "tests/test_modules.py::test_the_pbw_order_is_the_increasing_complement_of_the_inducing_roots",
+    ),
+    Mutant(
+        "factor-term-at-the-previous-state",
+        MODULES,
+        "{self._vectors[state]: 1}",
+        "{self._vectors[state - 1]: 1}",
+        "tests/test_modules.py::test_factor_terms_are_the_columns_of_the_factor_matrices",
+    ),
 )

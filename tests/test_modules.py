@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superverma.borels import all_borels, star
+from superverma.borels import all_borels, b_outer, positive_roots, star
 from superverma.modules import (
     InductionDatum,
     Realization,
+    RealizationFactor,
     TruncationOverflow,
     bg_datum,
     bg_module,
@@ -22,13 +23,17 @@ from superverma.modules import (
     form_values,
     gl11_simple_datum,
     level_form,
+    parabolic_IJ_datum,
+    parabolic_IJ_levi,
     parabolic_IJ_realization,
     union_borel_datum,
     verma_datum,
     verma_realization,
 )
 from superverma.superalgebra import (
+    all_roots,
     bracket,
+    good_degree,
     root_of,
     root_units,
     root_weight,
@@ -222,17 +227,15 @@ def _broken_datum(defect: str) -> InductionDatum:
     fields = dict(
         n=2,
         inducing_roots=full.inducing_roots,
-        complement_order=full.complement_order,
         hw=full.hw,
         parity_shift=0,
         heights=full.heights,
     )
     if defect == "levi":
         fields["levi_roots"] = frozenset({(2, 1)})
-    elif defect == "partition":
-        fields["complement_order"] = full.complement_order[1:]
-    elif defect == "duplicate":
-        fields["complement_order"] = full.complement_order + full.complement_order[:1]
+    elif defect == "not-a-root":
+        # rank 2 has coordinates 1..4, so (1, 5) names no root
+        fields["inducing_roots"] = full.inducing_roots | {(1, 5)}
     elif defect == "heights":
         fields["heights"] = full.heights[:3]
     elif defect == "hw":
@@ -242,7 +245,6 @@ def _broken_datum(defect: str) -> InductionDatum:
         # system into the complement leaves the inducing set unclosed; a
         # simple root such as (1, 2) would trip the depth-cost check instead
         fields["inducing_roots"] = full.inducing_roots - {(1, 4)}
-        fields["complement_order"] = tuple(sorted(full.complement_order + ((1, 4),)))
     elif defect == "cost":
         # negated heights give every complement root a nonpositive cost
         fields["heights"] = tuple(-h for h in full.heights)
@@ -268,8 +270,7 @@ def test_datum_validation_rejects_cheap_complement_root():
     "defect, message",
     [
         ("levi", "levi roots must be inducing roots"),
-        ("partition", "must partition the roots"),
-        ("duplicate", "duplicate complement root"),
+        ("not-a-root", "inducing roots must be roots"),
         ("heights", "wrong rank"),
         ("hw", "wrong rank"),
         ("closure", "not closed"),
@@ -285,6 +286,36 @@ def test_datum_rejections_are_not_remembered(defect, message):
             _broken_datum(defect)
     # a rejected anchor leaves its shape valid for a good one
     assert union_borel_datum(2, [(), (1,)], (0, 0, 0, 0)).hw == (0, 0, 0, 0)
+
+
+def test_the_pbw_order_is_the_increasing_complement_of_the_inducing_roots():
+    # each constructor once passed its PBW order; the derived order must be
+    # the one it passed, written out here per constructor
+    for n in (1, 2, 3, 4):
+        for label in all_borels(n):
+            negatives = sorted((q, p) for p, q in positive_roots(n, label))
+            datum = verma_datum(n, label, (0,) * (2 * n))
+            assert datum.complement_order == tuple(negatives)
+    for t in [(2, -1, 2, -1), (2, -1, 3, -1), (2, -1, 0, 5)]:
+        n = 2
+        pos = set(positive_roots(n, b_outer(n)))
+        pos |= {(n + k, k) for k in range(1, n + 1) if t[k - 1] == t[n + k - 1]}
+        want = tuple(sorted(r for r in all_roots(n) if r not in pos))
+        assert bg_datum(n, t).complement_order == want
+    pos = positive_roots(2, ()) | positive_roots(2, (1,))
+    want = tuple(sorted(r for r in all_roots(2) if r not in pos))
+    assert union_borel_datum(2, [(), (1,)], (2, 1, -1, -3)).complement_order == want
+    for n in (1, 2, 3):
+        datum = bg_module_datum(n, [("simple", 0, 0)] * n)
+        want = tuple(sorted(r for r in all_roots(n) if good_degree(n, r) < 0))
+        assert datum.complement_order == want
+    for n, t in [(2, (3, 1, -2, -4)), (3, (1, 1, 0, 1, 1, 0))]:
+        levi = parabolic_IJ_levi(n, (), (1,), t, 3)
+        i_coords = {1, n + 1}
+        u_roots = [(p, q) for p in i_coords for q in range(1, 2 * n + 1) if q not in i_coords]
+        want = tuple(sorted((q, p) for p, q in u_roots))
+        assert parabolic_IJ_datum(n, (), (1,), levi).complement_order == want
+    assert gl11_simple_datum(4).complement_order == ()
 
 
 def test_gl11_simple_is_one_dimensional():
@@ -481,7 +512,7 @@ def test_cartan_units_act_by_weight_coordinates():
             assert m.nrows == m.ncols == len(basis)
             for a in range(len(basis)):
                 for b in range(len(basis)):
-                    assert m[a, b] == (w[i - 1] if a == b else 0)
+                    assert m.entries.get((a, b), 0) == (w[i - 1] if a == b else 0)
 
 
 def test_odd_unit_squares_to_zero_on_module():
@@ -702,26 +733,61 @@ def test_bg_levi_factors_act_inside_their_region():
                 f.unit_terms(unit, state)
 
 
-def test_a_factor_builds_each_unit_matrix_once(monkeypatch):
-    # a factor state sits in many tensor states, and each of them reads a
-    # column of the same factor matrix; the terms equal those of a levi
-    # built afresh for each call
-    specs = [("verma_eps", 2, 2), ("verma_delta", 1, 1), ("simple", 3, 1)]
-    shape = bg_module_levi(3, specs)
-    calls = [(unit, state) for unit in sorted(shape.roots) for state in range(len(shape.states))]
-    fresh = [bg_module_levi(3, specs).unit_terms(unit, state) for unit, state in calls]
-    built: dict = {}
-    unit_matrix = Realization.unit_matrix
+def _factor_levis():
+    """The bg levis at ranks 2 and 3 and the levis of the rank-3 functor
+    identity case."""
+    yield bg_module_levi(2, [("verma_eps", 2, 2), ("simple", 3, 1)])
+    yield bg_module_levi(3, [("verma_eps", 2, 2), ("verma_delta", 1, 1), ("simple", 0, 0)])
+    yield parabolic_IJ_levi(3, (), (1,), (1, 1, 0, 1, 1, 0), 4)
+    yield parabolic_IJ_levi(3, (), (2, 1), (0, 1, 0, 0, 1, 0), 3)
 
-    def counted(self, unit, source):
-        built[id(self), unit, source] = built.get((id(self), unit, source), 0) + 1
-        return unit_matrix(self, unit, source)
 
-    monkeypatch.setattr(Realization, "unit_matrix", counted)
-    levi = bg_module_levi(3, specs)
-    assert [levi.unit_terms(unit, state) for unit, state in calls] == fresh
-    assert any(fresh) and max(built.values()) == 1
-    assert len(built) < len(calls)
+def _column_terms(f: RealizationFactor, unit, state: int):
+    """The other side of ``unit_terms``: the nonzero column of the factor's
+    unit matrix at the state's weight, with each row numbered as a state;
+    ``None`` where the matrix leaves the factor's truncation."""
+    r = f.realization
+    weights = sorted(r.weight_spaces)
+    first = dict(zip(weights, accumulate((len(r.weight_spaces[w]) for w in weights), initial=0)))
+    w = next(w for w in reversed(weights) if first[w] <= state)
+    local = (f.coord_map.index(unit[0]) + 1, f.coord_map.index(unit[1]) + 1)
+    try:
+        matrix = r.unit_matrix(local, w)
+    except TruncationOverflow:
+        return None
+    target = first[add_weights(w, root_weight(r.datum.n, local))] if matrix.nrows else 0
+    return [
+        (target + row, value)
+        for (row, col), value in sorted(matrix.entries.items())
+        if col == state - first[w]
+    ]
+
+
+def test_factor_terms_are_the_columns_of_the_factor_matrices(monkeypatch):
+    # the terms are read from the factor's straightening memo; a column of
+    # the factor's unit matrix is the other side, wherever that matrix
+    # stays inside the truncation
+    factors = [f for levi in _factor_levis() for f in levi.factors]
+    calls = [(f, unit, s) for f in factors for unit in sorted(f.roots) for s in range(len(f.states))]
+
+    def refused(self, unit, source):
+        raise AssertionError("unit_terms built a unit matrix")
+
+    monkeypatch.setattr(Realization, "unit_matrix", refused)
+    got = []
+    for f, unit, s in calls:
+        try:
+            got.append(f.unit_terms(unit, s))
+        except TruncationOverflow:
+            got.append(None)
+    monkeypatch.undo()
+    compared = 0
+    for (f, unit, s), terms in zip(calls, got):
+        want = _column_terms(f, unit, s)
+        if want is not None:
+            assert terms == want, (f.coord_map, unit, s)
+            compared += bool(want)
+    assert compared > 50
 
 
 def test_bg_datum_is_the_nonnegative_good_degree_part():

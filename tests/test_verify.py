@@ -594,11 +594,11 @@ DEFAULT_REPORTS = {
     ),
     "structure2": (
         lambda: verify_structure(2),
-        "840bd7b0c46849bb1ce113b631699986c79abbeeaee30160d7e3574609b7b5e8",
+        "66437f566afc98d8e03e149e67ee3ee476dbc0a77f92ec3344f5c2accf93278b",
     ),
     "structure3": (
         lambda: verify_structure(3),
-        "b6fea4a894b587d782301402fd2202d40e7aaf7bf4a86eb39c2ddb5aa5948ee5",
+        "772ac467d58b7c2aa2bce274e1bf22d21864c4bf6b47044f0818a73a3908ce2e",
     ),
     "conjecture1": (
         lambda: verify_conjecture(1),
