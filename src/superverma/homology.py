@@ -32,23 +32,26 @@ linear superalgebra one size down.  This module computes:
                             (census, then ranks modulo im e_alpha);
 * ``certify_zero``       -- certificate that the homology vanishes;
 * ``contraction_check``  -- the explicit contracting-homotopy identities on
-                            the symmetric algebra of the abelian radical;
+                            the symmetric algebra of the abelian radical,
+                            in integers: through degree ``d`` the homotopy
+                            ``D^{-1} h`` is scaled by ``lcm(1..d)``;
 * ``ses_supercharacter_check`` -- six-term exactness constraints for the
                             homology of a short exact sequence.
 
 All verdicts are relative to the truncation: ``CERTIFIED-TO-DEPTH`` means
 every check passed on the complete region, ``REFUTED`` means an exact
 mismatch was found (sound absolutely), ``INCONCLUSIVE`` means the region
-was too shallow to decide.
+was too shallow to decide.  The module holds no ``Fraction``: ranks and
+classes come from the fraction-free elimination of ``linalg``, and the
+contraction identities are checked in integers.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache, cached_property
-from itertools import product
+from math import lcm
 from operator import add
 
 from .borels import (
@@ -878,18 +881,28 @@ class ContractionComplex:
         return _derive(self.parities, self._h_images, mono)
 
     def monomials(self, max_degree: int):
-        ranges = [
-            range(2) if p else range(max_degree + 1) for p in self.parities
-        ]
-        for exps in product(*ranges):
-            if sum(exps) <= max_degree:
-                yield exps
+        """Exponent tuples of degree at most ``max_degree`` in lexicographic
+        order: the walk gives each position at most the degree left, and an
+        odd generator at most once."""
+        tops = [1 if p else max_degree for p in self.parities]
+        k = len(tops)
+
+        def walk(i: int, prefix: tuple, left: int):
+            if i == k:
+                yield prefix
+                return
+            for e in range(min(tops[i], left) + 1):
+                yield from walk(i + 1, (*prefix, e), left - e)
+
+        yield from walk(0, (), max_degree)
 
     def check(self, max_degree: int) -> dict:
         # the composites reach each monomial's images many times: compute
-        # every delta, h and s image once per check, and expand on them
+        # every delta, h and s image once per check, and expand on them; s is
+        # the homotopy scaled by lcm(1..max_degree), so it stays integral
+        scale = lcm(*range(1, max_degree + 1))
         delta, h = cache(self.delta), cache(self.h)
-        s = cache(lambda mono: _homotopy(h(mono), self.degree(mono)))
+        s = cache(lambda mono: _homotopy(h(mono), self.degree(mono), scale))
         failures = []
         count = 0
         for mono in self.monomials(max_degree):
@@ -900,7 +913,7 @@ class ContractionComplex:
                 failures.append({"identity": "delta*h + h*delta = D", "monomial": mono})
                 continue
             lhs = _combine(delta, s, mono)
-            expected = {mono: 1} if deg else {}
+            expected = {mono: scale} if deg else {}
             if lhs != expected:
                 failures.append(
                     {"identity": "delta*s + s*delta = id - pi", "monomial": mono}
@@ -949,11 +962,16 @@ def _derive(parities, images, mono) -> dict:
     return out
 
 
-def _homotopy(h_image: dict, degree: int) -> dict:
-    """Degree-normalized homotopy: s = D^{-1} h, zero on constants."""
+def _homotopy(h_image: dict, degree: int, scale: int) -> dict:
+    """Scaled degree-normalized homotopy: ``scale * D^{-1} h``, zero on
+    constants.  ``h`` keeps the degree, so this is exact exactly when
+    ``degree`` divides ``scale``; anything else is refused, never floored."""
     if degree == 0:
         return {}
-    return {k: Fraction(v, degree) for k, v in h_image.items()}
+    if scale % degree:
+        raise AssertionError(f"degree {degree} does not divide the scale {scale}")
+    factor = scale // degree
+    return {k: v * factor for k, v in h_image.items()}
 
 
 def _combine(first, second, mono) -> dict:

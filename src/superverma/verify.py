@@ -770,12 +770,15 @@ def _axioms_case(n: int) -> CaseResult:
             pairs += 1
 
     def jacobi(xu, yu, zu) -> bool:
-        # [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]] on integer combinations
-        sign = -1 if parity[xu] and parity[yu] else 1
-        lhs = bracket_elements(n, ((xu, 1),), bracket(n, yu, zu))
-        rhs = bracket_elements(n, bracket(n, xu, yu), ((zu, 1),))
-        for w, c in bracket_elements(n, ((yu, 1),), bracket(n, xu, zu)).items():
-            rhs[w] = rhs.get(w, 0) + sign * c
+        # [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]] on integer
+        # combinations; an empty inner bracket contributes {} unbracketed
+        yz, xy, xz = bracket(n, yu, zu), bracket(n, xu, yu), bracket(n, xu, zu)
+        lhs = bracket_elements(n, ((xu, 1),), yz) if yz else {}
+        rhs = bracket_elements(n, xy, ((zu, 1),)) if xy else {}
+        if xz:
+            sign = -1 if parity[xu] and parity[yu] else 1
+            for w, c in bracket_elements(n, ((yu, 1),), xz).items():
+                rhs[w] = rhs.get(w, 0) + sign * c
         return lhs == {w: c for w, c in rhs.items() if c}
 
     triples = 0

@@ -312,4 +312,18 @@ MUTANTS = (
         "{self._vectors[state - 1]: 1}",
         "tests/test_modules.py::test_factor_terms_are_the_columns_of_the_factor_matrices",
     ),
+    Mutant(
+        "homotopy-scale-off-by-one",
+        HOMOLOGY,
+        "    factor = scale // degree\n",
+        "    factor = scale // degree + 1\n",
+        "tests/test_homology.py::test_the_scaled_homotopy_is_the_fraction_oracle_times_the_scale[2]",
+    ),
+    Mutant(
+        "jacobi-skips-the-xz-term",
+        VERIFY,
+        "        if xz:\n",
+        "        if xy:\n",
+        "tests/test_verify.py::test_axioms_pass_on_the_true_bracket[2-256-4096]",
+    ),
 )

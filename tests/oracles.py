@@ -811,6 +811,18 @@ def bracket_elements(x: Element, y: Element) -> Element:
 
 
 # ---------------------------------------------------------------------------
+# The contracting homotopy over ``Fraction``: the unscaled side of the
+# library's integer homotopy on the abelian radical.
+
+
+def fraction_homotopy(h_image: dict, degree: int) -> dict:
+    """Degree-normalized homotopy: s = D^{-1} h, zero on constants."""
+    if degree == 0:
+        return {}
+    return {k: Fraction(v, degree) for k, v in h_image.items()}
+
+
+# ---------------------------------------------------------------------------
 # The two involutions of gl(n|n) that preserve the standard even Borel: the
 # flip ``at`` and the block reversal ``c``.  Each sends e_ij to
 # +/- e_{w(j), w(i)} for an index permutation w, so it maps a Verma module of

@@ -65,6 +65,7 @@ from oracles import (
     bilinear_form,
     coset_certify_verma_iso,
     coset_classes,
+    fraction_homotopy,
     full_ds_table,
     integer_line,
     map_root_at,
@@ -1256,6 +1257,91 @@ def test_contraction_check_derives_each_image_once(monkeypatch):
     report = contraction_check(3, 4)
     assert report["ok"] and report["monomials"] > 1
     assert derived and max(derived.values()) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_scaled_homotopy_is_the_fraction_oracle_times_the_scale(n):
+    # S = scale * D^{-1} h in integers, and delta*S + S*delta = scale * id
+    # - pi, on every monomial through degree 6, exactly as scale times the
+    # Fraction side
+    from superverma.homology import _combine, _homotopy
+
+    cc = ContractionComplex(n)
+    scale = 60  # lcm(1..6)
+
+    def scaled(mono):
+        return _homotopy(cc.h(mono), cc.degree(mono), scale)
+
+    def oracle(mono):
+        return fraction_homotopy(cc.h(mono), cc.degree(mono))
+
+    count = 0
+    for mono in cc.monomials(6):
+        count += 1
+        image = scaled(mono)
+        assert all(type(c) is int for c in image.values())
+        assert image == {k: scale * c for k, c in oracle(mono).items()}
+        composite = _combine(cc.delta, scaled, mono)
+        assert all(type(c) is int for c in composite.values())
+        assert composite == {k: scale * c for k, c in _combine(cc.delta, oracle, mono).items()}
+        assert composite == ({mono: scale} if cc.degree(mono) else {})
+    assert count == {2: 85, 3: 1289}[n]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_monomial_walk_is_the_filtered_product_in_order(n):
+    cc = ContractionComplex(n)
+    for d in range(7):
+        ranges = [range(2) if p else range(d + 1) for p in cc.parities]
+        assert list(cc.monomials(d)) == [e for e in product(*ranges) if sum(e) <= d]
+
+
+def test_the_homotopy_refuses_a_degree_that_does_not_divide_the_scale():
+    from superverma.homology import _homotopy
+
+    image = {(0, 1, 0, 0): -1}
+    assert _homotopy(image, 4, 12) == {(0, 1, 0, 0): -3}
+    assert _homotopy(image, 0, 12) == {}
+    for degree, scale in ((4, 6), (7, 60), (5, 1)):
+        with pytest.raises(AssertionError):
+            _homotopy(image, degree, scale)
+
+
+def test_a_flipped_homotopy_sign_fails_both_identities(monkeypatch):
+    from superverma.homology import _combine, _homotopy
+
+    init = ContractionComplex.__init__
+
+    def flipped(self, n):
+        init(self, n)
+        first = min(self._h_images)
+        self._h_images[first] = [(y, -c) for y, c in self._h_images[first]]
+
+    monkeypatch.setattr(ContractionComplex, "__init__", flipped)
+    cc = ContractionComplex(2)
+    scale = 60
+
+    def scaled(mono):
+        return _homotopy(cc.h(mono), cc.degree(mono), scale)
+
+    broken = [
+        mono
+        for mono in cc.monomials(6)
+        if _combine(cc.delta, cc.h, mono) != ({mono: cc.degree(mono)} if cc.degree(mono) else {})
+    ]
+    assert broken and (1, 0, 0, 0) in broken
+    # the check stops at the first identity on a monomial; the second fails
+    # on every monomial where the first does
+    for mono in broken:
+        assert _combine(cc.delta, scaled, mono) != {mono: scale}
+    for n in (2, 3):
+        report = contraction_check(n, 6)
+        assert not report["ok"]
+        m = 2 * (n - 1)  # the flipped image is that of the generator m
+        assert report["failures"][0] == {
+            "identity": "delta*h + h*delta = D",
+            "monomial": (0,) * m + (1,) + (0,) * (m - 1),
+        }
 
 
 # ---------------------------------------------------------------------------

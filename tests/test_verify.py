@@ -574,6 +574,57 @@ def test_axioms_refute_a_negated_structure_constant(monkeypatch, n, flipped, det
     assert (case.verdict, case.detail) == (FAIL, detail)
 
 
+@pytest.mark.parametrize(
+    "n, triple", [(2, [[1, 1], [1, 2], [2, 3]]), (3, [[2, 3], [1, 2], [2, 1]])]
+)
+@pytest.mark.parametrize(
+    "wrong",
+    [lambda terms: tuple((u, -c) for u, c in terms), lambda terms: ()],
+    ids=["negated", "emptied"],
+)
+def test_a_wrong_inner_bracket_fails_the_jacobi_check(monkeypatch, n, triple, wrong):
+    # only the inner brackets, whose emptiness decides which bilinear
+    # brackets run, see [e12, e23] and its mirror change: antisymmetry holds,
+    # so the Jacobi identity alone must catch it
+    original = superalgebra.bracket
+
+    def mutant(n, a, b):
+        terms = original(n, a, b)
+        return wrong(terms) if (a, b) in (E12_E23, E23_E12) else terms
+
+    monkeypatch.setattr(verify, "bracket", mutant)
+    case = _axioms_case(n)
+    assert (case.verdict, case.detail) == (FAIL, {"triple": triple})
+
+
+@pytest.mark.parametrize("n, pairs, triples", [(2, 256, 4096), (3, 1296, 10_000)])
+def test_axioms_pass_on_the_true_bracket(n, pairs, triples):
+    case = _axioms_case(n)
+    assert (case.verdict, case.detail) == (PASS, {"pairs": pairs, "triples": triples})
+
+
+def test_the_rank3_jacobi_check_reads_the_seeded_draws_in_order(monkeypatch):
+    import random
+
+    from superverma.superalgebra import all_units
+
+    calls = []
+    original = superalgebra.bracket
+
+    def recorded(n, a, b):
+        calls.append((a, b))
+        return original(n, a, b)
+
+    monkeypatch.setattr(verify, "bracket", recorded)
+    assert _axioms_case(3).verdict == PASS
+    units = all_units(3)
+    rng = random.Random(20240817)
+    draws = [(rng.choice(units), rng.choice(units), rng.choice(units)) for _ in range(10_000)]
+    # two brackets per pair, then [y,z], [x,y] and [x,z] per triple
+    jacobi = calls[2 * len(units) ** 2 :]
+    assert jacobi == [c for x, y, z in draws for c in ((y, z), (x, y), (x, z))]
+
+
 # ---------------------------------------------------------------------------
 # Default report bytes.
 
